@@ -1,7 +1,13 @@
 """Emulated coding accelerators with calibrated timing and contention.
 
-The device runs a single-threaded virtual-time event engine. Each queue
-serves its calls in order, one at a time; across queues, up to
+The device runs a single-threaded virtual-time event engine. ``submit``
+adds one call at an explicit arrival time and ``advance_to`` moves the
+clock; the deployment harness drives the engine through these two.
+``process(ops)``, the contract every backend shares, runs each descriptor
+as one call submitted at the device clock and advances the clock until it
+completes, so a completion carries the call's virtual service time.
+
+Each queue serves its calls in order, one at a time; across queues, up to
 ``parallel_servers`` calls hold a server at once, granted in global FIFO
 order of arrival. Base call latencies come from the calibrated linear
 models; only a fraction of that latency occupies a server (the rest is
@@ -15,23 +21,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time as _time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from ..errors import InvalidConfigError
-from ..lpu import (Completion, CodingOpDescriptor, DEFAULT_QUEUE_DEPTH,
-                   LpuCapabilities, QueueAllocator, QueueHandle, discover,
-                   validate_granularity, validate_harq_placement)
-from .model import (BenchConfig, JitterSpec, ServiceTimeModel,
-                    calibrate_per_generation)
-
-
-class ClockMode(Enum):
-    VIRTUAL = "virtual"
-    WALL = "wall"
+from ..lpu import (Completion, CodingOpDescriptor, LpuCapabilities,
+                   QueueAllocator, discover, validate_ops)
+from .model import JitterSpec, ServiceTimeModel, calibrate_per_generation
+from .software import execute_descriptor
 
 
 @dataclass
@@ -39,7 +37,7 @@ class CallRecord:
     queue_index: int
     direction: str
     generation: str
-    n_tb: int
+    n_tb: float
     n_cb: int
     kbits: float
     arrival_us: float
@@ -47,8 +45,6 @@ class CallRecord:
     spike_us: float = 0.0
     start_us: float | None = None
     completion_us: float | None = None
-    op: CodingOpDescriptor | None = None
-    outputs: object = None
     seq: int = -1
 
     @property
@@ -70,8 +66,6 @@ class EmulatedDevice:
     parallel_servers: int = 8
     spike: JitterSpec = field(default_factory=JitterSpec)
     seed: int = 0
-    clock_mode: ClockMode = ClockMode.VIRTUAL
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
     compute_payloads: bool = True
     occupancy_fraction: float = 0.25   # share of call latency a core is held
 
@@ -79,8 +73,7 @@ class EmulatedDevice:
         if not 0.0 < self.occupancy_fraction <= 1.0:
             raise InvalidConfigError("occupancy_fraction must be in (0, 1]")
         self.allocator = QueueAllocator(self.device_id,
-                                        self.capabilities.num_queues,
-                                        self.queue_depth)
+                                        self.capabilities.num_queues)
         self._rng = np.random.default_rng(self.seed)
         self._seq = itertools.count()
         self.now_us = 0.0
@@ -90,19 +83,10 @@ class EmulatedDevice:
         self._pending: dict[int, list[CallRecord]] = {}
         self._in_service: dict[int, CallRecord | None] = {}
         self._done: dict[int, list[CallRecord]] = {}
-        self._q_outstanding: dict[int, int] = {}
         self._outstanding = 0
         self._servers_busy = 0
 
     # -- service model ----------------------------------------------------
-    @property
-    def model_decode(self) -> ServiceTimeModel:
-        return self.models[("decode", "per_slot")]
-
-    @property
-    def model_encode(self) -> ServiceTimeModel:
-        return self.models[("encode", "per_slot")]
-
     def service_model(self, direction: str, generation: str
                       ) -> ServiceTimeModel:
         try:
@@ -111,7 +95,7 @@ class EmulatedDevice:
             raise InvalidConfigError(
                 f"{self.device_id}: no model for {direction}/{generation}")
 
-    def base_service_us(self, direction: str, generation: str, n_tb: int,
+    def base_service_us(self, direction: str, generation: str, n_tb: float,
                         n_cb: int, kbits: float) -> float:
         if n_cb == 0:
             return 0.0
@@ -119,22 +103,16 @@ class EmulatedDevice:
         return model.call_time_us(n_tb, n_cb, kbits)
 
     # -- event engine ------------------------------------------------------
-    def _queue_state(self, qidx: int):
-        pend = self._pending.setdefault(qidx, [])
-        self._in_service.setdefault(qidx, None)
-        done = self._done.setdefault(qidx, [])
-        return pend, done
-
     def submit(self, qidx: int, arrival_us: float, direction: str,
-               generation: str, n_tb: int, n_cb: int, kbits: float,
-               op: CodingOpDescriptor | None = None) -> CallRecord:
+               generation: str, n_tb: float, n_cb: int, kbits: float
+               ) -> CallRecord:
         """Add one call at the given virtual arrival time."""
         if arrival_us < self.now_us - 1e-9:
             raise InvalidConfigError("arrivals must be non-decreasing")
         self.advance_to(arrival_us)
         call = CallRecord(queue_index=qidx, direction=direction,
                           generation=generation, n_tb=n_tb, n_cb=n_cb,
-                          kbits=kbits, arrival_us=arrival_us, op=op)
+                          kbits=kbits, arrival_us=arrival_us)
         call.seq = next(self._seq)
         call.base_us = self.base_service_us(direction, generation, n_tb,
                                             n_cb, kbits)
@@ -143,10 +121,10 @@ class EmulatedDevice:
             draw = self._rng.standard_normal()
             call.spike_us = float(
                 self.spike.scale_us * np.exp(self.spike.sigma * draw))
-        pend, _ = self._queue_state(qidx)
-        pend.append(call)
+        self._pending.setdefault(qidx, []).append(call)
+        self._in_service.setdefault(qidx, None)
+        self._done.setdefault(qidx, [])
         self._outstanding += 1
-        self._q_outstanding[qidx] = self._q_outstanding.get(qidx, 0) + 1
         self._try_start()
         return call
 
@@ -185,7 +163,6 @@ class EmulatedDevice:
                 self._try_start()
             else:
                 self._outstanding -= 1
-                self._q_outstanding[call.queue_index] -= 1
                 self._done[call.queue_index].append(call)
                 finished.append(call)
         self.now_us = max(self.now_us, t_us)
@@ -208,87 +185,38 @@ class EmulatedDevice:
         out.sort(key=lambda c: (c.completion_us, c.seq))
         return out
 
-    def run_call_sync(self, qidx: int, direction: str, generation: str,
-                      n_tb: int, n_cb: int, kbits: float,
-                      op: CodingOpDescriptor | None = None) -> CallRecord:
-        """Submit at the current clock and advance until completion."""
-        call = self.submit(qidx, self.now_us, direction, generation, n_tb,
-                           n_cb, kbits, op=op)
-        while call.completion_us is None or self.now_us < call.completion_us:
-            if not self._events:
-                raise InvalidConfigError("event engine stalled")
-            self.advance_to(self._events[0][0])
-        if self.clock_mode is ClockMode.WALL:
-            _time.sleep(call.service_us / 1e6)
-        return call
-
     # -- lpu surface --------------------------------------------------------
-    def enqueue(self, handle: QueueHandle, ops: list[CodingOpDescriptor]
-                ) -> int:
-        self._queue_state(handle.queue_index)
-        free = handle.depth - self._q_outstanding.get(handle.queue_index, 0)
-        accepted = 0
+    def process(self, ops: list[CodingOpDescriptor]) -> list[Completion]:
+        """Run each op as one call; one completion per op, submission order.
+
+        A call is submitted at the device clock (queue 0) and the clock
+        advances until it completes, so each op's service time is its own
+        virtual time. The payload runs only when ``compute_payloads`` is
+        set; otherwise the completion carries no outputs.
+        """
+        validate_ops(self.capabilities, ops)
+        if any(op.shape is None for op in ops):
+            raise InvalidConfigError(
+                f"{self.device_id}: an emulated call needs a shape")
+        done = []
         for op in ops:
-            if accepted >= free:
-                break
-            validate_granularity(self.capabilities, op)
-            validate_harq_placement(self.capabilities, op)
-            shape = op.shape or {}
             outputs = None
             if self.compute_payloads and op.payload is not None:
-                from .software import execute_descriptor
                 outputs = execute_descriptor(op)
-            call = self.submit(handle.queue_index, self.now_us,
-                               "decode" if op.kind.value == "decode"
-                               else "encode",
-                               shape.get("generation", "per_slot"),
-                               shape.get("n_tb", 1), shape.get("n_cb", 1),
-                               shape.get("kbits", 0.0), op=op)
-            call.outputs = outputs
-            accepted += 1
-        return accepted
-
-    def dequeue(self, handle: QueueHandle, max_completions: int
-                ) -> list[Completion]:
-        """Poll completions; in virtual mode waits (jumps the clock) for
-        the queue's in-flight ops up to the requested count."""
-        pend, done = self._queue_state(handle.queue_index)
-        while (len(done) < max_completions and
-               self._q_outstanding.get(handle.queue_index, 0) > 0):
-            if not self._events:
-                break
-            self.advance_to(self._events[0][0])
-        out = []
-        for call in done[:max_completions]:
-            op_id = call.op.op_id if call.op is not None else call.seq
-            out.append(Completion(op_id=op_id, status="ok",
-                                  outputs=call.outputs,
-                                  service_time_us=call.elapsed_us))
-        del done[:max_completions]
-        return out
-
-
-def emulated_service_time(device: EmulatedDevice, shape: dict) -> float:
-    """Deterministic full-request service time on an idle device.
-
-    The request's calls run back to back through one queue, so the virtual
-    elapsed time is the serialized sum of per-call times.
-    """
-    from .model import calls_for
-    n_tb = int(shape.get("n_tb", 1))
-    n_cb = int(shape.get("n_cb", 0))
-    kbits = float(shape.get("total_bits", 0)) / 1000.0
-    generation = shape.get("generation", "per_slot")
-    direction = shape.get("direction", "decode")
-    if n_cb == 0:
-        return 0.0
-    calls = calls_for(generation, direction, n_tb, n_cb)
-    per_call_tb = n_tb / calls
-    per_call_cb = n_cb / calls
-    per_call_kbits = kbits / calls
-    model = device.service_model(direction, generation)
-    return calls * model.call_time_us(per_call_tb, per_call_cb,
-                                      per_call_kbits)
+            shape = op.shape
+            call = self.submit(0, self.now_us, op.kind.value,
+                               shape.generation, shape.n_tb, shape.n_cb,
+                               shape.kbits)
+            while call.completion_us is None \
+                    or self.now_us < call.completion_us:
+                if not self._events:
+                    raise InvalidConfigError("event engine stalled")
+                self.advance_to(self._events[0][0])
+            self._done[0].remove(call)
+            done.append(Completion(op_id=op.op_id, status="ok",
+                                   outputs=outputs,
+                                   service_time_us=call.service_us))
+        return done
 
 
 # -- shipped device profiles -------------------------------------------------
@@ -370,6 +298,8 @@ EMULATED_FACTORIES = {
 
 def make_emulated(name: str, **kw) -> EmulatedDevice:
     try:
-        return EMULATED_FACTORIES[name](**kw)
+        factory = EMULATED_FACTORIES[name]
     except KeyError:
-        raise InvalidConfigError(f"unknown emulated backend {name!r}")
+        raise InvalidConfigError(
+            f"unknown emulated backend {name!r}") from None
+    return factory(**kw)

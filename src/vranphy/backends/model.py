@@ -12,15 +12,15 @@ relative envelope.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
-from math import ceil
 
 import numpy as np
 from scipy.optimize import nnls
 
 from ..errors import CalibrationError, InvalidConfigError
-from ..nr.mcs import compute_tbs, mcs_params, resource_elements
+from ..lpu import CallShape
+from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
@@ -44,9 +44,6 @@ class ServiceTimeModel:
     per_tb_us: float
     per_cb_us: float
     per_kbit_us: float
-    parallel_servers: int = 1
-    jitter: JitterSpec = field(default_factory=JitterSpec)
-    seed: int = 0
     max_rel_residual: float = 0.0
 
     def __post_init__(self):
@@ -54,8 +51,6 @@ class ServiceTimeModel:
                      "per_kbit_us"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(f"{name} must be >= 0")
-        if self.parallel_servers < 1:
-            raise InvalidConfigError("parallel_servers must be >= 1")
 
     def call_time_us(self, n_tb: float, n_cb: float, kbits: float) -> float:
         if n_cb == 0 and n_tb == 0 and kbits == 0:
@@ -96,15 +91,51 @@ class BenchConfig:
                 sum(t for t, _ in shapes) / 1000.0)
 
 
-def calls_for(generation: str, direction: str, n_tb: int, n_cb: int) -> int:
-    """Coding-library calls one slot needs under an interface generation."""
+def call_groups(generation: str, direction: str, cbs_per_tb: list[int]
+                ) -> list[list[int]]:
+    """The TB index of each CB in each coding-library call of one slot.
+
+    This is the one statement of how an interface generation groups a
+    slot's CBs into calls: the whole slot in one call, one call per TB, or
+    per CB (decode) and per batch of ``ENCODE_CB_BATCH`` CBs (encode). Each
+    call takes the next CBs in TB order.
+    """
+    flat = [t for t, n in enumerate(cbs_per_tb) for _ in range(n)]
     if generation == "per_slot":
-        return 1
+        return [flat]
     if generation == "per_tb":
-        return n_tb
+        return [[t] * n for t, n in enumerate(cbs_per_tb)]
     if generation == "per_cb":
-        return n_cb if direction == "decode" else ceil(n_cb / ENCODE_CB_BATCH)
+        size = 1 if direction == "decode" else ENCODE_CB_BATCH
+        return [flat[i:i + size] for i in range(0, len(flat), size)]
     raise InvalidConfigError(f"unknown generation {generation!r}")
+
+
+def call_shapes(generation: str, direction: str,
+                tb_shapes: list[tuple[int, int]]
+                ) -> list[tuple[list[int], CallShape]]:
+    """Each call of one slot: the TB index of each of its CBs, and its shape.
+
+    ``tb_shapes`` holds (TBS bits, CB count) per TB. A CB carries an equal
+    share of its TB's bits.
+    """
+    groups = call_groups(generation, direction, [c for _, c in tb_shapes])
+    n_tb = len(tb_shapes) / len(groups)
+    out = []
+    for tbs in groups:
+        kbits = sum(tb_shapes[t][0] / tb_shapes[t][1] / 1000.0 for t in tbs)
+        out.append((tbs, CallShape(generation, n_tb, len(tbs), kbits)))
+    return out
+
+
+def calls_for(generation: str, direction: str, n_tb: int, n_cb: int) -> int:
+    """Coding-library calls one slot of ``n_tb`` TBs and ``n_cb`` CBs needs.
+
+    The count does not depend on how the CBs are spread over the TBs.
+    """
+    base, rem = divmod(n_cb, n_tb)
+    return len(call_groups(generation, direction,
+                           [base + (t < rem) for t in range(n_tb)]))
 
 
 def _design_row(generation: str, direction: str, n_tb: int, n_cb: int,
@@ -114,10 +145,7 @@ def _design_row(generation: str, direction: str, n_tb: int, n_cb: int,
 
 
 def calibrate_model(observations, direction: str = "decode",
-                    bench: BenchConfig | None = None,
-                    parallel_servers: int = 1,
-                    jitter: JitterSpec | None = None,
-                    seed: int = 0) -> ServiceTimeModel:
+                    bench: BenchConfig | None = None) -> ServiceTimeModel:
     """Fit one coefficient set to (generation, n_tb, mean_us) observations.
 
     Features per observation are completed from the benchmark geometry.
@@ -148,8 +176,6 @@ def calibrate_model(observations, direction: str = "decode",
     return ServiceTimeModel(
         fixed_per_call_us=float(coef[0]), per_tb_us=float(coef[1]),
         per_cb_us=float(coef[2]), per_kbit_us=float(coef[3]),
-        parallel_servers=parallel_servers,
-        jitter=jitter or JitterSpec(), seed=seed,
         max_rel_residual=float(resid.max()))
 
 
@@ -166,7 +192,7 @@ def load_reference_observations() -> list[tuple[str, str, int, float]]:
 
 
 def calibrate_per_generation(observations=None, bench: BenchConfig | None
-                             = None, **model_kwargs
+                             = None
                              ) -> dict[tuple[str, str], ServiceTimeModel]:
     """One fitted model per (direction, generation), encode and decode
     calibrated separately since the measured slopes differ."""
@@ -176,6 +202,5 @@ def calibrate_per_generation(observations=None, bench: BenchConfig | None
     for direction, generation, n_tb, us in observations:
         groups.setdefault((direction, generation), []).append(
             (generation, n_tb, us))
-    return {key: calibrate_model(rows, direction=key[0], bench=bench,
-                                 **model_kwargs)
+    return {key: calibrate_model(rows, direction=key[0], bench=bench)
             for key, rows in groups.items()}

@@ -1,24 +1,17 @@
 """Pure-software coding backend running the channel-coding primitives.
 
-Descriptors execute bit-exactly through the same code paths regardless of
-worker count; a persistent process pool provides real parallelism for
-multi-segment batches (the per-segment work releases no lock it needs to
-share). Elapsed times are wall clock.
+Descriptors run one after another in the calling thread, through the same
+per-segment code paths for every interface generation, so outputs are
+bit-exact. A completion's service time is the wall-clock time of its
+descriptor.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..errors import InvalidConfigError
-from ..lpu import (Completion, CodingOpDescriptor, DEFAULT_QUEUE_DEPTH,
-                   QueueAllocator, QueueHandle, discover,
-                   validate_granularity, validate_harq_placement)
-from ..nr import pipeline
+from ..lpu import (Completion, CodingOpDescriptor, QueueAllocator, discover,
+                   validate_ops)
 from ..nr.encoder import CodeBlock, ldpc_encode
 from ..nr.ratematch import rate_match
 from ..nr.decoder import ldpc_decode
@@ -66,96 +59,28 @@ def execute_descriptor(op: CodingOpDescriptor):
     raise InvalidConfigError(f"unknown descriptor op {kind!r}")
 
 
-def _chunks(items, n):
-    k, m = divmod(len(items), n)
-    out, start = [], 0
-    for i in range(n):
-        size = k + (1 if i < m else 0)
-        if size:
-            out.append(items[start:start + size])
-        start += size
-    return out
-
-
-def _run_chunk(ops):
-    return [execute_descriptor(op) for op in ops]
-
-
 class SoftwareBackend:
-    """Worker-pooled software LPU; results identical to sequential runs."""
+    """Software LPU with one worker: the calling thread."""
 
-    def __init__(self, worker_count: int = 1, device_id: str = "software",
-                 queue_depth: int = DEFAULT_QUEUE_DEPTH):
-        if worker_count < 1:
-            raise InvalidConfigError("worker_count must be >= 1")
+    def __init__(self, worker_count: int = 1, device_id: str = "software"):
+        if worker_count != 1:
+            raise InvalidConfigError("the software backend has one worker")
         self.device_id = device_id
         self.capabilities = discover("software")
-        self.worker_count = worker_count
         self.allocator = QueueAllocator(device_id,
-                                        self.capabilities.num_queues,
-                                        queue_depth)
-        self._pool: ProcessPoolExecutor | None = None
-        self._done: dict[int, list[Completion]] = {}
-        self._queued: dict[int, int] = {}
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing as mp
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.worker_count,
-                mp_context=mp.get_context("fork"))
-        return self._pool
+                                        self.capabilities.num_queues)
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Nothing to release: the backend holds no worker or handle."""
 
     def process(self, ops: list[CodingOpDescriptor]) -> list[Completion]:
         """Execute a batch; one completion per op, submission order."""
-        if not ops:
-            return []
-        t0 = time.perf_counter()
-        if self.worker_count == 1 or len(ops) == 1:
-            outputs = [execute_descriptor(op) for op in ops]
-        else:
-            pool = self._ensure_pool()
-            futures = [pool.submit(_run_chunk, chunk)
-                       for chunk in _chunks(ops, self.worker_count)]
-            outputs = []
-            for fut in futures:
-                outputs.extend(fut.result())
-        elapsed_us = (time.perf_counter() - t0) * 1e6
-        per_op = elapsed_us / len(ops)
-        return [Completion(op_id=op.op_id, status="ok", outputs=out,
-                           service_time_us=per_op)
-                for op, out in zip(ops, outputs)]
-
-    # -- lpu surface -------------------------------------------------------
-    def enqueue(self, handle: QueueHandle, ops: list[CodingOpDescriptor]
-                ) -> int:
-        done = self._done.setdefault(handle.queue_index, [])
-        free = handle.depth - self._queued.get(handle.queue_index, 0)
-        accepted = ops[: max(0, free)]
-        for op in accepted:
-            validate_granularity(self.capabilities, op)
-            validate_harq_placement(self.capabilities, op)
-        done.extend(self.process(list(accepted)))
-        return len(accepted)
-
-    def dequeue(self, handle: QueueHandle, max_completions: int
-                ) -> list[Completion]:
-        done = self._done.setdefault(handle.queue_index, [])
-        out = done[:max_completions]
-        del done[:max_completions]
-        return out
-
-
-def software_process(ops: list[CodingOpDescriptor], worker_count: int = 1
-                     ) -> list[Completion]:
-    """One-shot batch execution on a throwaway software backend."""
-    backend = SoftwareBackend(worker_count=worker_count)
-    try:
-        return backend.process(ops)
-    finally:
-        backend.close()
+        validate_ops(self.capabilities, ops)
+        done = []
+        for op in ops:
+            t0 = time.perf_counter()
+            outputs = execute_descriptor(op)
+            done.append(Completion(
+                op_id=op.op_id, status="ok", outputs=outputs,
+                service_time_us=(time.perf_counter() - t0) * 1e6))
+        return done

@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--backend", default="t2-emulated")
     b.add_argument("--direction", choices=("decode", "encode", "both"),
                    default="both")
-    b.add_argument("--repetitions", type=int, default=100)
     b.add_argument("--max-tbs", type=int, default=8)
 
     c = sub.add_parser("calibrate",
@@ -71,19 +70,16 @@ def _canonical_profile(name: str) -> str:
 
 
 def _cmd_bench(args) -> int:
-    from . import lpu
     from .backends.emulated import make_emulated
-    from .backends.model import JitterSpec
     from .slot_coding import run_interface_bench
 
     device = make_emulated(args.backend, seed=args.seed,
-                           compute_payloads=False, spike=JitterSpec())
+                           compute_payloads=False)
     handle = device.allocator.open_queue(0, device=device)
     directions = (("decode", "encode") if args.direction == "both"
                   else (args.direction,))
     rows = run_interface_bench(handle, directions=directions,
-                               tb_counts=range(1, args.max_tbs + 1),
-                               repetitions=args.repetitions)
+                               tb_counts=range(1, args.max_tbs + 1))
     if args.format == "csv":
         sys.stdout.write(bench_rows_to_csv(rows))
     else:

@@ -13,21 +13,19 @@ a metrics bundle that serializes deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import CapacityError, InvalidConfigError
-from ..highphy import tdd_slot_kind
+from ..errors import InvalidConfigError
+from ..highphy import (DL_BUDGET_US, TDD_PATTERN, TTI_US, UL_BUDGET_US,
+                       UL_OTHER_STAGES_US, tdd_slot_kind)
 from ..lpu import QueueHandle
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
-from .topology import (InstancePlan, default_core_plan, topology_for,
-                       validate_placement)
+from .topology import default_core_plan, topology_for, validate_placement
 
-TTI_US = 500.0
-TDD_PATTERN = "DDDSU"
 ENCODE_LOOKAHEAD_SLOTS = 1
 UL_FAILURE_STREAK = 8
 
@@ -37,9 +35,8 @@ DL_PREP_OFFSET_US = 250.0
 UL_PREP_OFFSET_US = 320.0
 SUBMIT_JITTER_US = 130.0
 
-# synthetic non-coding stage costs per slot (totals land in the observed
-# single-instance interquartile ranges)
-UL_OTHER_US = 1400.0
+# synthetic DL non-coding stage cost per slot (totals land in the observed
+# single-instance interquartile ranges); the UL cost is highphy's
 DL_OTHER_US = 407.0
 
 DEFAULT_TARGETS = {"dl_mbps": 1200.0, "ul_mbps": 90.0}
@@ -76,12 +73,14 @@ class DeploymentConfig:
     duration_slots: int = 2000
     seed: int = 0
     traffic: PhyTestTraffic = field(default_factory=PhyTestTraffic)
-    ul_budget_us: float = 2000.0
-    dl_budget_us: float = 1000.0
+    ul_budget_us: float = UL_BUDGET_US
+    dl_budget_us: float = DL_BUDGET_US
 
     def __post_init__(self):
         if self.n_instances < 1:
             raise InvalidConfigError("n_instances must be >= 1")
+        if self.duration_slots < 1:
+            raise InvalidConfigError("duration_slots must be >= 1")
 
     @property
     def backend_name(self) -> str:
@@ -90,14 +89,17 @@ class DeploymentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "DeploymentConfig":
-        traffic = PhyTestTraffic(**doc.pop("traffic", {}))
+        doc = dict(doc)
+        traffic = doc.pop("traffic", {})
         known = {"profile", "n_instances", "backend", "duration_slots",
                  "seed", "ul_budget_us", "dl_budget_us"}
-        unknown = set(doc) - known
+        unknown = (set(doc) - known) | {
+            f"traffic.{k}" for k in
+            set(traffic) - {f.name for f in fields(PhyTestTraffic)}}
         if unknown:
             raise InvalidConfigError(
                 f"unknown deployment config keys: {sorted(unknown)}")
-        return DeploymentConfig(traffic=traffic, **doc)
+        return DeploymentConfig(traffic=PhyTestTraffic(**traffic), **doc)
 
     def to_dict(self) -> dict:
         doc = {"profile": self.profile, "n_instances": self.n_instances,
@@ -270,7 +272,7 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         elapsed = call.elapsed_us
         if direction == "ul":
             m.ul_decode_us.append(elapsed)
-            total = UL_OTHER_US + elapsed
+            total = UL_OTHER_STAGES_US + elapsed
             m.ul_total_us.append(total)
             ok = rngs[instance].random() >= config.traffic.ul_error_rate
             if ok:

@@ -1,17 +1,17 @@
-"""Slot-level High-PHY pipelines: TDD slot typing, precoding and resource
-mapping with scalar/vectorized/multi-worker execution, and per-stage
-timing records with deadline accounting.
+"""Slot-level High-PHY pipelines: cell timing constants, TDD slot typing,
+vectorized precoding and resource mapping, and per-stage timing records
+with deadline accounting.
 
-All precoding modes accumulate over layers innermost in a fixed order, so
-their outputs are bit-identical; worker partitioning is by OFDM symbol
-(then PRB chunks) over disjoint output slices.
+Precoding accumulates over layers in a fixed order, one whole-grid
+multiply-add per (port, layer). It equals a per-element loop in the same
+order up to the rounding of NumPy's vectorized complex multiply, and bit
+for bit when the products are exact, as with the default identity weights.
 """
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,8 @@ from .slot_coding import (Direction, HarqPool, SlotCodingRequest,
 
 SYMBOLS_PER_SLOT = 14
 SUBCARRIERS_PER_PRB = 12
-PRB_CHUNK = 24
+TTI_US = 500.0               # numerology 1
+TDD_PATTERN = "DDDSU"
 
 # pipeline-depth deadline budgets (non-measured defaults, config knobs)
 DL_BUDGET_US = 1000.0
@@ -40,10 +41,10 @@ class CellConfig:
     bandwidth_mhz: int = 100
     prbs: int = 273
     numerology: int = 1
-    tti_us: float = 500.0
+    tti_us: float = TTI_US
     tx_antennas: int = 4
     rx_antennas: int = 4
-    tdd_pattern: str = "DDDSU"
+    tdd_pattern: str = TDD_PATTERN
     band: str = "n77"
     symbols: int = 12            # data symbols available to a TB
     overhead: int = 0
@@ -51,7 +52,7 @@ class CellConfig:
     ul_budget_us: float = UL_BUDGET_US
 
     def __post_init__(self):
-        if self.numerology == 1 and self.tti_us != 500.0:
+        if self.numerology == 1 and self.tti_us != TTI_US:
             raise InvalidConfigError("numerology 1 has a 500 us TTI")
         if not self.tdd_pattern:
             raise InvalidConfigError("empty TDD pattern")
@@ -103,16 +104,15 @@ def layer_grid(cfg: CellConfig, layers: int, seed: int = 0) -> ResourceGrid:
 
 
 class PrecodeMode(Enum):
-    SCALAR = "scalar"
     VECTOR = "vector"
-    WORKERS = "workers"
 
 
 def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
-                    mode: PrecodeMode = PrecodeMode.VECTOR,
-                    workers: int = 4) -> ResourceGrid:
+                    mode: PrecodeMode = PrecodeMode.VECTOR) -> ResourceGrid:
     """Per-port combination out[p] = sum_l w[p, l] * in[l], mapped onto the
-    port grid. All modes produce bit-identical output."""
+    port grid."""
+    if mode is not PrecodeMode.VECTOR:
+        raise InvalidConfigError(f"unknown mode {mode!r}")
     w = np.asarray(weights, dtype=np.complex128)
     x = layers.data
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
@@ -120,61 +120,10 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
             f"weights {w.shape} do not match {x.shape[0]} layers")
     ports, nl = w.shape
     out = np.zeros((ports, x.shape[1], x.shape[2]), dtype=np.complex128)
-    if mode is PrecodeMode.SCALAR:
-        _precode_scalar(out, w, x)
-    elif mode is PrecodeMode.VECTOR:
-        _precode_vector_slice(out, w, x, slice(None))
-    elif mode is PrecodeMode.WORKERS:
-        if workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
-        _precode_workers(out, w, x, workers)
-    else:
-        raise InvalidConfigError(f"unknown mode {mode!r}")
-    return ResourceGrid(out)
-
-
-def _precode_scalar(out, w, x) -> None:
-    ports, nl = w.shape
-    _, n_sym, n_sc = x.shape
-    zero = np.complex128(0)
     for p in range(ports):
-        wp = [w[p, l] for l in range(nl)]
-        for s in range(n_sym):
-            for c in range(n_sc):
-                acc = zero
-                for l in range(nl):
-                    acc = acc + wp[l] * x[l, s, c]
-                out[p, s, c] = acc
-
-
-def _precode_vector_slice(out, w, x, sym_slice, sc_slice=slice(None)) -> None:
-    ports, nl = w.shape
-    for p in range(ports):
-        acc = out[p, sym_slice, sc_slice]
         for l in range(nl):
-            acc += w[p, l] * x[l, sym_slice, sc_slice]
-
-
-def _precode_workers(out, w, x, workers: int) -> None:
-    n_sym = x.shape[1]
-    n_sc = x.shape[2]
-    tasks = []
-    if workers <= n_sym:
-        bounds = np.linspace(0, n_sym, workers + 1, dtype=int)
-        for i in range(workers):
-            if bounds[i] < bounds[i + 1]:
-                tasks.append((slice(bounds[i], bounds[i + 1]), slice(None)))
-    else:
-        sc_chunk = PRB_CHUNK * SUBCARRIERS_PER_PRB
-        for s in range(n_sym):
-            for c0 in range(0, n_sc, sc_chunk):
-                tasks.append((slice(s, s + 1),
-                              slice(c0, min(c0 + sc_chunk, n_sc))))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_precode_vector_slice, out, w, x, sym, sc)
-                   for sym, sc in tasks]
-        for f in futures:
-            f.result()
+            out[p] += w[p, l] * x[l]
+    return ResourceGrid(out)
 
 
 @dataclass
@@ -207,7 +156,7 @@ def _record(slot_id, kind, direction, stages, budget, crc_ok=None
 
 
 def run_dl_slot(cfg: CellConfig, jobs, executor,
-                mode: PrecodeMode = PrecodeMode.VECTOR, workers: int = 4,
+                mode: PrecodeMode = PrecodeMode.VECTOR,
                 weights: np.ndarray | None = None,
                 other_stages_us: float = DL_OTHER_STAGES_US,
                 budget_us: float | None = None,
@@ -226,13 +175,13 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
     if weights is None:
         weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
     t0 = time.perf_counter()
-    precode_and_map(grid, weights, mode=mode, workers=workers)
+    precode_and_map(grid, weights, mode=mode)
     precode_us = (time.perf_counter() - t0) * 1e6
     stages = {"coding": coding.total_elapsed_us,
               "precode_map": precode_us,
               "other": float(other_stages_us)}
     budget = cfg.dl_budget_us if budget_us is None else budget_us
-    rec = _record(slot_id, kind, "dl", stages, budget, crc_ok=True)
+    rec = _record(slot_id, kind, "dl", stages, budget)
     return rec, coding
 
 
@@ -253,6 +202,7 @@ def run_ul_slot(cfg: CellConfig, jobs, executor,
     stages = {"other": float(other_stages_us),
               "coding": coding.total_elapsed_us}
     budget = cfg.ul_budget_us if budget_us is None else budget_us
+    decoded = all(j.tb_crc_ok is not None for j in coding.job_results)
     rec = _record(slot_id, kind, "ul", stages, budget,
-                  crc_ok=coding.all_crc_ok)
+                  crc_ok=coding.all_crc_ok if decoded else None)
     return rec, coding

@@ -1,10 +1,13 @@
-"""Accelerator-abstraction layer: capability discovery, queue lifecycle,
+"""Accelerator-abstraction layer: capability discovery, queue allocation,
 operation descriptors and the CB/TB interface routing quirks.
 
-Devices expose static capability descriptors; work is submitted as coding
-operation descriptors through per-owner queues with bounded depth and FIFO
-order. Routing between code-block and transport-block descriptor
-granularity honours each device's advertised quirks.
+Devices expose static capability descriptors. Every backend takes work
+through one call, ``process(ops) -> list[Completion]``: one completion per
+coding operation descriptor, in submission order, after the device has
+checked the descriptor against its capabilities. Each gNB instance owns
+exclusive queue indices on a shared device. Routing between code-block and
+transport-block descriptor granularity honours each device's advertised
+quirks.
 """
 from __future__ import annotations
 
@@ -15,8 +18,6 @@ from typing import Any
 from .errors import (CapabilityMismatchError, InvalidConfigError,
                      ResourceExhaustedError)
 from .nr.softbuffer import BufferLocation
-
-DEFAULT_QUEUE_DEPTH = 128
 
 
 class OpKind(Enum):
@@ -102,16 +103,23 @@ def route_interface(caps: LpuCapabilities, num_cbs_in_tb: int) -> Granularity:
         f"{caps.name}: no permitted interface for {num_cbs_in_tb} CBs")
 
 
+@dataclass(frozen=True)
+class CallShape:
+    """Timing shape of one coding-library call."""
+    generation: str
+    n_tb: float        # the slot's TBs spread evenly over its calls
+    n_cb: int
+    kbits: float
+
+
 @dataclass
 class CodingOpDescriptor:
     kind: OpKind
     granularity: Granularity
     payload: Any = None
-    rate_params: Any = None
     harq_location: BufferLocation | None = None
-    harq_token: Any = None
     op_id: int = -1
-    shape: Any = None          # backend timing hints (bits, cbs, tbs)
+    shape: CallShape | None = None   # what an emulated device times
 
 
 @dataclass
@@ -126,10 +134,8 @@ class Completion:
 class QueueHandle:
     device_id: str
     queue_index: int
-    depth: int
     owner_instance: int
     _device: Any = field(repr=False, default=None)
-    _closed: bool = False
 
     @property
     def device(self):
@@ -139,11 +145,9 @@ class QueueHandle:
 class QueueAllocator:
     """Exclusive queue-index bookkeeping for one device."""
 
-    def __init__(self, device_id: str, num_queues: int,
-                 depth: int = DEFAULT_QUEUE_DEPTH):
+    def __init__(self, device_id: str, num_queues: int):
         self.device_id = device_id
         self.num_queues = num_queues
-        self.depth = depth
         self._in_use: dict[int, int] = {}
 
     def open_queue(self, instance_id: int, device=None) -> QueueHandle:
@@ -151,7 +155,6 @@ class QueueAllocator:
             if idx not in self._in_use:
                 self._in_use[idx] = instance_id
                 return QueueHandle(device_id=self.device_id, queue_index=idx,
-                                   depth=self.depth,
                                    owner_instance=instance_id,
                                    _device=device)
         raise ResourceExhaustedError(
@@ -159,54 +162,11 @@ class QueueAllocator:
 
     def close_queue(self, handle: QueueHandle) -> None:
         self._in_use.pop(handle.queue_index, None)
-        handle._closed = True
-
-
-class DeviceRegistry:
-    """Live device instances addressable by id (configured by name)."""
-
-    def __init__(self):
-        self._devices: dict[str, Any] = {}
-
-    def register(self, device) -> None:
-        self._devices[device.device_id] = device
-
-    def get(self, device_id: str):
-        try:
-            return self._devices[device_id]
-        except KeyError:
-            raise InvalidConfigError(f"no live device {device_id!r}")
-
-    def clear(self) -> None:
-        self._devices.clear()
-
-
-registry = DeviceRegistry()
-
-
-def open_queue(device_id: str, instance_id: int) -> QueueHandle:
-    """Exclusive queue on a live device (models one virtual function)."""
-    device = registry.get(device_id)
-    return device.allocator.open_queue(instance_id, device=device)
-
-
-def enqueue(handle: QueueHandle, ops: list[CodingOpDescriptor]) -> int:
-    """Submit up to free-depth ops; returns the number accepted."""
-    if handle._closed or handle.device is None:
-        raise InvalidConfigError("queue handle is closed or unbound")
-    return handle.device.enqueue(handle, ops)
-
-
-def dequeue(handle: QueueHandle, max_completions: int) -> list[Completion]:
-    """Poll completed ops, at most ``max_completions``, completion order."""
-    if handle._closed or handle.device is None:
-        raise InvalidConfigError("queue handle is closed or unbound")
-    return handle.device.dequeue(handle, max_completions)
 
 
 def validate_harq_placement(caps: LpuCapabilities,
                             op: CodingOpDescriptor) -> None:
-    """Reject device-side HARQ tokens on devices without internal memory."""
+    """Reject device-side HARQ buffers on devices without internal memory."""
     if op.harq_location is BufferLocation.DEVICE \
             and not caps.internal_harq_memory:
         raise CapabilityMismatchError(
@@ -219,3 +179,11 @@ def validate_granularity(caps: LpuCapabilities,
         raise CapabilityMismatchError(f"{caps.name}: CB interface unsupported")
     if op.granularity is Granularity.TB and not caps.supports_tb_interface:
         raise CapabilityMismatchError(f"{caps.name}: TB interface unsupported")
+
+
+def validate_ops(caps: LpuCapabilities, ops: list[CodingOpDescriptor]
+                 ) -> None:
+    """Capability checks every backend runs before it processes a batch."""
+    for op in ops:
+        validate_granularity(caps, op)
+        validate_harq_placement(caps, op)

@@ -93,12 +93,11 @@ def bench_rows_to_csv(rows: list[dict]) -> str:
     """Interface-bench table as CSV with the documented header."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["generation", "n_tb", "mean_us", "p50_us", "p90_us",
+    writer.writerow(["direction", "generation", "n_tb", "mean_us",
                      "calls_made"])
     for r in rows:
-        writer.writerow([r["generation"], r["n_tb"],
-                         f"{r['mean_us']:.3f}", f"{r['p50_us']:.3f}",
-                         f"{r['p90_us']:.3f}", r["calls_made"]])
+        writer.writerow([r["direction"], r["generation"], r["n_tb"],
+                         f"{r['mean_us']:.3f}", r["calls_made"]])
     return out.getvalue()
 
 

@@ -9,13 +9,13 @@ rate matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidConfigError, UnsupportedConfigError
-from .basegraph import (CORE_PARITY_BLOCKS, KB_BG1, LiftedStructure, lifted,
-                        set_index)
+from .basegraph import (CORE_PARITY_BLOCKS, KB_BG1, KB_BG2, LiftedStructure,
+                        lifted, set_index)
 
 
 @dataclass
@@ -30,7 +30,7 @@ class CodeBlock:
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
-        k = (KB_BG1 if self.base_graph == 1 else 10) * self.lifting_size
+        k = (KB_BG1 if self.base_graph == 1 else KB_BG2) * self.lifting_size
         if self.bits.size != k:
             raise InvalidConfigError(
                 f"code block length {self.bits.size} != K={k}")
@@ -45,11 +45,8 @@ def _roll_neg(v: np.ndarray, s: int) -> np.ndarray:
 
 def ldpc_encode(cb: CodeBlock) -> np.ndarray:
     """Full lifted codeword (length n_cols * Z) for one code block."""
-    try:
-        st = lifted(cb.base_graph, cb.lifting_size)
-        set_index(cb.lifting_size)
-    except UnsupportedConfigError:
-        raise
+    st = lifted(cb.base_graph, cb.lifting_size)
+    set_index(cb.lifting_size)
     return _encode_on(st, cb.bits)
 
 

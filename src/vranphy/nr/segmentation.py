@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError
 from . import crc
-from .basegraph import KB_BG1, MAX_Z, lifting_sizes
+from .basegraph import KB_BG1, KB_BG2, MAX_Z, lifting_sizes
 
 MAX_CB_BG1 = 8448
 MAX_CB_BG2 = 3840
@@ -47,7 +47,7 @@ class SegmentationPlan:
     @property
     def k(self) -> int:
         """Info length K of one code block including filler."""
-        kb_sys = KB_BG1 if self.base_graph == 1 else 10
+        kb_sys = KB_BG1 if self.base_graph == 1 else KB_BG2
         return kb_sys * self.lifting_size
 
 
@@ -70,7 +70,7 @@ def _kb_for(base_graph: int, b: int) -> int:
         return 8
     if b <= 640:
         return 9
-    return 10
+    return KB_BG2
 
 
 def segment_tb(tb_size_bits: int, target_code_rate) -> SegmentationPlan:
@@ -93,7 +93,7 @@ def segment_tb(tb_size_bits: int, target_code_rate) -> SegmentationPlan:
     k_prime = ceil(b_prime / c)
     kb = _kb_for(bg, b)
     z = _min_lifting(kb, k_prime)
-    kb_sys = KB_BG1 if bg == 1 else 10
+    kb_sys = KB_BG1 if bg == 1 else KB_BG2
     k = kb_sys * z
     return SegmentationPlan(
         tb_size_bits=b,

@@ -8,22 +8,20 @@ therefore in call count and timing.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
-from math import ceil
 
 import numpy as np
 
 from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
-from .lpu import (CodingOpDescriptor, Granularity, OpKind, QueueHandle,
-                  route_interface)
+from .lpu import (CallShape, CodingOpDescriptor, Granularity, OpKind,
+                  QueueHandle, route_interface)
 from .nr.basegraph import buffer_length
 from .nr.mcs import compute_tbs, mcs_params, resource_elements
-from .nr.pipeline import e_splits
+from .nr.pipeline import e_splits, encode_tb
 from .nr.ratematch import RateMatchParams
-from .nr.segmentation import segment_tb, split_payload
+from .nr.segmentation import assemble_payload, segment_tb, split_payload
 from .nr.softbuffer import (BufferLocation, SoftBuffer, new_soft_buffer,
                             noiseless_llrs)
 
@@ -93,7 +91,7 @@ class JobResult:
     ue_id: int
     streams: list[np.ndarray] | None = None      # DL rate-matched bits per CB
     payload: np.ndarray | None = None            # UL decoded payload
-    tb_crc_ok: bool | None = None
+    tb_crc_ok: bool | None = None                # None: nothing decoded
     cb_crc_ok: list[bool] = field(default_factory=list)
     num_cbs: int = 0
 
@@ -110,7 +108,8 @@ class SlotCodingResult:
 
     @property
     def all_crc_ok(self) -> bool:
-        return all(j.tb_crc_ok and all(j.cb_crc_ok)
+        """Every TB was decoded and passed; an unknown result is no pass."""
+        return all(j.tb_crc_ok is True and all(j.cb_crc_ok)
                    for j in self.job_results)
 
 
@@ -145,8 +144,7 @@ class _TbWork:
     """Per-TB precomputed coding state shared by every generation."""
     job: TransportBlockJob
     plan: object
-    params: list[RateMatchParams]
-    qm: int
+    tbs: int
     items: list[dict]            # per-CB work units
     granularity: Granularity
 
@@ -168,16 +166,14 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
     items = []
     if direction is Direction.DL:
         cbs = split_payload(job.payload, plan)
-        for idx, (bits, rm) in enumerate(zip(cbs, params)):
-            items.append({"plan": plan, "bits": bits, "param": rm,
-                          "kbits": tbs / plan.num_cbs / 1000.0})
+        for bits, rm in zip(cbs, params):
+            items.append({"plan": plan, "bits": bits, "param": rm})
     else:
         streams = job.llr_streams
         if streams is None:
             if job.payload is None:
                 raise InvalidConfigError(
                     "UL job needs llr_streams or a loopback payload")
-            from .nr.pipeline import encode_tb
             enc = encode_tb(job.payload, plan, g_total, qm, job.layers,
                             job.rv)
             streams = [noiseless_llrs(s) for s in enc.streams]
@@ -195,78 +191,48 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
             else:
                 buf = new_soft_buffer(plan)
             items.append({"plan": plan, "llrs": llrs, "param": rm,
-                          "buffer": buf,
-                          "kbits": tbs / plan.num_cbs / 1000.0})
-    return _TbWork(job=job, plan=plan, params=params, qm=qm, items=items,
+                          "buffer": buf})
+    return _TbWork(job=job, plan=plan, tbs=tbs, items=items,
                    granularity=granularity)
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
-                 direction: Direction) -> list[list[tuple[int, dict]]]:
-    """Call batches as (tb_index, item) lists, per the generation."""
-    flat = [(t, item) for t, w in enumerate(works) for item in w.items]
-    if generation is InterfaceGeneration.PER_SLOT:
-        return [flat]
-    if generation is InterfaceGeneration.PER_TB:
-        return [[(t, item) for item in w.items]
-                for t, w in enumerate(works)]
-    if direction is Direction.DL:
-        from .backends.model import ENCODE_CB_BATCH
-        return [flat[i:i + ENCODE_CB_BATCH]
-                for i in range(0, len(flat), ENCODE_CB_BATCH)]
-    return [[entry] for entry in flat]
+                 direction: Direction
+                 ) -> list[tuple[list[tuple[int, dict]], CallShape]]:
+    """Each call's (tb_index, item) batch and timing shape."""
+    # imported on first use: loading the backends (and scipy) while
+    # highphy loads made a cold import of the program 40-60 ms slower on a
+    # 2-vCPU VM
+    from .backends.model import call_shapes
+    items = [iter(w.items) for w in works]
+    calls = call_shapes(generation.value, direction_name(direction),
+                        [(w.tbs, w.plan.num_cbs) for w in works])
+    return [([(t, next(items[t])) for t in tbs], shape)
+            for tbs, shape in calls]
 
 
-def _run_calls(executor: QueueHandle, direction: Direction,
-               generation: InterfaceGeneration, works: list[_TbWork],
-               calls: list[list[tuple[int, dict]]]
+def _run_calls(device, direction: Direction, works: list[_TbWork],
+               calls: list[tuple[list[tuple[int, dict]], CallShape]]
                ) -> tuple[list[list[dict | None]], list[float]]:
     """Execute call batches; returns per-TB outputs and per-call times."""
-    device = executor.device
-    if device is None:
-        raise BackendUnavailableError("executor handle has no device")
     kind = OpKind.ENCODE if direction is Direction.DL else OpKind.DECODE
     op_name = "encode_cbs" if direction is Direction.DL else "decode_cbs"
-    n_tb = len(works)
-    n_calls = len(calls)
-    outputs_per_tb: list[list] = [[] for _ in works]
-    per_call_us: list[float] = []
-    from .backends.emulated import EmulatedDevice
-    emulated = isinstance(device, EmulatedDevice)
-    for batch in calls:
-        tbs_in_call = sorted({t for t, _ in batch})
+    ops = []
+    for op_id, (batch, shape) in enumerate(calls):
         gran = Granularity.TB if all(
-            works[t].granularity is Granularity.TB for t in tbs_in_call) \
+            works[t].granularity is Granularity.TB for t, _ in batch) \
             else Granularity.CB
-        payload = None
-        compute = (not emulated) or device.compute_payloads
-        if compute:
-            payload = {"op": op_name,
-                       "items": [item for _, item in batch]}
-        op = CodingOpDescriptor(kind=kind, granularity=gran,
-                                payload=payload,
-                                harq_location=None, op_id=len(per_call_us))
-        if emulated:
-            from .backends.software import execute_descriptor
-            outs = execute_descriptor(op) if compute else None
-            kbits = sum(item["kbits"] for _, item in batch)
-            call = device.run_call_sync(
-                executor.queue_index, direction_name(direction),
-                generation.value, n_tb / n_calls, len(batch), kbits)
-            per_call_us.append(call.service_us)
-        else:
-            t0 = time.perf_counter()
-            outs = execute_descriptor_soft(device, op)
-            per_call_us.append((time.perf_counter() - t0) * 1e6)
-        for pos, (t, item) in enumerate(batch):
+        ops.append(CodingOpDescriptor(
+            kind=kind, granularity=gran, op_id=op_id, shape=shape,
+            payload={"op": op_name, "items": [item for _, item in batch]}))
+    completions = device.process(ops)
+    outputs_per_tb: list[list] = [[] for _ in works]
+    for (batch, _), done in zip(calls, completions):
+        for pos, (t, _) in enumerate(batch):
             outputs_per_tb[t].append(
-                None if outs is None else _slice_output(outs, pos))
-    return outputs_per_tb, per_call_us
-
-
-def execute_descriptor_soft(device, op):
-    completions = device.process([op])
-    return completions[0].outputs
+                None if done.outputs is None
+                else _slice_output(done.outputs, pos))
+    return outputs_per_tb, [c.service_time_us for c in completions]
 
 
 def _slice_output(outs: dict, pos: int) -> dict:
@@ -295,36 +261,32 @@ def decode_slot(request: SlotCodingRequest, executor: QueueHandle,
 
 def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
                   harq: HarqPool | None) -> SlotCodingResult:
+    """Code one slot. Results of a device that runs no payload carry no
+    streams, payloads or CRC flags."""
     request.validate()
     device = executor.device
-    caps = device.capabilities
-    works = [_prepare_tb(job, request, caps, request.direction, harq)
+    if device is None:
+        raise BackendUnavailableError("executor handle has no device")
+    works = [_prepare_tb(job, request, device.capabilities,
+                         request.direction, harq)
              for job in request.jobs]
     calls = _group_calls(works, request.interface_generation,
                          request.direction)
-    outputs_per_tb, per_call_us = _run_calls(
-        executor, request.direction, request.interface_generation, works,
-        calls)
+    outputs_per_tb, per_call_us = _run_calls(device, request.direction,
+                                             works, calls)
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)
-        if request.direction is Direction.DL:
-            if outs and outs[0] is not None:
+        if outs[0] is not None:
+            if request.direction is Direction.DL:
                 jr.streams = [o["streams"] for o in outs]
-            jr.tb_crc_ok = True
-            jr.cb_crc_ok = [True] * w.plan.num_cbs
-        else:
-            if outs and outs[0] is not None:
+            else:
                 infos = [o["info_bits"] for o in outs]
                 cb_ok = [bool(o["crc_ok"]) for o in outs]
-                from .nr.segmentation import assemble_payload
                 payload, tb_ok, seg_ok = assemble_payload(infos, w.plan)
                 jr.payload = payload
                 jr.tb_crc_ok = bool(tb_ok)
                 jr.cb_crc_ok = [a and b for a, b in zip(cb_ok, seg_ok)]
-            else:
-                jr.tb_crc_ok = True
-                jr.cb_crc_ok = [True] * w.plan.num_cbs
         results.append(jr)
     return SlotCodingResult(
         slot_id=request.slot_id, direction=request.direction,
@@ -333,87 +295,41 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
         calls_made=len(calls))
 
 
-BENCH_REPETITIONS = 100
-
-
 def run_interface_bench(executor: QueueHandle,
                         directions=("decode", "encode"),
                         generations=tuple(InterfaceGeneration),
                         tb_counts=range(1, 9),
-                        repetitions: int = BENCH_REPETITIONS,
                         bench_config=None) -> list[dict]:
-    """Mean slot coding time per (direction, generation, TB count).
+    """Slot coding time per (direction, generation, TB count).
 
-    The benchmark slot is a full grid equally shared between the TBs. On an
-    emulated device the per-call shapes run straight through the timing
-    model (deterministic in virtual time); per-slot samples are retained
-    and summarized with nearest-rank percentiles.
+    The benchmark slot is a full grid equally shared between the TBs. Its
+    calls run one after another through the emulated device's timing
+    model, so each row is one deterministic virtual-time sample.
     """
     from .backends.emulated import EmulatedDevice
-    from .backends.model import BenchConfig, calls_for
-    from .metrics import summarize
+    from .backends.model import BenchConfig, call_shapes
 
     device = executor.device
     if not isinstance(device, EmulatedDevice):
         raise InvalidConfigError(
             "the interface bench runs on an emulated device")
     cfg = bench_config or BenchConfig()
-    gens = [g if isinstance(g, InterfaceGeneration)
-            else InterfaceGeneration(g) for g in generations]
+    gens = [InterfaceGeneration(g) for g in generations]
     rows = []
     for direction in directions:
         for gen in gens:
             for n_tb in tb_counts:
-                shapes = cfg.tb_shapes(n_tb)
-                n_cb = sum(c for _, c in shapes)
-                kbits = sum(t for t, _ in shapes) / 1000.0
-                n_calls = calls_for(gen.value, direction, n_tb, n_cb)
-                samples = []
-                for _ in range(repetitions):
-                    total = 0.0
-                    for call_shape in _bench_call_shapes(
-                            gen.value, direction, n_tb, shapes):
-                        call = device.run_call_sync(
-                            executor.queue_index, direction, gen.value,
-                            *call_shape)
-                        total += call.service_us
-                    samples.append(total)
-                dist = summarize(samples)
+                calls = call_shapes(gen.value, direction, cfg.tb_shapes(n_tb))
+                done = device.process([
+                    CodingOpDescriptor(kind=OpKind(direction),
+                                       granularity=Granularity.CB,
+                                       op_id=op_id, shape=shape)
+                    for op_id, (_, shape) in enumerate(calls)])
                 rows.append({
                     "direction": direction,
                     "generation": gen.value,
                     "n_tb": int(n_tb),
-                    "mean_us": dist.mean,
-                    "p50_us": dist.median,
-                    "p90_us": dist.p90,
-                    "calls_made": int(n_calls),
+                    "mean_us": sum(c.service_time_us for c in done),
+                    "calls_made": len(done),
                 })
     return rows
-
-
-def _bench_call_shapes(generation: str, direction: str, n_tb: int,
-                       tb_shapes: list[tuple[int, int]]
-                       ) -> list[tuple[float, int, float]]:
-    """(n_tb share, n_cb, kbits) per call for a benchmark slot."""
-    from .backends.model import ENCODE_CB_BATCH, calls_for
-    n_cb = sum(c for _, c in tb_shapes)
-    kbits = sum(t for t, _ in tb_shapes) / 1000.0
-    n_calls = calls_for(generation, direction, n_tb, n_cb)
-    if generation == "per_slot":
-        return [(float(n_tb), n_cb, kbits)]
-    if generation == "per_tb":
-        return [(1.0, c, t / 1000.0) for t, c in tb_shapes]
-    # per_cb: spread TB bookkeeping evenly over the segment-granular calls
-    tb_frac = n_tb / n_calls
-    out = []
-    if direction == "decode":
-        for tbs, c in tb_shapes:
-            out.extend([(tb_frac, 1, tbs / c / 1000.0)] * c)
-        return out
-    per_cb_kbits = kbits / n_cb
-    remaining = n_cb
-    for _ in range(n_calls):
-        batch = min(ENCODE_CB_BATCH, remaining)
-        out.append((tb_frac, batch, batch * per_cb_kbits))
-        remaining -= batch
-    return out

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from vranphy import lpu
-from vranphy.backends import SoftwareBackend
+from vranphy.backends import SoftwareBackend, execute_descriptor
+from vranphy.backends.emulated import make_emulated_t2
+from vranphy.backends.model import JitterSpec
 from vranphy.errors import (CapabilityMismatchError, InvalidConfigError,
                             ResourceExhaustedError)
-from vranphy.lpu import (CodingOpDescriptor, Granularity, LpuCapabilities,
-                         OpKind, QueueAllocator, discover, route_interface,
-                         validate_harq_placement)
+from vranphy.lpu import (CallShape, CodingOpDescriptor, Granularity,
+                         LpuCapabilities, OpKind, QueueAllocator, discover,
+                         route_interface, validate_harq_placement)
 from vranphy.nr import segment_tb
 from vranphy.nr.softbuffer import BufferLocation
 
@@ -122,59 +124,52 @@ def test_enqueue_validates_harq_token_placement(rng):
         validate_harq_placement(discover("software"), op)
 
 
-def test_enqueue_depth_backpressure(rng):
-    backend = SoftwareBackend(queue_depth=4)
-    handle = backend.allocator.open_queue(0, device=backend)
-    plan = segment_tb(300, 0.5)
-    ops = [_decode_op(plan, rng) for _ in range(6)]
-    assert lpu.enqueue(handle, ops) == 4
-    assert lpu.enqueue(handle, []) == 0
+def _backend(name):
+    if name == "software":
+        return SoftwareBackend()
+    return make_emulated_t2(compute_payloads=True, spike=JitterSpec())
 
 
-def test_enqueue_dequeue_conservation_and_order(rng):
-    backend = SoftwareBackend()
-    handle = backend.allocator.open_queue(0, device=backend)
+@pytest.mark.parametrize("name", ["software", "t2-emulated"])
+def test_process_conserves_ops_in_order(name, rng):
+    backend = _backend(name)
     plan = segment_tb(300, 0.5)
     ops = []
     for i in range(5):
         op = _decode_op(plan, rng)
         op.op_id = 100 + i
+        op.shape = CallShape("per_cb", 1.0, 1, 0.3)
         ops.append(op)
-    assert lpu.enqueue(handle, ops) == 5
-    got = []
-    while True:
-        batch = lpu.dequeue(handle, 2)
-        if not batch:
-            break
-        got.extend(batch)
-    assert [c.op_id for c in got] == [100 + i for i in range(5)]
-    assert all(c.status == "ok" for c in got)
-    assert lpu.dequeue(handle, 4) == []
+    done = backend.process(ops)
+    assert [c.op_id for c in done] == [100 + i for i in range(5)]
+    assert all(c.status == "ok" and c.service_time_us > 0 for c in done)
+    for op, c in zip(ops, done):
+        ref = execute_descriptor(op)
+        np.testing.assert_array_equal(c.outputs["info_bits"][0],
+                                      ref["info_bits"][0])
+        assert c.outputs["crc_ok"] == ref["crc_ok"]
+        assert c.outputs["iterations"] == ref["iterations"]
+    assert backend.process([]) == []
 
 
-def test_dequeue_on_emulated_device_conserves_ops(t2_quiet, rng):
-    handle = lpu_open(t2_quiet)
+@pytest.mark.parametrize("name", ["software", "t2-emulated"])
+def test_process_validates_capabilities(name, rng):
+    backend = _backend(name)
     plan = segment_tb(300, 0.5)
-    ops = [_decode_op(plan, rng) for _ in range(3)]
-    for i, op in enumerate(ops):
-        op.op_id = i
-        op.shape = {"generation": "per_cb", "n_tb": 1, "n_cb": 1,
-                    "kbits": 0.3}
-    assert t2_quiet.enqueue(handle, ops) == 3
-    out = t2_quiet.dequeue(handle, 10)
-    assert [c.op_id for c in out] == [0, 1, 2]
-    assert t2_quiet.dequeue(handle, 10) == []
+    good = _decode_op(plan, rng)
+    good.shape = CallShape("per_cb", 1.0, 1, 0.3)
+    bad = _decode_op(plan, rng, location=BufferLocation.DEVICE)
+    bad.shape = good.shape
+    if name == "t2-emulated":
+        # internal HARQ memory, but no TB interface
+        bad = CodingOpDescriptor(kind=OpKind.DECODE,
+                                 granularity=Granularity.TB,
+                                 payload=good.payload, shape=good.shape)
+    with pytest.raises(CapabilityMismatchError):
+        backend.process([good, bad])
 
 
-def lpu_open(device):
-    return device.allocator.open_queue(0, device=device)
-
-
-def test_registry_roundtrip(t2_quiet):
-    lpu.registry.clear()
-    lpu.registry.register(t2_quiet)
-    handle = lpu.open_queue(t2_quiet.device_id, instance_id=5)
-    assert handle.owner_instance == 5
+def test_emulated_process_needs_a_shape(t2_shapes, rng):
+    op = _decode_op(segment_tb(300, 0.5), rng)
     with pytest.raises(InvalidConfigError):
-        lpu.open_queue("missing", 0)
-    lpu.registry.clear()
+        t2_shapes.process([op])

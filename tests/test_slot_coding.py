@@ -164,3 +164,21 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
         assert res.all_crc_ok
         np.testing.assert_array_equal(res.job_results[0].payload,
                                       job.payload)
+
+
+def test_timing_only_slots_report_unknown_crc(rng, t2_shapes):
+    """A device that runs no payload decodes nothing, so no CRC can pass."""
+    from vranphy.highphy import CellConfig, run_dl_slot, run_ul_slot
+    handle = _handle(t2_shapes)
+    job = _dl_job(rng)
+    ul = decode_slot(SlotCodingRequest(slot_id=4, direction=Direction.UL,
+                                       jobs=[job]), handle)
+    dl = encode_slot(SlotCodingRequest(slot_id=0, direction=Direction.DL,
+                                       jobs=[job]), handle)
+    for res in (ul, dl):
+        assert res.job_results[0].tb_crc_ok is None
+        assert not res.all_crc_ok
+    cell = CellConfig()
+    dl_rec, _ = run_dl_slot(cell, [job], handle, slot_id=0)
+    ul_rec, _ = run_ul_slot(cell, [job], handle, slot_id=4)
+    assert dl_rec.crc_ok is None and ul_rec.crc_ok is None
