@@ -237,15 +237,17 @@ def make_emulated_t2(seed: int = 0, spike: JitterSpec | None = None,
                           seed=seed, compute_payloads=compute_payloads)
 
 
-def make_emulated_acc100(seed: int = 0, **kw) -> EmulatedDevice:
+def make_emulated_acc100(seed: int = 0, spike: JitterSpec | None = None,
+                         **kw) -> EmulatedDevice:
     """Stand-alone accelerator profile: interface quirks of the in-package
     part, internal HARQ memory, timing reused from the RFSoC calibration
     (no public measurements; convenience profile)."""
     models = calibrate_per_generation()
     return EmulatedDevice(device_id=kw.pop("device_id", "acc100-emulated"),
                           capabilities=discover("acc100"), models=models,
-                          parallel_servers=8, spike=JitterSpec(), seed=seed,
-                          **kw)
+                          parallel_servers=8,
+                          spike=JitterSpec() if spike is None else spike,
+                          seed=seed, **kw)
 
 
 def _flat_rate_models(dec_per_kbit: float, enc_per_kbit: float
@@ -262,6 +264,7 @@ def _flat_rate_models(dec_per_kbit: float, enc_per_kbit: float
 
 
 def make_emulated_vran_boost(seed: int = 0, parallel_servers: int = 32,
+                             spike: JitterSpec | None = None,
                              **kw) -> EmulatedDevice:
     """In-package accelerator profile. Throughput anchored to the observed
     single-instance medians of the deployment traffic; the larger server
@@ -273,10 +276,13 @@ def make_emulated_vran_boost(seed: int = 0, parallel_servers: int = 32,
                                            "vran-boost-emulated"),
                           capabilities=discover("vran_boost"), models=models,
                           parallel_servers=parallel_servers,
-                          spike=JitterSpec(), seed=seed, **kw)
+                          spike=JitterSpec() if spike is None else spike,
+                          seed=seed, **kw)
 
 
-def make_emulated_hpp_software(seed: int = 0, **kw) -> EmulatedDevice:
+def make_emulated_hpp_software(seed: int = 0,
+                               spike: JitterSpec | None = None,
+                               **kw) -> EmulatedDevice:
     """Per-instance software coding on a high-performance processor,
     anchored to observed single-instance medians. Used one device per
     instance: pool cores are not shared, so no cross-instance queueing."""
@@ -285,7 +291,8 @@ def make_emulated_hpp_software(seed: int = 0, **kw) -> EmulatedDevice:
     return EmulatedDevice(device_id=kw.pop("device_id", "hpp-sw-emulated"),
                           capabilities=discover("software"), models=models,
                           parallel_servers=kw.pop("parallel_servers", 4),
-                          spike=JitterSpec(), seed=seed, **kw)
+                          spike=JitterSpec() if spike is None else spike,
+                          seed=seed, **kw)
 
 
 EMULATED_FACTORIES = {

@@ -20,6 +20,7 @@ from .metrics import (bench_rows_to_csv, bench_rows_to_json, export_report,
 EXIT_OK = 0
 EXIT_TARGETS_FAILED = 1
 EXIT_USAGE = 2
+_FORMATS = ("json", "csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,10 +31,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (deploy & bench options)")
-    parser.add_argument("--format", choices=("json", "csv"), default="csv")
+    parser.add_argument("--format", choices=_FORMATS, default="csv")
+    # the subcommands that write a table also take --format after their
+    # name; SUPPRESS keeps the top-level value when they are not given it
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--format", choices=_FORMATS,
+                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
 
-    b = sub.add_parser("bench-interfaces",
+    b = sub.add_parser("bench-interfaces", parents=[shared],
                        help="interface-generation timing table")
     b.add_argument("--backend", default="t2-emulated")
     b.add_argument("--direction", choices=("decode", "encode", "both"),
@@ -50,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--instances", type=int, required=True)
 
-    d = sub.add_parser("deploy", help="run a multi-instance deployment")
+    d = sub.add_parser("deploy", parents=[shared],
+                       help="run a multi-instance deployment")
     d.add_argument("--profile", default="ep-rfsoc")
     d.add_argument("--instances", type=int, default=1)
     d.add_argument("--slots", type=int, default=2000)

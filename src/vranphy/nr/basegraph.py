@@ -3,7 +3,8 @@
 The two base graphs ship as versioned text files (one line per entry:
 row, column, one shift per lifting-set index) guarded by a sha256 header.
 A lifted structure for a concrete (graph, Z) pair precomputes the gather
-and group-reduction indices that the encoder and decoder run on.
+and group-reduction indices that the encoder and decoder run on; the
+decoder asks for one restricted to the check rows a transmission reached.
 
 Lifting semantics: an entry with shift ``s`` stands for a Z x Z identity
 rolled by ``s``; check-local position ``i`` of that block connects to
@@ -136,9 +137,15 @@ def buffer_length(bg: int, z: int) -> int:
 
 
 class LiftedStructure:
-    """Gather/reduce index plan for one (base graph, Z) pair."""
+    """Gather/reduce index plan for one (base graph, Z) pair.
 
-    def __init__(self, bg: int, z: int):
+    ``rows`` restricts the plan to those check rows (every row when None):
+    the edges, row groups and column groups then cover only the kept
+    rows, and ``active_cols`` lists the columns some kept edge touches.
+    ``n_rows`` stays the base graph's row count.
+    """
+
+    def __init__(self, bg: int, z: int, rows: tuple[int, ...] | None = None):
         if z not in _set_index_map():
             raise UnsupportedConfigError(f"lifting size {z} not supported")
         g = base_graph(bg)
@@ -151,30 +158,42 @@ class LiftedStructure:
         self.n_full = g.n_cols * z
         iset = set_index(z)
         order = np.lexsort((g.cols, g.rows))
+        if rows is not None:
+            order = order[np.isin(g.rows[order], rows)]
         self.rows = g.rows[order]
         self.cols = g.cols[order]
         self.shifts = np.mod(g.shifts[order, iset], z)
         self.n_edges = self.rows.size
-        # row groups (edges are row-major sorted)
-        self.row_starts = np.searchsorted(self.rows, np.arange(g.n_rows))
-        # permutation into column-sorted order and those group starts
-        self.col_perm = np.argsort(self.cols, kind="stable")
-        cols_sorted = self.cols[self.col_perm]
-        self.col_starts = np.searchsorted(cols_sorted, np.arange(g.n_cols))
-        self.cols_sorted = cols_sorted
+        # row groups (edges are row-major sorted); reduceat over
+        # row_starts yields one entry per kept row, and row_degree expands
+        # it back to one entry per edge
+        _, self.row_starts, self.row_degree = np.unique(
+            self.rows, return_index=True, return_counts=True)
+        # column groups over the column-sorted edges; columns no kept edge
+        # touches have no group (reduceat would return a stray element)
+        col_perm = np.argsort(self.cols, kind="stable")
+        self.active_cols, self.col_starts = np.unique(
+            self.cols[col_perm], return_index=True)
         base = np.arange(z)
+        # both plans are built in place to keep construction temporaries small
         # check-local position i of edge e reads variable (i + s_e) mod z
-        self.var_index = (self.cols[:, None] * z
-                          + (base[None, :] + self.shifts[:, None]) % z)
-        # scatter of a check-local (e, i) value back to variable coords
-        self.to_var_pos = (base[None, :] - self.shifts[:, None]) % z
+        self.var_index = base[None, :] + self.shifts[:, None]
+        self.var_index %= z
+        self.var_index += self.cols[:, None] * z
+        # flat index into a check-local (n_edges, z) array, in column-sorted
+        # edge order, of the value each variable position receives: edge e
+        # sends check-local position (j - s_e) mod z to variable position j
+        to_var = base[None, :] - self.shifts[col_perm, None]
+        to_var %= z
+        to_var += col_perm[:, None] * z
+        self.to_var_flat = to_var.ravel()
 
     def gather(self, flat_vars: np.ndarray) -> np.ndarray:
         """Check-local view (n_edges, z) of a flat variable vector."""
-        return flat_vars[self.var_index]
+        return flat_vars.take(self.var_index)
 
     def check_parity(self, hard_bits: np.ndarray) -> np.ndarray:
-        """Per-check parity (n_rows, z) of a full hard-decision vector."""
+        """Per-check parity (kept rows, z) of a full hard-decision vector."""
         local = self.gather(hard_bits.astype(np.uint8))
         return np.bitwise_xor.reduceat(local, self.row_starts, axis=0)
 
@@ -183,5 +202,7 @@ class LiftedStructure:
 
 
 @lru_cache(maxsize=32)
-def lifted(bg: int, z: int) -> LiftedStructure:
-    return LiftedStructure(bg, z)
+def lifted(bg: int, z: int, rows: tuple[int, ...] | None = None
+           ) -> LiftedStructure:
+    """Cached index plan for (bg, z), restricted to ``rows`` if given."""
+    return LiftedStructure(bg, z, rows)

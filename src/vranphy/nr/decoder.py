@@ -1,10 +1,27 @@
-"""Flooding normalized min-sum LDPC decoding.
+"""Flooding normalized min-sum LDPC decoding on the rows a transmission
+reached.
 
-Message passing runs vectorized over all lifted edges at once: check-local
-views are gathered with precomputed indices, per-check sign parities and
-two-smallest magnitudes come from grouped reductions, and variable totals
-are rebuilt by a grouped scatter-sum. Iteration stops early as soon as the
-hard decision satisfies every parity check.
+Each extension row r >= 4 of BG1/BG2 owns one degree-1 parity column,
+kb + r. When every channel LLR of that column is zero (rate matching never
+reached it, or a short circular buffer cut it off), its extrinsic value is
+exactly 0, so the row's min-sum messages to every other neighbour are +-0
+and add nothing to any column total; the row also constrains no other bit
+in the syndrome. The decoder therefore reads the reached rows off the soft
+buffer itself (the four core rows always run) and runs message passing,
+erasure peeling and the syndrome check on the lifted graph restricted to
+them. Combined HARQ buffers, shortened circular buffers and untransmitted
+blocks need no bookkeeping: the buffer's non-zero columns say it all.
+
+Message passing runs vectorized over the kept lifted edges at once:
+check-local views are gathered with precomputed indices, per-check sign
+parities and two-smallest magnitudes come from grouped reductions, and
+variable totals are rebuilt by a flat gather and a grouped sum over the
+columns the kept rows touch.
+
+An information position whose total is exactly 0 is undecided: an erased
+block (or a UE that sent nothing) never exits early and never passes CRC.
+``DecodeResult.parity_ok`` means every information position is decided
+and every check the transmission reached is satisfied.
 """
 from __future__ import annotations
 
@@ -14,7 +31,8 @@ import numpy as np
 
 from ..errors import InvalidConfigError
 from . import crc
-from .basegraph import PUNCTURED_BLOCKS, lifted
+from .basegraph import CORE_PARITY_BLOCKS, PUNCTURED_BLOCKS, \
+    codeword_length, lifted
 from .segmentation import CB_CRC, SegmentationPlan
 from .softbuffer import SoftBuffer
 
@@ -38,22 +56,31 @@ class DecodeResult:
 def ldpc_decode(buffer: SoftBuffer, plan: SegmentationPlan,
                 max_iters: int = DEFAULT_MAX_ITERS) -> DecodeResult:
     """Decode one code block from its soft buffer."""
-    st = lifted(plan.base_graph, plan.lifting_size)
     z = plan.lifting_size
-    ncb_full = st.n_full - PUNCTURED_BLOCKS * z
-    if buffer.llrs.size > ncb_full:
-        raise InvalidConfigError("buffer longer than the circular buffer")
-    channel = np.zeros(st.n_full, dtype=np.float32)
-    channel[PUNCTURED_BLOCKS * z:PUNCTURED_BLOCKS * z + buffer.llrs.size] = \
-        buffer.llrs
+    channel = _channel(buffer, plan)
+    # parity column kb + r is reached iff extension row r takes part
+    reached = channel.reshape(-1, z)[plan.k // z:].any(axis=1)
+    reached[:CORE_PARITY_BLOCKS] = True
+    st = lifted(plan.base_graph, z, tuple(np.flatnonzero(reached).tolist()))
 
-    totals, iters = _min_sum(st, channel, max_iters)
-    hard = (totals < 0).astype(np.uint8)
-    parity_ok = st.syndrome_ok(hard)
-    info = hard[: plan.k_prime]
-    crc_ok = _crc_verdict(info, plan)
-    return DecodeResult(info_bits=info, crc_ok=crc_ok,
-                        iterations_used=iters, parity_ok=parity_ok)
+    totals, iters, solved = _min_sum(st, channel, max_iters)
+    info = (totals[: plan.k_prime] < 0).astype(np.uint8)
+    decided = bool(totals[: st.k].all())
+    return DecodeResult(info_bits=info,
+                        crc_ok=decided and _crc_verdict(info, plan),
+                        iterations_used=iters, parity_ok=solved)
+
+
+def _channel(buffer: SoftBuffer, plan: SegmentationPlan) -> np.ndarray:
+    """Full-codeword channel LLRs: zero over the punctured head and past
+    the end of the buffer."""
+    head = PUNCTURED_BLOCKS * plan.lifting_size
+    channel = np.zeros(codeword_length(plan.base_graph, plan.lifting_size),
+                       dtype=np.float32)
+    if buffer.llrs.size > channel.size - head:
+        raise InvalidConfigError("buffer longer than the circular buffer")
+    channel[head:head + buffer.llrs.size] = buffer.llrs
+    return channel
 
 
 def _crc_verdict(info: np.ndarray, plan: SegmentationPlan) -> bool:
@@ -61,6 +88,11 @@ def _crc_verdict(info: np.ndarray, plan: SegmentationPlan) -> bool:
         return crc.crc_check(info, CB_CRC)
     # single-segment block: the TB-level CRC sits at the segment tail
     return crc.crc_check(info[: plan.tb_size_bits], plan.tb_crc_kind)
+
+
+def _solved(st, totals: np.ndarray) -> bool:
+    """No information position undecided and every kept check satisfied."""
+    return bool(totals[: st.k].all()) and st.syndrome_ok(totals < 0)
 
 
 def _peel_erasures(st, totals: np.ndarray) -> None:
@@ -77,8 +109,8 @@ def _peel_erasures(st, totals: np.ndarray) -> None:
         certain = np.abs(totals) >= _CERTAIN_LLR
         if not unknown.any() or not certain.any():
             return
-        lu = unknown[st.var_index]
-        lc = certain[st.var_index]
+        lu = unknown.take(st.var_index)
+        lc = certain.take(st.var_index)
         n_unknown = np.add.reduceat(lu.astype(np.int16), st.row_starts,
                                     axis=0)
         n_soft = np.add.reduceat((~lu & ~lc).astype(np.int16),
@@ -86,47 +118,47 @@ def _peel_erasures(st, totals: np.ndarray) -> None:
         solvable = (n_unknown == 1) & (n_soft == 0)
         if not solvable.any():
             return
-        neg_known = ((totals[st.var_index] < 0) & ~lu).astype(np.uint8)
+        neg_known = ((totals.take(st.var_index) < 0) & ~lu).astype(np.uint8)
         parity = np.bitwise_xor.reduceat(neg_known, st.row_starts, axis=0)
-        sel = lu & solvable[st.rows]
+        sel = lu & np.repeat(solvable, st.row_degree, axis=0)
         flat_idx = st.var_index[sel]
-        bit = parity[st.rows][sel]
+        bit = np.repeat(parity, st.row_degree, axis=0)[sel]
         totals[flat_idx] = np.where(bit, -clamp, clamp)
 
 
 def _min_sum(st, channel: np.ndarray, max_iters: int
-             ) -> tuple[np.ndarray, int]:
+             ) -> tuple[np.ndarray, int, bool]:
+    """Final totals, iterations run, and whether the word is solved."""
     totals = channel.copy()
     _peel_erasures(st, totals)
-    if st.syndrome_ok((totals < 0).astype(np.uint8)):
-        return totals, 0
-    n_edges = st.n_edges
+    if _solved(st, totals):
+        return totals, 0, True
     z = st.z
-    c2v = np.zeros((n_edges, z), dtype=np.float32)
-    edge_rows = np.arange(n_edges)[:, None]
-    row_of_edge = st.rows
+    deg = st.row_degree
+    c2v = np.zeros((st.n_edges, z), dtype=np.float32)
     for it in range(1, max_iters + 1):
-        v = totals[st.var_index] - c2v
+        v = totals.take(st.var_index) - c2v
         mag = np.abs(v)
         neg = (v < 0).astype(np.uint8)
         parity = np.bitwise_xor.reduceat(neg, st.row_starts, axis=0)
         m1 = np.minimum.reduceat(mag, st.row_starts, axis=0)
-        m1_edge = m1[row_of_edge]
+        m1_edge = np.repeat(m1, deg, axis=0)
         at_min = mag == m1_edge
         n_min = np.add.reduceat(at_min.astype(np.int32), st.row_starts,
                                 axis=0)
         masked = np.where(at_min, np.float32(np.inf), mag)
         m2 = np.minimum.reduceat(masked, st.row_starts, axis=0)
-        unique_min = at_min & (n_min[row_of_edge] == 1)
-        out_mag = np.where(unique_min, m2[row_of_edge], m1_edge)
-        sign = 1.0 - 2.0 * (parity[row_of_edge] ^ neg).astype(np.float32)
+        unique_min = at_min & np.repeat(n_min == 1, deg, axis=0)
+        out_mag = np.where(unique_min, np.repeat(m2, deg, axis=0), m1_edge)
+        sign = 1.0 - 2.0 * (np.repeat(parity, deg, axis=0)
+                            ^ neg).astype(np.float32)
         c2v = NORMALIZATION * sign * out_mag
         np.clip(c2v, -_MSG_CLAMP, _MSG_CLAMP, out=c2v)
         # back to variable coordinates and per-column sums
-        contrib = c2v[edge_rows, st.to_var_pos]
-        col_sums = np.add.reduceat(contrib[st.col_perm], st.col_starts,
-                                   axis=0)
-        totals = channel + col_sums.reshape(-1)
-        if st.syndrome_ok((totals < 0).astype(np.uint8)):
-            return totals, it
-    return totals, max_iters
+        col_sums = np.add.reduceat(c2v.take(st.to_var_flat).reshape(-1, z),
+                                   st.col_starts, axis=0)
+        totals = channel.copy()
+        totals.reshape(-1, z)[st.active_cols] += col_sums
+        if _solved(st, totals):
+            return totals, it, True
+    return totals, max_iters, False

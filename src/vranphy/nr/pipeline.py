@@ -91,10 +91,23 @@ def decode_tb(llr_streams: list[np.ndarray], plan: SegmentationPlan,
         infos.append(res.info_bits)
         cb_ok.append(res.crc_ok)
         iters.append(res.iterations_used)
-    payload, tb_ok, seg_ok = assemble_payload(infos, plan)
-    combined = [a and b for a, b in zip(cb_ok, seg_ok)]
+    payload, tb_ok, cb_ok = assemble_decoded(infos, cb_ok, plan)
     return TbDecodeOutcome(payload=payload, tb_crc_ok=tb_ok,
-                           cb_crc_ok=combined, iterations=iters)
+                           cb_crc_ok=cb_ok, iterations=iters)
+
+
+def assemble_decoded(infos: list[np.ndarray], cb_ok: list[bool],
+                     plan: SegmentationPlan
+                     ) -> tuple[np.ndarray, bool, list[bool]]:
+    """TB payload and verdicts from its blocks' decoder outputs.
+
+    A block passes when its decoder verdict and its segment CRC pass. The
+    TB passes only when its TB CRC passes and every block does: an erased
+    block decodes to zeros, which the zero-state TB CRC accepts.
+    """
+    payload, tb_ok, seg_ok = assemble_payload(infos, plan)
+    blocks = [bool(a and b) for a, b in zip(cb_ok, seg_ok)]
+    return payload, bool(tb_ok) and all(blocks), blocks
 
 
 def loopback_tb(payload, plan: SegmentationPlan, total_bits: int, qm: int,

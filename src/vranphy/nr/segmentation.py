@@ -119,12 +119,18 @@ def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
 
     Appends the TB CRC, splits into ``num_cbs`` segments (zero-padding the
     tail when the CRC'd block is not divisible, which never happens for
-    TBS-aligned sizes), attaches per-CB CRCs and filler.
+    TBS-aligned sizes), attaches per-CB CRCs and filler. Every payload
+    value must be 0 or 1.
     """
-    bits = np.asarray(payload, dtype=np.uint8)
-    if bits.size != plan.payload_bits:
+    raw = np.asarray(payload)
+    if raw.size != plan.payload_bits:
         raise InvalidConfigError(
-            f"payload length {bits.size} != plan payload {plan.payload_bits}")
+            f"payload length {raw.size} != plan payload {plan.payload_bits}")
+    bits = raw.astype(np.uint8, copy=False)
+    # a converted payload must convert exactly (-1 would wrap to 255 and
+    # 0.5 truncate to 0); a uint8 payload is used as is
+    if bits.max() > 1 or (bits is not raw and not np.array_equal(bits, raw)):
+        raise InvalidConfigError("payload bits must be 0 or 1")
     stream = crc.crc_append(bits, plan.tb_crc_kind)
     c = plan.num_cbs
     seg_data = plan.k_prime - (24 if plan.cb_crc_present else 0)

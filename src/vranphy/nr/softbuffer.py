@@ -64,6 +64,8 @@ def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
         raise InvalidConfigError(f"LLR length {rx.size} != E={params.e}")
     if buffer.llrs.size != params.ncb:
         raise InvalidConfigError("buffer length does not match Ncb")
+    if not np.isfinite(rx).all():
+        raise InvalidConfigError("LLRs must be finite")
     seq = deinterleave(rx, params.qm)
     positions = selection_positions(plan, params)
     np.add.at(buffer.llrs, positions, seq)

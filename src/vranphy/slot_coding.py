@@ -19,9 +19,9 @@ from .lpu import (CallShape, CodingOpDescriptor, Granularity, OpKind,
                   QueueHandle, route_interface)
 from .nr.basegraph import buffer_length
 from .nr.mcs import compute_tbs, mcs_params, resource_elements
-from .nr.pipeline import e_splits, encode_tb
+from .nr.pipeline import assemble_decoded, e_splits, encode_tb
 from .nr.ratematch import RateMatchParams
-from .nr.segmentation import assemble_payload, segment_tb, split_payload
+from .nr.segmentation import segment_tb, split_payload
 from .nr.softbuffer import (BufferLocation, SoftBuffer, new_soft_buffer,
                             noiseless_llrs)
 
@@ -281,12 +281,9 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
             if request.direction is Direction.DL:
                 jr.streams = [o["streams"] for o in outs]
             else:
-                infos = [o["info_bits"] for o in outs]
-                cb_ok = [bool(o["crc_ok"]) for o in outs]
-                payload, tb_ok, seg_ok = assemble_payload(infos, w.plan)
-                jr.payload = payload
-                jr.tb_crc_ok = bool(tb_ok)
-                jr.cb_crc_ok = [a and b for a, b in zip(cb_ok, seg_ok)]
+                jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
+                    [o["info_bits"] for o in outs],
+                    [o["crc_ok"] for o in outs], w.plan)
         results.append(jr)
     return SlotCodingResult(
         slot_id=request.slot_id, direction=request.direction,

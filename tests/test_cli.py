@@ -51,3 +51,15 @@ def test_bench_interfaces_runs_on_every_emulated_backend(backend, capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 2 * 3 * 2
     assert {r["direction"] for r in rows} == {"decode", "encode"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "bench-interfaces", "--max-tbs", "1"],
+    ["bench-interfaces", "--max-tbs", "1", "--format", "json"],
+    ["--format", "csv", "bench-interfaces", "--max-tbs", "1",
+     "--format", "json"],
+])
+def test_format_is_accepted_before_or_after_the_subcommand(argv, capsys):
+    assert cli_main(argv) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 2 * 3
+

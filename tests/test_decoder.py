@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from vranphy.nr import (buffer_length, encode_tb, ldpc_decode, loopback_tb,
-                        mcs_params, new_soft_buffer, noiseless_llrs,
+from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_tb,
+                        ldpc_decode, lifted, loopback_tb, mcs_params,
+                        new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb)
+from vranphy.nr import decoder
+from vranphy.nr.decoder import DEFAULT_MAX_ITERS
 
 # empirically calibrated: far inside the correction capability of the
 # full-buffer configuration used below (the waterfall sits above 260)
@@ -93,3 +96,66 @@ def test_punctured_head_recovered_from_parity(rng):
     out = loopback_tb(payload, plan, _full_buffer_e(plan), qm=2, layers=1)
     head = out.payload[: 2 * plan.lifting_size]
     np.testing.assert_array_equal(head, payload[: 2 * plan.lifting_size])
+
+
+def test_erased_block_is_undecided():
+    # nothing received: every information total stays 0, so the all-zero
+    # hard decision (which the zero-state CRC accepts) is no pass
+    plan = segment_tb(300, 0.5)
+    res = ldpc_decode(new_soft_buffer(plan), plan)
+    assert not res.crc_ok
+    assert not res.parity_ok
+    assert res.iterations_used == DEFAULT_MAX_ITERS
+
+
+def test_dtx_transport_block_fails_crc():
+    qm, rate = mcs_params(28, "T1")
+    plan = segment_tb(9000, float(rate))
+    assert plan.num_cbs > 1
+    enc = encode_tb(np.zeros(9000, np.uint8), plan, 4 * 2400, qm, 1)
+    out = decode_tb([np.zeros(p.e, np.float32) for p in enc.params], plan,
+                    enc.params, max_iters=2)
+    assert not out.tb_crc_ok
+    assert not any(out.cb_crc_ok)
+
+
+def _reference_decode(buf, plan):
+    """The decoder's own loop on the full lifted graph: every row runs."""
+    channel = decoder._channel(buf, plan)
+    st = lifted(plan.base_graph, plan.lifting_size)
+    totals, iters, _ = decoder._min_sum(st, channel, DEFAULT_MAX_ITERS)
+    info = (totals < 0)[: plan.k_prime].astype(np.uint8)
+    ok = bool(totals[: st.k].all()) and decoder._crc_verdict(info, plan)
+    return info, ok, iters
+
+
+@pytest.mark.parametrize("a,rate,bg", [(1000, 0.8, 1), (500, 0.5, 2)],
+                         ids=["bg1", "bg2"])
+@pytest.mark.parametrize("rvs", [(0,), (0, 2)], ids=["rv0", "rv0+rv2"])
+@pytest.mark.parametrize("sigma,decodes", [(0.5, True), (1.3, False)])
+def test_row_pruning_changes_no_decision(a, rate, bg, rvs, sigma, decodes):
+    plan = segment_tb(a, rate)
+    assert plan.base_graph == bg
+    e = 2 * round(plan.k_prime / rate / 2)
+    z = plan.lifting_size
+    verdicts = []
+    for seed in range(6):
+        r = np.random.default_rng([seed, a])
+        payload = r.integers(0, 2, a, dtype=np.uint8)
+        buf = new_soft_buffer(plan)
+        for rv in rvs:
+            enc = encode_tb(payload, plan, e, qm=2, layers=1, rv=rv)
+            rate_recover_and_combine(awgn_llrs(enc.streams[0], sigma, r),
+                                     plan, enc.params[0], buf)
+        parity_cols = decoder._channel(buf, plan).reshape(-1, z)[
+            plan.k // z:]
+        assert not parity_cols.any(axis=1).all()   # some rows are pruned
+        res = ldpc_decode(buf, plan)
+        ref_info, ref_ok, ref_iters = _reference_decode(buf, plan)
+        assert res.iterations_used <= ref_iters
+        if res.crc_ok and ref_ok:
+            np.testing.assert_array_equal(res.info_bits, ref_info)
+        verdicts.append((res.crc_ok, ref_ok))
+    # pruning passes every block the full graph passes
+    assert all(ok or not ref_ok for ok, ref_ok in verdicts)
+    assert sum(ok for ok, _ in verdicts) == (6 if decodes else 0)

@@ -1,6 +1,7 @@
 import pytest
 
 from vranphy.backends import emulated
+from vranphy.backends.model import JitterSpec
 from vranphy.deployment import (DeploymentConfig, expected_goodput_mbps,
                                 expected_slot_counts, run_deployment)
 from vranphy.errors import InvalidConfigError
@@ -67,3 +68,10 @@ def test_make_emulated_reports_only_unknown_names(monkeypatch):
     monkeypatch.setitem(emulated.EMULATED_FACTORIES, "broken", broken)
     with pytest.raises(KeyError, match="inside the factory"):
         emulated.make_emulated("broken")
+
+
+@pytest.mark.parametrize("name", sorted(emulated.EMULATED_FACTORIES))
+def test_every_factory_accepts_a_spike(name):
+    spike = JitterSpec(scale_us=5.0, sigma=0.5)
+    assert emulated.make_emulated(name, spike=spike).spike == spike
+    assert not emulated.make_emulated(name, spike=JitterSpec()).spike.enabled

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vranphy.errors import InvalidConfigError
-from vranphy.nr import (assemble_payload, compute_tbs, mcs_params,
-                        segment_tb, split_payload)
+from vranphy.nr import (assemble_payload, compute_tbs, encode_tb,
+                        mcs_params, segment_tb, split_payload)
 from vranphy.nr.basegraph import lifting_sizes
 from vranphy.nr.segmentation import select_base_graph
 
@@ -128,3 +128,15 @@ def test_tiny_and_invalid_sizes():
     assert plan.num_cbs == 1
     with pytest.raises(InvalidConfigError):
         segment_tb(0, 0.5)
+
+
+def test_non_binary_payload_rejected():
+    plan = segment_tb(300, 0.5)
+    with pytest.raises(InvalidConfigError):
+        encode_tb(np.full(300, 2, np.uint8), plan, 2 * 400, qm=2, layers=1)
+    for value in (2, -1, 0.5):
+        payload = np.zeros(300, dtype=np.asarray(value).dtype)
+        payload[17] = value
+        with pytest.raises(InvalidConfigError):
+            split_payload(payload, plan)
+    split_payload(np.ones(300, dtype=bool), plan)

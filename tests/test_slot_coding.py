@@ -6,7 +6,8 @@ from vranphy.backends import SoftwareBackend
 from vranphy.backends.emulated import EmulatedDevice
 from vranphy.backends.model import JitterSpec, ServiceTimeModel
 from vranphy.errors import HarqBufferMissingError, InvalidConfigError
-from vranphy.nr import compute_tbs, mcs_params
+from vranphy.nr import (compute_tbs, e_splits, mcs_params,
+                        resource_elements, segment_tb)
 from vranphy.slot_coding import (Direction, HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
                                  decode_slot, encode_slot)
@@ -182,3 +183,22 @@ def test_timing_only_slots_report_unknown_crc(rng, t2_shapes):
     dl_rec, _ = run_dl_slot(cell, [job], handle, slot_id=0)
     ul_rec, _ = run_ul_slot(cell, [job], handle, slot_id=4)
     assert dl_rec.crc_ok is None and ul_rec.crc_ok is None
+
+
+def test_dtx_slot_fails_crc(rng, t2_quiet):
+    """A UE that sent nothing: all-zero LLRs must not pass any CRC."""
+    job = _dl_job(rng, prbs=60, mcs=20)
+    probe = decode_slot(SlotCodingRequest(
+        slot_id=4, direction=Direction.UL, jobs=[job]), _handle(t2_quiet))
+    assert probe.all_crc_ok and probe.job_results[0].num_cbs > 1
+    qm, rate = mcs_params(20, "T1")
+    g = resource_elements(60, 12, 0) * qm
+    plan = segment_tb(job.payload.size, rate)
+    job.payload = None
+    job.llr_streams = [np.zeros(e, np.float32)
+                       for e in e_splits(plan.num_cbs, g, qm, 1)]
+    res = decode_slot(SlotCodingRequest(
+        slot_id=4, direction=Direction.UL, jobs=[job]), _handle(t2_quiet))
+    jr = res.job_results[0]
+    assert jr.tb_crc_ok is False
+    assert not any(jr.cb_crc_ok)

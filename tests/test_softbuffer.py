@@ -95,3 +95,13 @@ def test_length_mismatch_rejected(rng):
     with pytest.raises(InvalidConfigError):
         rate_recover_and_combine(noiseless_llrs(enc.streams[0]), plan,
                                  enc.params[0], short)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_rejected(rng, bad):
+    plan, enc, _ = _setup(rng)
+    llrs = noiseless_llrs(enc.streams[0], 4.0)
+    llrs[7] = bad
+    buf = new_soft_buffer(plan)
+    with pytest.raises(InvalidConfigError):
+        rate_recover_and_combine(llrs, plan, enc.params[0], buf)
