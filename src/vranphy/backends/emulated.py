@@ -222,7 +222,7 @@ class EmulatedDevice:
 # -- shipped device profiles -------------------------------------------------
 
 # Heavy-tail spike defaults; frozen by the contention calibration run.
-DEFAULT_SPIKE = JitterSpec(kind="lognormal", scale_us=20.0, sigma=1.5)
+DEFAULT_SPIKE = JitterSpec(scale_us=20.0, sigma=1.5)
 
 
 def make_emulated_t2(seed: int = 0, spike: JitterSpec | None = None,

@@ -29,7 +29,7 @@ ENCODE_CB_BATCH = 8   # legacy encoder interface: 8 segments per call
 
 @dataclass(frozen=True)
 class JitterSpec:
-    kind: str = "lognormal"
+    """Lognormal contention spike added to a call (see EmulatedDevice)."""
     scale_us: float = 0.0     # median of the added tail delay
     sigma: float = 0.0
 

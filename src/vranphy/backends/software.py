@@ -1,7 +1,7 @@
 """Pure-software coding backend running the channel-coding primitives.
 
 Descriptors run one after another in the calling thread, through the same
-per-segment code paths for every interface generation, so outputs are
+per-code-block chain for every interface generation, so outputs are
 bit-exact. A completion's service time is the wall-clock time of its
 descriptor.
 """
@@ -10,53 +10,20 @@ from __future__ import annotations
 import time
 
 from ..errors import InvalidConfigError
-from ..lpu import (Completion, CodingOpDescriptor, QueueAllocator, discover,
-                   validate_ops)
-from ..nr.encoder import CodeBlock, ldpc_encode
-from ..nr.ratematch import rate_match
-from ..nr.decoder import ldpc_decode
-from ..nr.softbuffer import new_soft_buffer, rate_recover_and_combine
+from ..lpu import (Completion, CodingOpDescriptor, OpKind, QueueAllocator,
+                   discover, validate_ops)
+from ..nr.pipeline import decode_cb, encode_cb
 
 
-def execute_descriptor(op: CodingOpDescriptor):
-    """Run one coding descriptor; returns its outputs dict.
+def execute_descriptor(op: CodingOpDescriptor) -> list:
+    """Run one coding descriptor: one result per payload item, in order.
 
-    Payloads carry per-segment work items so the same primitives run for
-    every interface generation:
-      encode_cbs: items of {plan, bits, param} -> {streams}
-      decode_cbs: items of {plan, llrs, param, buffer} ->
-                  {info_bits, crc_ok, iterations, buffers}
+    The payload is a list of per-code-block items:
+      encode: (bits, plan, param) -> rate-matched stream
+      decode: (llrs, plan, param, buffer) -> DecodeResult
     """
-    p = op.payload
-    kind = p.get("op")
-    if kind == "encode_cbs":
-        streams = []
-        for item in p["items"]:
-            plan = item["plan"]
-            cb = CodeBlock(bits=item["bits"], index=0,
-                           lifting_size=plan.lifting_size,
-                           base_graph=plan.base_graph,
-                           filler_count=plan.filler_per_cb)
-            streams.append(rate_match(ldpc_encode(cb), plan, item["param"]))
-        return {"streams": streams}
-    if kind == "decode_cbs":
-        infos, oks, iters, buffers = [], [], [], []
-        for item in p["items"]:
-            plan = item["plan"]
-            buf = item.get("buffer")
-            if buf is None:
-                buf = new_soft_buffer(plan)
-            rate_recover_and_combine(item["llrs"], plan, item["param"], buf)
-            res = ldpc_decode(buf, plan, **(
-                {"max_iters": item["max_iters"]}
-                if "max_iters" in item else {}))
-            infos.append(res.info_bits)
-            oks.append(res.crc_ok)
-            iters.append(res.iterations_used)
-            buffers.append(buf)
-        return {"info_bits": infos, "crc_ok": oks, "iterations": iters,
-                "buffers": buffers}
-    raise InvalidConfigError(f"unknown descriptor op {kind!r}")
+    coder = encode_cb if op.kind is OpKind.ENCODE else decode_cb
+    return [coder(*item) for item in op.payload]
 
 
 class SoftwareBackend:

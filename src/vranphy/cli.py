@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_TARGETS_FAILED = 1
 EXIT_USAGE = 2
 _FORMATS = ("json", "csv")
+_JSON_ONLY = ("calibrate", "plan", "report")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (deploy & bench options)")
-    parser.add_argument("--format", choices=_FORMATS, default="csv")
+    parser.add_argument("--format", choices=_FORMATS, default=None,
+                        help="bench-interfaces and deploy output (csv when "
+                             "omitted); the other commands write JSON")
     # the subcommands that write a table also take --format after their
     # name; SUPPRESS keeps the top-level value when they are not given it
     shared = argparse.ArgumentParser(add_help=False)
@@ -87,10 +90,10 @@ def _cmd_bench(args) -> int:
                   else (args.direction,))
     rows = run_interface_bench(handle, directions=directions,
                                tb_counts=range(1, args.max_tbs + 1))
-    if args.format == "csv":
-        sys.stdout.write(bench_rows_to_csv(rows))
-    else:
+    if args.format == "json":
         sys.stdout.write(bench_rows_to_json(rows))
+    else:
+        sys.stdout.write(bench_rows_to_csv(rows))
     return EXIT_OK
 
 
@@ -199,6 +202,9 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     if not args.command:
         parser.print_help()
+        return EXIT_USAGE
+    if args.format == "csv" and args.command in _JSON_ONLY:
+        print(f"error: {args.command} writes JSON only", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..errors import InvalidConfigError
-from ..highphy import (DL_BUDGET_US, TDD_PATTERN, TTI_US, UL_BUDGET_US,
-                       UL_OTHER_STAGES_US, tdd_slot_kind)
+from ..highphy import (DL_BUDGET_US, DL_OTHER_STAGES_NO_PRECODE_US,
+                       TDD_PATTERN, TTI_US, UL_BUDGET_US, UL_OTHER_STAGES_US,
+                       tdd_slot_kind)
 from ..lpu import QueueHandle
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
@@ -34,10 +35,6 @@ UL_FAILURE_STREAK = 8
 DL_PREP_OFFSET_US = 250.0
 UL_PREP_OFFSET_US = 320.0
 SUBMIT_JITTER_US = 130.0
-
-# synthetic DL non-coding stage cost per slot (totals land in the observed
-# single-instance interquartile ranges); the UL cost is highphy's
-DL_OTHER_US = 407.0
 
 DEFAULT_TARGETS = {"dl_mbps": 1200.0, "ul_mbps": 90.0}
 
@@ -73,8 +70,6 @@ class DeploymentConfig:
     duration_slots: int = 2000
     seed: int = 0
     traffic: PhyTestTraffic = field(default_factory=PhyTestTraffic)
-    ul_budget_us: float = UL_BUDGET_US
-    dl_budget_us: float = DL_BUDGET_US
 
     def __post_init__(self):
         if self.n_instances < 1:
@@ -92,7 +87,7 @@ class DeploymentConfig:
         doc = dict(doc)
         traffic = doc.pop("traffic", {})
         known = {"profile", "n_instances", "backend", "duration_slots",
-                 "seed", "ul_budget_us", "dl_budget_us"}
+                 "seed"}
         unknown = (set(doc) - known) | {
             f"traffic.{k}" for k in
             set(traffic) - {f.name for f in fields(PhyTestTraffic)}}
@@ -105,8 +100,6 @@ class DeploymentConfig:
         doc = {"profile": self.profile, "n_instances": self.n_instances,
                "backend": self.backend_name,
                "duration_slots": self.duration_slots, "seed": self.seed,
-               "ul_budget_us": self.ul_budget_us,
-               "dl_budget_us": self.dl_budget_us,
                "traffic": asdict(self.traffic)}
         return doc
 
@@ -241,28 +234,26 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(i,))) for i in range(n)]
 
-    # pending coding calls keyed by (instance, slot, direction)
-    pattern = TDD_PATTERN
     duration = config.duration_slots
     ul_streak = [0] * n
-    submissions: list[tuple[float, int, str, int]] = []
 
     def schedule(slot: int) -> list[tuple[float, int, str, int]]:
         """(arrival_us, instance, direction, traffic_slot) for one slot."""
         out = []
         t0 = slot * TTI_US
+        uplink = tdd_slot_kind(slot, TDD_PATTERN) == "U"
+        # encode prepared ahead for the D slot this one points at
+        target = slot + ENCODE_LOOKAHEAD_SLOTS
+        encode_ahead = target < duration and \
+            tdd_slot_kind(target, TDD_PATTERN) == "D"
         for i in range(n):
             if metrics[i].failed:
                 continue
-            kind = tdd_slot_kind(slot, pattern)
-            # encode prepared ahead for the D slot this one points at
-            target = slot + ENCODE_LOOKAHEAD_SLOTS
-            if target < duration and \
-                    tdd_slot_kind(target, pattern) == "D":
+            if encode_ahead:
                 jitter = rngs[i].uniform(0.0, SUBMIT_JITTER_US)
                 out.append((t0 + DL_PREP_OFFSET_US + jitter, i, "dl",
                             target))
-            if kind == "U":
+            if uplink:
                 jitter = rngs[i].uniform(0.0, SUBMIT_JITTER_US)
                 out.append((t0 + UL_PREP_OFFSET_US + jitter, i, "ul", slot))
         return out
@@ -277,7 +268,7 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
             ok = rngs[instance].random() >= config.traffic.ul_error_rate
             if ok:
                 m.delivered_ul_bits += shapes["ul"].tbs
-            if total > config.ul_budget_us:
+            if total > UL_BUDGET_US:
                 m.ul_deadline_misses += 1
                 ul_streak[instance] += 1
                 if ul_streak[instance] >= UL_FAILURE_STREAK \
@@ -288,12 +279,12 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
                 ul_streak[instance] = 0
         else:
             m.dl_encode_us.append(elapsed)
-            total = DL_OTHER_US + elapsed
+            total = DL_OTHER_STAGES_NO_PRECODE_US + elapsed
             m.dl_total_us.append(total)
             ok = rngs[instance].random() >= config.traffic.dl_error_rate
             if ok:
                 m.delivered_dl_bits += shapes["dl"].tbs
-            if total > config.dl_budget_us:
+            if total > DL_BUDGET_US:
                 m.dl_deadline_misses += 1
 
     calls_in_flight: dict[tuple[str, int], tuple[int, str, int]] = {}

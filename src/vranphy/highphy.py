@@ -25,15 +25,20 @@ SUBCARRIERS_PER_PRB = 12
 TTI_US = 500.0               # numerology 1
 TDD_PATTERN = "DDDSU"
 
-# pipeline-depth deadline budgets (non-measured defaults, config knobs)
+# pipeline-depth deadline budgets (not measured)
 DL_BUDGET_US = 1000.0
 UL_BUDGET_US = 2000.0
 
 # synthetic per-slot cost of the non-coding stages (channel estimation,
-# transforms, equalization); defaults put single-instance slot totals into
+# transforms, equalization); these put single-instance slot totals into
 # the observed single-instance interquartile ranges
 DL_OTHER_STAGES_US = 47.0
 UL_OTHER_STAGES_US = 1400.0
+# The deployment harness times no precode_map stage, where run_dl_slot
+# adds a wall-clock one to DL_OTHER_STAGES_US, so the harness charges this
+# larger DL cost instead. The size of the gap (360 us) is not derived from
+# any measurement.
+DL_OTHER_STAGES_NO_PRECODE_US = 407.0
 
 
 @dataclass(frozen=True)
@@ -48,31 +53,29 @@ class CellConfig:
     band: str = "n77"
     symbols: int = 12            # data symbols available to a TB
     overhead: int = 0
-    dl_budget_us: float = DL_BUDGET_US
-    ul_budget_us: float = UL_BUDGET_US
 
     def __post_init__(self):
         if self.numerology == 1 and self.tti_us != TTI_US:
             raise InvalidConfigError("numerology 1 has a 500 us TTI")
-        if not self.tdd_pattern:
-            raise InvalidConfigError("empty TDD pattern")
-        for ch in self.tdd_pattern:
-            if ch not in "DSU":
-                raise InvalidConfigError(
-                    f"invalid TDD pattern character {ch!r}")
+        check_tdd_pattern(self.tdd_pattern)
 
     @property
     def subcarriers(self) -> int:
         return SUBCARRIERS_PER_PRB * self.prbs
 
 
-def tdd_slot_kind(slot_index: int, pattern: str) -> str:
-    """Slot kind (D, S or U) from the repeating TDD pattern."""
+def check_tdd_pattern(pattern: str) -> None:
+    """Reject an empty pattern or a slot kind other than D, S and U."""
     if not pattern:
         raise InvalidConfigError("empty TDD pattern")
     for ch in pattern:
         if ch not in "DSU":
             raise InvalidConfigError(f"invalid TDD pattern character {ch!r}")
+
+
+def tdd_slot_kind(slot_index: int, pattern: str) -> str:
+    """Slot kind (D, S or U) from the repeating TDD pattern."""
+    check_tdd_pattern(pattern)
     return pattern[slot_index % len(pattern)]
 
 
@@ -158,8 +161,6 @@ def _record(slot_id, kind, direction, stages, budget, crc_ok=None
 def run_dl_slot(cfg: CellConfig, jobs, executor,
                 mode: PrecodeMode = PrecodeMode.VECTOR,
                 weights: np.ndarray | None = None,
-                other_stages_us: float = DL_OTHER_STAGES_US,
-                budget_us: float | None = None,
                 slot_id: int = 0) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
     """Encode, synthetic-modulate and precode one downlink slot."""
@@ -179,16 +180,12 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
     precode_us = (time.perf_counter() - t0) * 1e6
     stages = {"coding": coding.total_elapsed_us,
               "precode_map": precode_us,
-              "other": float(other_stages_us)}
-    budget = cfg.dl_budget_us if budget_us is None else budget_us
-    rec = _record(slot_id, kind, "dl", stages, budget)
-    return rec, coding
+              "other": DL_OTHER_STAGES_US}
+    return _record(slot_id, kind, "dl", stages, DL_BUDGET_US), coding
 
 
 def run_ul_slot(cfg: CellConfig, jobs, executor,
                 harq: HarqPool | None = None,
-                other_stages_us: float = UL_OTHER_STAGES_US,
-                budget_us: float | None = None,
                 slot_id: int = 4) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
     """Front stages, rate recovery and decoding of one uplink slot."""
@@ -199,10 +196,9 @@ def run_ul_slot(cfg: CellConfig, jobs, executor,
                                 jobs=list(jobs), symbols=cfg.symbols,
                                 overhead=cfg.overhead)
     coding = decode_slot(request, executor, harq)
-    stages = {"other": float(other_stages_us),
+    stages = {"other": UL_OTHER_STAGES_US,
               "coding": coding.total_elapsed_us}
-    budget = cfg.ul_budget_us if budget_us is None else budget_us
     decoded = all(j.tb_crc_ok is not None for j in coding.job_results)
-    rec = _record(slot_id, kind, "ul", stages, budget,
+    rec = _record(slot_id, kind, "ul", stages, UL_BUDGET_US,
                   crc_ok=coding.all_crc_ok if decoded else None)
     return rec, coding

@@ -17,7 +17,6 @@ from typing import Any
 
 from .errors import (CapabilityMismatchError, InvalidConfigError,
                      ResourceExhaustedError)
-from .nr.softbuffer import BufferLocation
 
 
 class OpKind(Enum):
@@ -28,6 +27,12 @@ class OpKind(Enum):
 class Granularity(Enum):
     CB = "cb"
     TB = "tb"
+
+
+class BufferLocation(Enum):
+    """Where a decode op's HARQ soft buffers live."""
+    HOST = "host"
+    DEVICE = "device"
 
 
 @dataclass(frozen=True)

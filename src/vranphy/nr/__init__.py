@@ -7,15 +7,15 @@ from .segmentation import (SegmentationPlan, assemble_payload,
                            select_base_graph, segment_tb, split_payload)
 from .basegraph import (base_graph, buffer_length, codeword_length,
                         lifting_sizes, lifted, set_index)
-from .encoder import CodeBlock, ldpc_encode
+from .encoder import ldpc_encode
 from .ratematch import (RateMatchParams, deinterleave, interleave, k0_offset,
                         rate_match, selection_positions)
-from .softbuffer import (BufferLocation, SoftBuffer, awgn_llrs,
-                         new_soft_buffer, noiseless_llrs,
-                         rate_recover_and_combine)
+from .softbuffer import (SoftBuffer, awgn_llrs, new_soft_buffer,
+                         noiseless_llrs, rate_recover_and_combine)
 from .decoder import DecodeResult, ldpc_decode
-from .pipeline import (EncodedTb, TbDecodeOutcome, decode_tb, e_splits,
-                       encode_tb, loopback_tb)
+from .pipeline import (EncodedTb, TbDecodeOutcome, cb_params, decode_cb,
+                       decode_tb, e_splits, encode_cb, encode_tb,
+                       loopback_tb)
 
 __all__ = [
     "crc_compute", "crc_append", "crc_check", "crc_length",
@@ -24,12 +24,12 @@ __all__ = [
     "assemble_payload",
     "base_graph", "lifting_sizes", "lifted", "set_index", "codeword_length",
     "buffer_length",
-    "CodeBlock", "ldpc_encode",
+    "ldpc_encode",
     "RateMatchParams", "rate_match", "k0_offset", "interleave",
     "deinterleave", "selection_positions",
-    "SoftBuffer", "BufferLocation", "new_soft_buffer", "noiseless_llrs",
+    "SoftBuffer", "new_soft_buffer", "noiseless_llrs",
     "awgn_llrs", "rate_recover_and_combine",
     "DecodeResult", "ldpc_decode",
     "EncodedTb", "TbDecodeOutcome", "encode_tb", "decode_tb", "e_splits",
-    "loopback_tb",
+    "cb_params", "encode_cb", "decode_cb", "loopback_tb",
 ]

@@ -9,33 +9,10 @@ rate matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import InvalidConfigError, UnsupportedConfigError
-from .basegraph import (CORE_PARITY_BLOCKS, KB_BG1, KB_BG2, LiftedStructure,
-                        lifted, set_index)
-
-
-@dataclass
-class CodeBlock:
-    """One LDPC code block: payload + CB CRC + filler, length K."""
-
-    bits: np.ndarray
-    index: int
-    lifting_size: int
-    base_graph: int
-    filler_count: int = 0
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        k = (KB_BG1 if self.base_graph == 1 else KB_BG2) * self.lifting_size
-        if self.bits.size != k:
-            raise InvalidConfigError(
-                f"code block length {self.bits.size} != K={k}")
-        if self.index < 0 or self.filler_count < 0:
-            raise InvalidConfigError("negative index or filler count")
+from .basegraph import CORE_PARITY_BLOCKS, LiftedStructure, lifted
 
 
 def _roll_neg(v: np.ndarray, s: int) -> np.ndarray:
@@ -43,11 +20,15 @@ def _roll_neg(v: np.ndarray, s: int) -> np.ndarray:
     return np.roll(v, -s)
 
 
-def ldpc_encode(cb: CodeBlock) -> np.ndarray:
-    """Full lifted codeword (length n_cols * Z) for one code block."""
-    st = lifted(cb.base_graph, cb.lifting_size)
-    set_index(cb.lifting_size)
-    return _encode_on(st, cb.bits)
+def ldpc_encode(bits, base_graph: int, lifting_size: int) -> np.ndarray:
+    """Full lifted codeword (length n_cols * Z) for one K-bit code block
+    (payload, CB CRC and filler)."""
+    st = lifted(base_graph, lifting_size)
+    info = np.asarray(bits, dtype=np.uint8)
+    if info.size != st.k:
+        raise InvalidConfigError(
+            f"code block length {info.size} != K={st.k}")
+    return _encode_on(st, info)
 
 
 def _encode_on(st: LiftedStructure, info: np.ndarray) -> np.ndarray:

@@ -45,6 +45,12 @@ class SegmentationPlan:
         return self.tb_size_bits - crc.crc_length(self.tb_crc_kind)
 
     @property
+    def segment_data_bits(self) -> int:
+        """TB bits each code block carries: K' minus its CB CRC field."""
+        return self.k_prime - (crc.crc_length(CB_CRC)
+                               if self.cb_crc_present else 0)
+
+    @property
     def k(self) -> int:
         """Info length K of one code block including filler."""
         kb_sys = KB_BG1 if self.base_graph == 1 else KB_BG2
@@ -133,7 +139,7 @@ def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
         raise InvalidConfigError("payload bits must be 0 or 1")
     stream = crc.crc_append(bits, plan.tb_crc_kind)
     c = plan.num_cbs
-    seg_data = plan.k_prime - (24 if plan.cb_crc_present else 0)
+    seg_data = plan.segment_data_bits
     total = seg_data * c
     if total < stream.size:
         raise InvalidConfigError("plan too small for payload")
@@ -153,27 +159,20 @@ def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
 
 
 def assemble_payload(cb_infos: list[np.ndarray], plan: SegmentationPlan
-                     ) -> tuple[np.ndarray, bool, list[bool]]:
+                     ) -> tuple[np.ndarray, bool]:
     """Reassemble TB payload from per-CB info bits (K' bits each, CRC kept).
 
-    Returns (payload bits, tb_crc_ok, per-CB crc flags). Per-CB flags are
-    all True when no CB CRC is present (C == 1).
+    Each block's CRC field is stripped unchecked (the decoder's verdict
+    covers it). Returns (payload bits, tb_crc_ok).
     """
     if len(cb_infos) != plan.num_cbs:
         raise InvalidConfigError("wrong number of code blocks")
-    cb_ok = []
     chunks = []
     for seg in cb_infos:
         seg = np.asarray(seg, dtype=np.uint8)
         if seg.size != plan.k_prime:
             raise InvalidConfigError("code block has wrong info length")
-        if plan.cb_crc_present:
-            cb_ok.append(crc.crc_check(seg, CB_CRC))
-            chunks.append(seg[:-24])
-        else:
-            cb_ok.append(True)
-            chunks.append(seg)
+        chunks.append(seg[:plan.segment_data_bits])
     stream = np.concatenate(chunks)[: plan.tb_size_bits]
     tb_ok = crc.crc_check(stream, plan.tb_crc_kind)
-    payload = stream[: plan.payload_bits]
-    return payload, tb_ok, cb_ok
+    return stream[: plan.payload_bits], tb_ok

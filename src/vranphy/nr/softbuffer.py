@@ -9,12 +9,12 @@ Sign convention: positive LLR means bit 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidConfigError
+from .basegraph import buffer_length
 from .ratematch import RateMatchParams, deinterleave, filler_range, \
     selection_positions
 from .segmentation import SegmentationPlan
@@ -23,16 +23,9 @@ FLOAT_CLAMP = float(1 << 20)
 INT8_CLAMP = 127.0
 
 
-class BufferLocation(Enum):
-    HOST = "host"
-    DEVICE = "device"
-
-
 @dataclass
 class SoftBuffer:
     llrs: np.ndarray
-    location: BufferLocation = BufferLocation.HOST
-    harq_pid: int = 0
     quantized: bool = False
 
     @property
@@ -40,19 +33,15 @@ class SoftBuffer:
         return INT8_CLAMP if self.quantized else FLOAT_CLAMP
 
 
-def new_soft_buffer(plan: SegmentationPlan, ncb: int | None = None,
-                    location: BufferLocation = BufferLocation.HOST,
-                    harq_pid: int = 0, quantized: bool = False) -> SoftBuffer:
-    """Zeroed buffer with filler positions pinned to +clamp."""
-    from .basegraph import buffer_length
-    if ncb is None:
-        ncb = buffer_length(plan.base_graph, plan.lifting_size)
-    llrs = np.zeros(ncb, dtype=np.float32)
-    clamp = INT8_CLAMP if quantized else FLOAT_CLAMP
+def new_soft_buffer(plan: SegmentationPlan,
+                    quantized: bool = False) -> SoftBuffer:
+    """Zeroed full circular buffer with filler positions pinned to +clamp."""
+    ncb = buffer_length(plan.base_graph, plan.lifting_size)
+    buffer = SoftBuffer(llrs=np.zeros(ncb, dtype=np.float32),
+                        quantized=quantized)
     lo, hi = filler_range(plan)
-    llrs[lo:hi] = clamp
-    return SoftBuffer(llrs=llrs, location=location, harq_pid=harq_pid,
-                      quantized=quantized)
+    buffer.llrs[lo:hi] = buffer.clamp
+    return buffer
 
 
 def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,

@@ -15,15 +15,12 @@ import numpy as np
 
 from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
-from .lpu import (CallShape, CodingOpDescriptor, Granularity, OpKind,
-                  QueueHandle, route_interface)
-from .nr.basegraph import buffer_length
+from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
+                  OpKind, QueueHandle, route_interface)
 from .nr.mcs import compute_tbs, mcs_params, resource_elements
-from .nr.pipeline import assemble_decoded, e_splits, encode_tb
-from .nr.ratematch import RateMatchParams
+from .nr.pipeline import assemble_decoded, cb_params, encode_cb
 from .nr.segmentation import segment_tb, split_payload
-from .nr.softbuffer import (BufferLocation, SoftBuffer, new_soft_buffer,
-                            noiseless_llrs)
+from .nr.softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs
 
 MAX_PRBS = 273
 
@@ -121,8 +118,7 @@ class HarqPool:
         self._buffers: dict[tuple[int, int, int], SoftBuffer] = {}
 
     def fresh(self, key, plan) -> SoftBuffer:
-        buf = new_soft_buffer(plan, location=self.location,
-                              harq_pid=key[1])
+        buf = new_soft_buffer(plan)
         self._buffers[key] = buf
         return buf
 
@@ -145,7 +141,7 @@ class _TbWork:
     job: TransportBlockJob
     plan: object
     tbs: int
-    items: list[dict]            # per-CB work units
+    items: list[tuple]           # per-CB execute_descriptor items
     granularity: Granularity
 
 
@@ -158,27 +154,23 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
     plan = segment_tb(tbs, rate)
     g_total = resource_elements(job.prb_share, request.symbols,
                                 request.overhead) * qm * job.layers
-    splits = e_splits(plan.num_cbs, g_total, qm, job.layers)
-    ncb = buffer_length(plan.base_graph, plan.lifting_size)
-    params = [RateMatchParams(e=e, rv=job.rv, qm=qm, ncb=ncb)
-              for e in splits]
+    params = cb_params(plan, g_total, qm, job.layers, job.rv)
     granularity = route_interface(caps, plan.num_cbs)
-    items = []
     if direction is Direction.DL:
         cbs = split_payload(job.payload, plan)
-        for bits, rm in zip(cbs, params):
-            items.append({"plan": plan, "bits": bits, "param": rm})
+        items = [(bits, plan, rm) for bits, rm in zip(cbs, params)]
     else:
         streams = job.llr_streams
         if streams is None:
             if job.payload is None:
                 raise InvalidConfigError(
                     "UL job needs llr_streams or a loopback payload")
-            enc = encode_tb(job.payload, plan, g_total, qm, job.layers,
-                            job.rv)
-            streams = [noiseless_llrs(s) for s in enc.streams]
+            streams = [noiseless_llrs(encode_cb(bits, plan, rm))
+                       for bits, rm in zip(split_payload(job.payload, plan),
+                                           params)]
         if len(streams) != plan.num_cbs:
             raise InvalidConfigError("llr stream count != segment count")
+        items = []
         for idx, (llrs, rm) in enumerate(zip(streams, params)):
             key = (job.ue_id, job.harq_pid, idx)
             if not job.new_data:
@@ -190,15 +182,14 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                 buf = harq.fresh(key, plan)
             else:
                 buf = new_soft_buffer(plan)
-            items.append({"plan": plan, "llrs": llrs, "param": rm,
-                          "buffer": buf})
+            items.append((llrs, plan, rm, buf))
     return _TbWork(job=job, plan=plan, tbs=tbs, items=items,
                    granularity=granularity)
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
                  direction: Direction
-                 ) -> list[tuple[list[tuple[int, dict]], CallShape]]:
+                 ) -> list[tuple[list[tuple[int, tuple]], CallShape]]:
     """Each call's (tb_index, item) batch and timing shape."""
     # imported on first use: loading the backends (and scipy) while
     # highphy loads made a cold import of the program 40-60 ms slower on a
@@ -212,11 +203,12 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
 
 
 def _run_calls(device, direction: Direction, works: list[_TbWork],
-               calls: list[tuple[list[tuple[int, dict]], CallShape]]
-               ) -> tuple[list[list[dict | None]], list[float]]:
-    """Execute call batches; returns per-TB outputs and per-call times."""
+               calls: list[tuple[list[tuple[int, tuple]], CallShape]],
+               harq: HarqPool | None) -> tuple[list[list], list[float]]:
+    """Execute call batches; returns per-TB outputs (one per CB, None when
+    the device ran no payload) and per-call times."""
     kind = OpKind.ENCODE if direction is Direction.DL else OpKind.DECODE
-    op_name = "encode_cbs" if direction is Direction.DL else "decode_cbs"
+    location = None if harq is None else harq.location
     ops = []
     for op_id, (batch, shape) in enumerate(calls):
         gran = Granularity.TB if all(
@@ -224,19 +216,14 @@ def _run_calls(device, direction: Direction, works: list[_TbWork],
             else Granularity.CB
         ops.append(CodingOpDescriptor(
             kind=kind, granularity=gran, op_id=op_id, shape=shape,
-            payload={"op": op_name, "items": [item for _, item in batch]}))
+            payload=[item for _, item in batch], harq_location=location))
     completions = device.process(ops)
     outputs_per_tb: list[list] = [[] for _ in works]
     for (batch, _), done in zip(calls, completions):
         for pos, (t, _) in enumerate(batch):
             outputs_per_tb[t].append(
-                None if done.outputs is None
-                else _slice_output(done.outputs, pos))
+                None if done.outputs is None else done.outputs[pos])
     return outputs_per_tb, [c.service_time_us for c in completions]
-
-
-def _slice_output(outs: dict, pos: int) -> dict:
-    return {k: v[pos] for k, v in outs.items()}
 
 
 def direction_name(direction: Direction) -> str:
@@ -273,17 +260,16 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
     calls = _group_calls(works, request.interface_generation,
                          request.direction)
     outputs_per_tb, per_call_us = _run_calls(device, request.direction,
-                                             works, calls)
+                                             works, calls, harq)
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)
         if outs[0] is not None:
             if request.direction is Direction.DL:
-                jr.streams = [o["streams"] for o in outs]
+                jr.streams = outs
             else:
                 jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
-                    [o["info_bits"] for o in outs],
-                    [o["crc_ok"] for o in outs], w.plan)
+                    outs, w.plan)
         results.append(jr)
     return SlotCodingResult(
         slot_id=request.slot_id, direction=request.direction,

@@ -32,8 +32,15 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["plan", "--profile", "ep-rfsoc", "--instances", "8"],
     ["bench-interfaces", "--backend", "nowhere"],
     ["report", "--samples", "/nonexistent/samples.txt"],
+    # these commands write JSON only: an explicit csv request is an error
+    ["--format", "csv", "plan", "--profile", "ep-rfsoc", "--instances", "1"],
+    ["--format", "csv", "calibrate"],
+    ["--format", "csv", "report", "--samples", "SAMPLES"],
 ])
-def test_bad_input_exits_with_usage_error(argv, capsys):
+def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("100.0\n200.0\n")
+    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
     assert cli_main(argv) == EXIT_USAGE
 
 
@@ -63,3 +70,9 @@ def test_format_is_accepted_before_or_after_the_subcommand(argv, capsys):
     assert cli_main(argv) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 2 * 3
 
+
+
+def test_format_is_accepted_after_deploy(capsys):
+    assert cli_main(["deploy", "--slots", "100", "--format", "json"]) \
+        == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["throughput"]["all_pass"]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_tb,
-                        ldpc_decode, lifted, loopback_tb, mcs_params,
-                        new_soft_buffer, noiseless_llrs,
-                        rate_recover_and_combine, segment_tb)
+from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_cb,
+                        encode_tb, ldpc_decode, lifted, loopback_tb,
+                        mcs_params, new_soft_buffer, noiseless_llrs,
+                        rate_recover_and_combine, segment_tb, split_payload)
 from vranphy.nr import decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS
 
@@ -114,9 +114,28 @@ def test_dtx_transport_block_fails_crc():
     assert plan.num_cbs > 1
     enc = encode_tb(np.zeros(9000, np.uint8), plan, 4 * 2400, qm, 1)
     out = decode_tb([np.zeros(p.e, np.float32) for p in enc.params], plan,
-                    enc.params, max_iters=2)
+                    enc.params)
     assert not out.tb_crc_ok
     assert not any(out.cb_crc_ok)
+
+
+def test_corrupted_code_block_fails_its_crc_and_the_tb(rng):
+    """A block that decodes to a valid codeword whose CB CRC does not hold
+    fails on the decoder's verdict, and so does its TB."""
+    qm, rate = mcs_params(28, "T1")
+    plan = segment_tb(9000, float(rate))
+    assert plan.cb_crc_present
+    payload = rng.integers(0, 2, 9000).astype(np.uint8)
+    enc = encode_tb(payload, plan, 4 * 2400, qm, 1)
+    bits = split_payload(payload, plan)[1]
+    bits[5] ^= 1
+    enc.streams[1] = encode_cb(bits, plan, enc.params[1])
+    out = decode_tb([noiseless_llrs(s) for s in enc.streams], plan,
+                    enc.params)
+    assert out.cb_crc_ok == [True, False]
+    assert not out.tb_crc_ok and not out.all_ok
+    pos = plan.segment_data_bits + 5    # the flipped bit in the payload
+    assert out.payload[pos] != payload[pos]
 
 
 def _reference_decode(buf, plan):

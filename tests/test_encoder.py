@@ -3,7 +3,7 @@ import pytest
 
 from vranphy.errors import DataFileError, InvalidConfigError, \
     UnsupportedConfigError
-from vranphy.nr import CodeBlock, ldpc_encode, lifted, lifting_sizes
+from vranphy.nr import ldpc_encode, lifted, lifting_sizes
 from vranphy.nr.basegraph import base_graph, parse_table_text
 
 
@@ -53,8 +53,7 @@ def gf2_solve_parity(h, info):
 def test_encoder_matches_gf2_elimination_oracle(bg, z, rng):
     kb = 22 if bg == 1 else 10
     info = rng.integers(0, 2, kb * z).astype(np.uint8)
-    cw = ldpc_encode(CodeBlock(bits=info, index=0, lifting_size=z,
-                               base_graph=bg))
+    cw = ldpc_encode(info, bg, z)
     h = dense_parity_matrix(bg, z)
     parity = gf2_solve_parity(h, info)
     np.testing.assert_array_equal(cw[: kb * z], info)
@@ -62,8 +61,7 @@ def test_encoder_matches_gf2_elimination_oracle(bg, z, rng):
 
 
 def test_all_zero_info_gives_all_zero_codeword():
-    cw = ldpc_encode(CodeBlock(bits=np.zeros(10 * 16, np.uint8), index=0,
-                               lifting_size=16, base_graph=2))
+    cw = ldpc_encode(np.zeros(10 * 16, np.uint8), 2, 16)
     assert not cw.any()
 
 
@@ -71,8 +69,7 @@ def test_seeded_codeword_syndrome_is_zero(rng):
     st = lifted(2, 8)
     h = dense_parity_matrix(2, 8)
     info = rng.integers(0, 2, 80).astype(np.uint8)
-    cw = ldpc_encode(CodeBlock(bits=info, index=0, lifting_size=8,
-                               base_graph=2))
+    cw = ldpc_encode(info, 2, 8)
     assert not ((h @ cw) % 2).any()
     assert st.syndrome_ok(cw)
 
@@ -81,27 +78,23 @@ def test_syndrome_zero_across_sizes(rng):
     for z in (3, 7, 9, 32, 52, 112, 384):
         st = lifted(2, z)
         info = rng.integers(0, 2, 10 * z).astype(np.uint8)
-        cw = ldpc_encode(CodeBlock(bits=info, index=0, lifting_size=z,
-                                   base_graph=2))
+        cw = ldpc_encode(info, 2, z)
         assert st.syndrome_ok(cw), z
     for z in (2, 24, 208, 384):
         st = lifted(1, z)
         info = rng.integers(0, 2, 22 * z).astype(np.uint8)
-        cw = ldpc_encode(CodeBlock(bits=info, index=0, lifting_size=z,
-                                   base_graph=1))
+        cw = ldpc_encode(info, 1, z)
         assert st.syndrome_ok(cw), z
 
 
 def test_unsupported_lifting_size_rejected():
     with pytest.raises((UnsupportedConfigError, InvalidConfigError)):
-        ldpc_encode(CodeBlock(bits=np.zeros(10 * 17, np.uint8), index=0,
-                              lifting_size=17, base_graph=2))
+        ldpc_encode(np.zeros(10 * 17, np.uint8), 2, 17)
 
 
 def test_wrong_info_length_rejected():
     with pytest.raises(InvalidConfigError):
-        CodeBlock(bits=np.zeros(99, np.uint8), index=0, lifting_size=8,
-                  base_graph=2)
+        ldpc_encode(np.zeros(99, np.uint8), 2, 8)
 
 
 def test_lifting_table_contents():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,10 @@ from vranphy.backends.emulated import make_emulated_t2
 from vranphy.backends.model import JitterSpec
 from vranphy.errors import (CapabilityMismatchError, InvalidConfigError,
                             ResourceExhaustedError)
-from vranphy.lpu import (CallShape, CodingOpDescriptor, Granularity,
-                         LpuCapabilities, OpKind, QueueAllocator, discover,
-                         route_interface, validate_harq_placement)
+from vranphy.lpu import (BufferLocation, CallShape, CodingOpDescriptor,
+                         Granularity, LpuCapabilities, OpKind, QueueAllocator,
+                         discover, route_interface, validate_harq_placement)
 from vranphy.nr import segment_tb
-from vranphy.nr.softbuffer import BufferLocation
 
 
 def test_discover_rfsoc_profile():
@@ -102,16 +103,16 @@ def test_two_instances_get_distinct_queues():
 
 
 def _decode_op(plan, rng, location=None):
-    from vranphy.nr import buffer_length, encode_tb, noiseless_llrs
+    from vranphy.nr import (buffer_length, encode_tb, new_soft_buffer,
+                            noiseless_llrs)
     payload = rng.integers(0, 2, 300).astype(np.uint8)
     ncb = buffer_length(plan.base_graph, plan.lifting_size)
     e = 2 * ((ncb // 2) // 2)
     enc = encode_tb(payload, plan, e, qm=2, layers=1)
-    item = {"plan": plan, "llrs": noiseless_llrs(enc.streams[0]),
-            "param": enc.params[0], "buffer": None, "kbits": 0.3}
+    item = (noiseless_llrs(enc.streams[0]), plan, enc.params[0],
+            new_soft_buffer(plan))
     return CodingOpDescriptor(kind=OpKind.DECODE, granularity=Granularity.CB,
-                              payload={"op": "decode_cbs", "items": [item]},
-                              harq_location=location)
+                              payload=[item], harq_location=location)
 
 
 def test_enqueue_validates_harq_token_placement(rng):
@@ -140,15 +141,16 @@ def test_process_conserves_ops_in_order(name, rng):
         op.op_id = 100 + i
         op.shape = CallShape("per_cb", 1.0, 1, 0.3)
         ops.append(op)
+    # the reference runs on copies: decoding combines into the op's buffer
+    refs = [execute_descriptor(op) for op in copy.deepcopy(ops)]
     done = backend.process(ops)
     assert [c.op_id for c in done] == [100 + i for i in range(5)]
     assert all(c.status == "ok" and c.service_time_us > 0 for c in done)
-    for op, c in zip(ops, done):
-        ref = execute_descriptor(op)
-        np.testing.assert_array_equal(c.outputs["info_bits"][0],
-                                      ref["info_bits"][0])
-        assert c.outputs["crc_ok"] == ref["crc_ok"]
-        assert c.outputs["iterations"] == ref["iterations"]
+    for ref, c in zip(refs, done):
+        [got], [want] = c.outputs, ref
+        np.testing.assert_array_equal(got.info_bits, want.info_bits)
+        assert got.crc_ok == want.crc_ok
+        assert got.iterations_used == want.iterations_used
     assert backend.process([]) == []
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vranphy.errors import InvalidConfigError
-from vranphy.nr import (CodeBlock, RateMatchParams, buffer_length,
+from vranphy.nr import (RateMatchParams, buffer_length,
                         interleave, k0_offset, ldpc_encode, rate_match,
                         segment_tb, selection_positions)
 from vranphy.nr.ratematch import deinterleave, filler_range
@@ -46,10 +46,7 @@ def _plan_and_codeword(rng, a=300, rate=0.5):
     from vranphy.nr import split_payload
     payload = rng.integers(0, 2, a).astype(np.uint8)
     cb_bits = split_payload(payload, plan)[0]
-    cw = ldpc_encode(CodeBlock(bits=cb_bits, index=0,
-                               lifting_size=plan.lifting_size,
-                               base_graph=plan.base_graph,
-                               filler_count=plan.filler_per_cb))
+    cw = ldpc_encode(cb_bits, plan.base_graph, plan.lifting_size)
     return plan, cw
 
 

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from vranphy import lpu
-from vranphy.backends import SoftwareBackend
-from vranphy.backends.emulated import EmulatedDevice
-from vranphy.backends.model import JitterSpec, ServiceTimeModel
-from vranphy.errors import HarqBufferMissingError, InvalidConfigError
-from vranphy.nr import (compute_tbs, e_splits, mcs_params,
-                        resource_elements, segment_tb)
+from vranphy.backends import SoftwareBackend, execute_descriptor
+from vranphy.backends.emulated import EmulatedDevice, make_emulated
+from vranphy.backends.model import JitterSpec, ServiceTimeModel, call_groups
+from vranphy.errors import (CapabilityMismatchError, HarqBufferMissingError,
+                            InvalidConfigError)
+from vranphy.lpu import BufferLocation
+from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, e_splits,
+                        encode_tb, mcs_params, new_soft_buffer,
+                        resource_elements, segment_tb, split_payload)
+from vranphy.nr.pipeline import assemble_decoded
 from vranphy.slot_coding import (Direction, HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
-                                 decode_slot, encode_slot)
+                                 decode_slot, direction_name, encode_slot)
 
 
 def _handle(device):
@@ -202,3 +206,71 @@ def test_dtx_slot_fails_crc(rng, t2_quiet):
     jr = res.job_results[0]
     assert jr.tb_crc_ok is False
     assert not any(jr.cb_crc_ok)
+
+
+@pytest.mark.parametrize("backend,accepted", [
+    ("software", False), ("vran-boost-emulated", False),
+    ("t2-emulated", True)])
+def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
+    """A pool placed on the device reaches each decode descriptor, so a
+    device without internal HARQ memory refuses it."""
+    device = SoftwareBackend() if backend == "software" else make_emulated(
+        backend, spike=JitterSpec(), compute_payloads=True)
+    req = SlotCodingRequest(slot_id=4, direction=Direction.UL,
+                            jobs=[_dl_job(rng, prbs=15, mcs=5)])
+    harq = HarqPool(location=BufferLocation.DEVICE)
+    if accepted:
+        assert decode_slot(req, _handle(device), harq).all_crc_ok
+    else:
+        with pytest.raises(CapabilityMismatchError):
+            decode_slot(req, _handle(device), harq)
+
+
+def _run_grouped(generation, direction, per_tb_items):
+    """Run each call of ``generation`` as one descriptor over its items;
+    returns each TB's per-CB outputs."""
+    kind = lpu.OpKind(direction_name(direction))
+    pending = [iter(items) for items in per_tb_items]
+    outputs = [[] for _ in per_tb_items]
+    for group in call_groups(generation.value, direction_name(direction),
+                             [len(items) for items in per_tb_items]):
+        op = lpu.CodingOpDescriptor(
+            kind=kind, granularity=lpu.Granularity.CB,
+            payload=[next(pending[t]) for t in group])
+        for t, out in zip(group, execute_descriptor(op)):
+            outputs[t].append(out)
+    return outputs
+
+
+@pytest.mark.parametrize("generation", list(InterfaceGeneration))
+def test_descriptors_match_the_tb_pipeline(generation, rng):
+    """Any generation's grouping of a slot's blocks into descriptors codes
+    what encode_tb and decode_tb code, block for block."""
+    qm, rate = mcs_params(20, "T1")
+    tbs = []
+    for prbs in (60, 25):
+        size = compute_tbs(prbs, 12, 1, 20, "T1")
+        plan = segment_tb(size, rate)
+        payload = rng.integers(0, 2, size).astype(np.uint8)
+        enc = encode_tb(payload, plan, resource_elements(prbs, 12, 0) * qm,
+                        qm, 1)
+        llrs = [awgn_llrs(s, 0.6, rng) for s in enc.streams]
+        tbs.append((plan, payload, enc, llrs))
+    assert tbs[0][0].num_cbs > 1
+
+    streams = _run_grouped(generation, Direction.DL, [
+        [(bits, plan, p) for bits, p in
+         zip(split_payload(payload, plan), enc.params)]
+        for plan, payload, enc, _ in tbs])
+    decoded = _run_grouped(generation, Direction.UL, [
+        [(x, plan, p, new_soft_buffer(plan)) for x, p in
+         zip(llrs, enc.params)]
+        for plan, _, enc, llrs in tbs])
+    for (plan, _, enc, llrs), got, results in zip(tbs, streams, decoded):
+        for a, b in zip(got, enc.streams, strict=True):
+            np.testing.assert_array_equal(a, b)
+        ref = decode_tb(llrs, plan, enc.params)
+        payload, tb_ok, cb_ok = assemble_decoded(results, plan)
+        np.testing.assert_array_equal(payload, ref.payload)
+        assert (tb_ok, cb_ok) == (ref.tb_crc_ok, ref.cb_crc_ok)
+        assert [r.iterations_used for r in results] == ref.iterations
