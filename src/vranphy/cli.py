@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import VranPhyError
+from .errors import InvalidConfigError, VranPhyError
 from .metrics import (bench_rows_to_csv, bench_rows_to_json, export_report,
                       summarize)
 
@@ -175,10 +175,12 @@ def _cmd_report(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("{"):
-                samples.append(float(json.loads(line)["us"]))
-            else:
-                samples.append(float(line))
+            try:
+                samples.append(float(json.loads(line)["us"])
+                               if line.startswith("{") else float(line))
+            except (ValueError, KeyError, TypeError):
+                raise InvalidConfigError(
+                    f"{args.samples}: not a sample: {line!r}") from None
     dist = summarize(samples)
     sys.stdout.write(json.dumps(dist.as_dict(), indent=2, sort_keys=True)
                      + "\n")

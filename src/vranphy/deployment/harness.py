@@ -1,14 +1,16 @@
 """Multi-instance deployment harness.
 
 Drives the DDDSU traffic of N gNB instances against one shared emulated
-coding device, entirely in virtual time. Each instance owns one queue per
-operation type (encode and decode), standing in for its virtual-function
-pair. Downlink encodes are prepared one slot ahead; uplink decodes follow
-the front stages of their slot, so encode and decode service windows
-overlap inside uplink slots and sharing shows up as occasional occupancy
-spikes rather than a median shift. Per-slot coding and total times,
-deadline accounting, delivered goodput and instance-failure events land in
-a metrics bundle that serializes deterministically.
+coding device, entirely in virtual time. Each instance submits one encode
+call per prepared downlink slot and one decode call per uplink slot, and
+the device serves every instance's calls from its one FIFO server pool;
+no queue index enters the timing. Downlink encodes are prepared one slot
+ahead; uplink decodes follow the front stages of their slot, so encode
+and decode service windows overlap inside uplink slots and sharing shows
+up as occasional occupancy spikes rather than a median shift. Per-slot
+coding and total times, deadline accounting, delivered goodput and
+instance-failure events land in a metrics bundle that serializes
+deterministically.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from ..errors import InvalidConfigError
 from ..highphy import (DL_BUDGET_US, DL_OTHER_STAGES_NO_PRECODE_US,
                        TDD_PATTERN, TTI_US, UL_BUDGET_US, UL_OTHER_STAGES_US,
                        tdd_slot_kind)
-from ..lpu import QueueHandle
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
@@ -223,12 +224,6 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
 
     n = config.n_instances
     devices, unique_devices = _make_devices(config, n)
-    # one virtual-function queue per operation type, as drivers allocate
-    handles: dict[tuple[int, str], QueueHandle] = {}
-    for i in range(n):
-        for direction in ("dl", "ul"):
-            handles[(i, direction)] = devices[i].allocator.open_queue(
-                i, device=devices[i])
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]
     shapes = traffic_shapes(config.traffic)
     rngs = [np.random.default_rng(np.random.SeedSequence(
@@ -294,9 +289,8 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
             shape = shapes[direction]
             dev = devices[instance]
             call = dev.submit(
-                handles[(instance, direction)].queue_index, arrival,
-                "decode" if direction == "ul" else "encode", "per_slot",
-                1, shape.n_cbs, shape.kbits)
+                arrival, "decode" if direction == "ul" else "encode",
+                "per_slot", 1, shape.n_cbs, shape.kbits)
             calls_in_flight[(dev.device_id, call.seq)] = (instance,
                                                           direction, target)
         horizon = (slot + 1) * TTI_US

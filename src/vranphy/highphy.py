@@ -43,20 +43,13 @@ DL_OTHER_STAGES_NO_PRECODE_US = 407.0
 
 @dataclass(frozen=True)
 class CellConfig:
-    bandwidth_mhz: int = 100
     prbs: int = 273
-    numerology: int = 1
-    tti_us: float = TTI_US
     tx_antennas: int = 4
-    rx_antennas: int = 4
     tdd_pattern: str = TDD_PATTERN
-    band: str = "n77"
     symbols: int = 12            # data symbols available to a TB
     overhead: int = 0
 
     def __post_init__(self):
-        if self.numerology == 1 and self.tti_us != TTI_US:
-            raise InvalidConfigError("numerology 1 has a 500 us TTI")
         check_tdd_pattern(self.tdd_pattern)
 
     @property

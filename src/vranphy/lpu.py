@@ -43,8 +43,6 @@ class LpuCapabilities:
     tb_required_when_single_cb: bool
     internal_harq_memory: bool
     num_queues: int
-    rated_dl_gbps: float
-    rated_ul_gbps: float
 
     def __post_init__(self):
         if not (self.supports_cb_interface or self.supports_tb_interface):
@@ -57,28 +55,20 @@ class LpuCapabilities:
 
 # Shipped capability profiles. The RFSoC card only ever talks CB and keeps
 # retransmission state on board; the in-package accelerator has no internal
-# memory and insists on TB descriptors for single-segment blocks. The
-# stand-alone PCIe accelerator shares the latter's interface quirks but
-# keeps HARQ state internally (coarse profile, interface flags only).
+# memory and insists on TB descriptors for single-segment blocks.
 _PROFILES = {
     "t2": LpuCapabilities(
         name="t2", supports_cb_interface=True, supports_tb_interface=False,
         tb_required_when_single_cb=False, internal_harq_memory=True,
-        num_queues=16, rated_dl_gbps=35.0, rated_ul_gbps=12.0),
-    "acc100": LpuCapabilities(
-        name="acc100", supports_cb_interface=True, supports_tb_interface=True,
-        tb_required_when_single_cb=True, internal_harq_memory=True,
-        num_queues=16, rated_dl_gbps=35.0, rated_ul_gbps=12.0),
+        num_queues=16),
     "vran_boost": LpuCapabilities(
         name="vran_boost", supports_cb_interface=True,
         supports_tb_interface=True, tb_required_when_single_cb=True,
-        internal_harq_memory=False, num_queues=16, rated_dl_gbps=38.0,
-        rated_ul_gbps=19.0),
+        internal_harq_memory=False, num_queues=16),
     "software": LpuCapabilities(
         name="software", supports_cb_interface=True,
         supports_tb_interface=True, tb_required_when_single_cb=False,
-        internal_harq_memory=False, num_queues=64, rated_dl_gbps=0.0,
-        rated_ul_gbps=0.0),
+        internal_harq_memory=False, num_queues=64),
 }
 
 
@@ -88,10 +78,6 @@ def discover(backend_id: str) -> LpuCapabilities:
         return _PROFILES[backend_id]
     except KeyError:
         raise InvalidConfigError(f"unknown backend {backend_id!r}")
-
-
-def registered_backends() -> tuple[str, ...]:
-    return tuple(_PROFILES)
 
 
 def route_interface(caps: LpuCapabilities, num_cbs_in_tb: int) -> Granularity:
@@ -137,36 +123,32 @@ class Completion:
 
 @dataclass
 class QueueHandle:
+    """One queue index of a device: the label of an instance's descriptor
+    ring, through which its work reaches ``device``."""
     device_id: str
     queue_index: int
-    owner_instance: int
-    _device: Any = field(repr=False, default=None)
-
-    @property
-    def device(self):
-        return self._device
+    device: Any = field(repr=False, default=None)
 
 
 class QueueAllocator:
-    """Exclusive queue-index bookkeeping for one device."""
+    """Exclusive queue-index bookkeeping for one device: indices are
+    handed out in order and stay with their holder."""
 
     def __init__(self, device_id: str, num_queues: int):
         self.device_id = device_id
         self.num_queues = num_queues
-        self._in_use: dict[int, int] = {}
+        self._opened = 0
 
     def open_queue(self, instance_id: int, device=None) -> QueueHandle:
-        for idx in range(self.num_queues):
-            if idx not in self._in_use:
-                self._in_use[idx] = instance_id
-                return QueueHandle(device_id=self.device_id, queue_index=idx,
-                                   owner_instance=instance_id,
-                                   _device=device)
-        raise ResourceExhaustedError(
-            f"{self.device_id}: all {self.num_queues} queues in use")
-
-    def close_queue(self, handle: QueueHandle) -> None:
-        self._in_use.pop(handle.queue_index, None)
+        """The next free queue for ``instance_id``, which holds the
+        returned handle."""
+        if self._opened == self.num_queues:
+            raise ResourceExhaustedError(
+                f"{self.device_id}: all {self.num_queues} queues in use")
+        handle = QueueHandle(device_id=self.device_id,
+                             queue_index=self._opened, device=device)
+        self._opened += 1
+        return handle
 
 
 def validate_harq_placement(caps: LpuCapabilities,

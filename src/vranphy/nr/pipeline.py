@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError
 from .basegraph import buffer_length
+from .crc import crc_check
 from .encoder import ldpc_encode
 from .ratematch import RateMatchParams, rate_match
 from .decoder import DecodeResult, ldpc_decode
@@ -112,10 +113,13 @@ def assemble_decoded(results: list[DecodeResult], plan: SegmentationPlan
     A block passes on its decoder verdict, which includes its segment CRC.
     The TB passes only when its TB CRC passes and every block does: an
     erased block decodes to zeros, which the zero-state TB CRC accepts.
+    A single block's segment CRC is the TB CRC, so it is checked once.
     """
-    payload, tb_ok = assemble_payload([r.info_bits for r in results], plan)
+    tb = assemble_payload([r.info_bits for r in results], plan)
     blocks = [bool(r.crc_ok) for r in results]
-    return payload, bool(tb_ok) and all(blocks), blocks
+    tb_ok = all(blocks) and (not plan.cb_crc_present
+                             or crc_check(tb, plan.tb_crc_kind))
+    return tb[: plan.payload_bits], tb_ok, blocks
 
 
 def loopback_tb(payload, plan: SegmentationPlan, total_bits: int, qm: int,

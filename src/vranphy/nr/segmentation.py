@@ -159,11 +159,13 @@ def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
 
 
 def assemble_payload(cb_infos: list[np.ndarray], plan: SegmentationPlan
-                     ) -> tuple[np.ndarray, bool]:
-    """Reassemble TB payload from per-CB info bits (K' bits each, CRC kept).
+                     ) -> np.ndarray:
+    """Reassemble the TB's B bits (payload, then its TB CRC) from per-CB
+    info bits (K' bits each, CRC kept).
 
-    Each block's CRC field is stripped unchecked (the decoder's verdict
-    covers it). Returns (payload bits, tb_crc_ok).
+    Nothing is checked here: each block's CRC field is stripped (the
+    decoder's verdict covers it), and ``nr.pipeline.assemble_decoded``
+    takes the TB CRC verdict.
     """
     if len(cb_infos) != plan.num_cbs:
         raise InvalidConfigError("wrong number of code blocks")
@@ -173,6 +175,4 @@ def assemble_payload(cb_infos: list[np.ndarray], plan: SegmentationPlan
         if seg.size != plan.k_prime:
             raise InvalidConfigError("code block has wrong info length")
         chunks.append(seg[:plan.segment_data_bits])
-    stream = np.concatenate(chunks)[: plan.tb_size_bits]
-    tb_ok = crc.crc_check(stream, plan.tb_crc_kind)
-    return stream[: plan.payload_bits], tb_ok
+    return np.concatenate(chunks)[: plan.tb_size_bits]

@@ -44,6 +44,15 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     assert cli_main(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("text", ["100.0\nfast\n", '{"us": 5}\n{"ms": 2}\n'],
+                         ids=["not-a-number", "no-us-field"])
+def test_malformed_samples_are_a_usage_error(text, capsys, tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(text)
+    assert cli_main(["report", "--samples", str(samples)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_deploy_config_with_unknown_traffic_key_is_a_usage_error(tmp_path):
     config = tmp_path / "deploy.json"
     config.write_text(json.dumps({"duration_slots": 10,

@@ -5,7 +5,7 @@ from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_cb,
                         encode_tb, ldpc_decode, lifted, loopback_tb,
                         mcs_params, new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb, split_payload)
-from vranphy.nr import decoder
+from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS
 
 # empirically calibrated: far inside the correction capability of the
@@ -146,6 +146,26 @@ def _reference_decode(buf, plan):
     info = (totals < 0)[: plan.k_prime].astype(np.uint8)
     ok = bool(totals[: st.k].all()) and decoder._crc_verdict(info, plan)
     return info, ok, iters
+
+
+def test_single_block_tb_crc_is_computed_once(rng, monkeypatch):
+    plan = segment_tb(300, 0.5)
+    assert plan.num_cbs == 1 and not plan.cb_crc_present
+    payload = rng.integers(0, 2, 300).astype(np.uint8)
+    enc = encode_tb(payload, plan, _full_buffer_e(plan), qm=2, layers=1)
+    llrs = [noiseless_llrs(s) for s in enc.streams]
+    calls = []
+    compute = crc.crc_compute
+
+    def counted(bits, kind):
+        calls.append(kind)
+        return compute(bits, kind)
+
+    monkeypatch.setattr(crc, "crc_compute", counted)
+    out = decode_tb(llrs, plan, enc.params)
+    assert out.all_ok
+    np.testing.assert_array_equal(out.payload, payload)
+    assert calls == [plan.tb_crc_kind]
 
 
 @pytest.mark.parametrize("a,rate,bg", [(1000, 0.8, 1), (500, 0.5, 2)],

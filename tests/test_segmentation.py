@@ -7,6 +7,7 @@ from vranphy.errors import InvalidConfigError
 from vranphy.nr import (assemble_payload, compute_tbs, encode_tb,
                         mcs_params, segment_tb, split_payload)
 from vranphy.nr.basegraph import lifting_sizes
+from vranphy.nr.crc import crc_check
 from vranphy.nr.segmentation import select_base_graph
 
 
@@ -97,9 +98,10 @@ def test_split_and_assemble_round_trip(rng):
     cbs = split_payload(payload, plan)
     assert all(cb.size == plan.k for cb in cbs)
     infos = [cb[: plan.k_prime] for cb in cbs]
-    back, tb_ok = assemble_payload(infos, plan)
-    assert tb_ok
-    np.testing.assert_array_equal(back, payload)
+    back = assemble_payload(infos, plan)
+    assert back.size == plan.tb_size_bits
+    assert crc_check(back, plan.tb_crc_kind)
+    np.testing.assert_array_equal(back[: plan.payload_bits], payload)
 
 
 def test_corrupted_segment_flagged(rng):
@@ -110,8 +112,7 @@ def test_corrupted_segment_flagged(rng):
     cbs = split_payload(payload, plan)
     infos = [cb[: plan.k_prime].copy() for cb in cbs]
     infos[1][5] ^= 1
-    _, tb_ok = assemble_payload(infos, plan)
-    assert not tb_ok
+    assert not crc_check(assemble_payload(infos, plan), plan.tb_crc_kind)
 
 
 def test_base_graph_rule_boundaries():
