@@ -198,8 +198,7 @@ class EmulatedDevice:
                     raise InvalidConfigError("event engine stalled")
                 self.advance_to(self._events[0][0])
             self._completed.remove(call)
-            done.append(Completion(op_id=op.op_id, status="ok",
-                                   outputs=outputs,
+            done.append(Completion(outputs=outputs,
                                    service_time_us=call.service_us))
         return done
 

@@ -48,6 +48,6 @@ class SoftwareBackend:
             t0 = time.perf_counter()
             outputs = execute_descriptor(op)
             done.append(Completion(
-                op_id=op.op_id, status="ok", outputs=outputs,
+                outputs=outputs,
                 service_time_us=(time.perf_counter() - t0) * 1e6))
         return done

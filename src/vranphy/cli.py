@@ -85,10 +85,9 @@ def _cmd_bench(args) -> int:
 
     device = make_emulated(args.backend, seed=args.seed,
                            compute_payloads=False)
-    handle = device.allocator.open_queue(0, device=device)
     directions = (("decode", "encode") if args.direction == "both"
                   else (args.direction,))
-    rows = run_interface_bench(handle, directions=directions,
+    rows = run_interface_bench(device, directions=directions,
                                tb_counts=range(1, args.max_tbs + 1))
     if args.format == "json":
         sys.stdout.write(bench_rows_to_json(rows))
@@ -157,11 +156,8 @@ def _cmd_deploy(args) -> int:
     verdict = check_throughput(bundle)
     doc = bundle.as_dict()
     doc["throughput"] = verdict
-    if args.format == "json":
-        sys.stdout.write(export_report({k: v for k, v in doc.items()},
-                                       "json"))
-    else:
-        sys.stdout.write(export_report(doc, "csv"))
+    sys.stdout.write(export_report(
+        doc, "json" if args.format == "json" else "csv"))
     if args.samples_out:
         with open(args.samples_out, "w") as f:
             f.write(bundle.raw_samples_jsonl())

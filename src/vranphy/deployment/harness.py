@@ -8,9 +8,11 @@ no queue index enters the timing. Downlink encodes are prepared one slot
 ahead; uplink decodes follow the front stages of their slot, so encode
 and decode service windows overlap inside uplink slots and sharing shows
 up as occasional occupancy spikes rather than a median shift. Per-slot
-coding and total times, deadline accounting, delivered goodput and
-instance-failure events land in a metrics bundle that serializes
-deterministically.
+coding times, deadline accounting, delivered goodput and instance-failure
+events land in a metrics bundle that serializes deterministically. Slot
+totals are derived, not stored: the deadline check and the bundle's
+``ul_total``/``dl_total`` summaries both apply ``highphy.slot_timing`` to
+the coding samples.
 """
 from __future__ import annotations
 
@@ -20,9 +22,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..errors import InvalidConfigError
-from ..highphy import (DL_BUDGET_US, DL_OTHER_STAGES_NO_PRECODE_US,
-                       TDD_PATTERN, TTI_US, UL_BUDGET_US, UL_OTHER_STAGES_US,
-                       tdd_slot_kind)
+from ..highphy import (DL_SLOT_US, TDD_PATTERN, TTI_US, UL_SLOT_US,
+                       slot_timing, tdd_slot_kind)
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
@@ -110,8 +111,6 @@ class InstanceMetrics:
     instance_id: int
     ul_decode_us: list[float] = field(default_factory=list)
     dl_encode_us: list[float] = field(default_factory=list)
-    ul_total_us: list[float] = field(default_factory=list)
-    dl_total_us: list[float] = field(default_factory=list)
     delivered_dl_bits: int = 0
     delivered_ul_bits: int = 0
     ul_deadline_misses: int = 0
@@ -129,14 +128,17 @@ class MetricsBundle:
 
     def distributions(self, instance_id: int) -> dict[str,
                                                       LatencyDistribution]:
+        """Summaries of the coding samples and of the slot totals that
+        ``slot_timing`` derives from them."""
         m = self.instances[instance_id]
         out = {}
-        for key, samples in (("ul_decode", m.ul_decode_us),
-                             ("dl_encode", m.dl_encode_us),
-                             ("ul_total", m.ul_total_us),
-                             ("dl_total", m.dl_total_us)):
+        for coding, total, slot_us, samples in (
+                ("ul_decode", "ul_total", UL_SLOT_US, m.ul_decode_us),
+                ("dl_encode", "dl_total", DL_SLOT_US, m.dl_encode_us)):
             if samples:
-                out[key] = summarize(samples)
+                out[coding] = summarize(samples)
+                out[total] = summarize([slot_timing(slot_us, us)[0]
+                                        for us in samples])
         return out
 
     def goodput_mbps(self, instance_id: int) -> dict[str, float]:
@@ -258,12 +260,11 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         elapsed = call.elapsed_us
         if direction == "ul":
             m.ul_decode_us.append(elapsed)
-            total = UL_OTHER_STAGES_US + elapsed
-            m.ul_total_us.append(total)
             ok = rngs[instance].random() >= config.traffic.ul_error_rate
             if ok:
                 m.delivered_ul_bits += shapes["ul"].tbs
-            if total > UL_BUDGET_US:
+            _, met = slot_timing(UL_SLOT_US, elapsed)
+            if not met:
                 m.ul_deadline_misses += 1
                 ul_streak[instance] += 1
                 if ul_streak[instance] >= UL_FAILURE_STREAK \
@@ -274,12 +275,11 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
                 ul_streak[instance] = 0
         else:
             m.dl_encode_us.append(elapsed)
-            total = DL_OTHER_STAGES_NO_PRECODE_US + elapsed
-            m.dl_total_us.append(total)
             ok = rngs[instance].random() >= config.traffic.dl_error_rate
             if ok:
                 m.delivered_dl_bits += shapes["dl"].tbs
-            if total > DL_BUDGET_US:
+            _, met = slot_timing(DL_SLOT_US, elapsed)
+            if not met:
                 m.dl_deadline_misses += 1
 
     calls_in_flight: dict[tuple[str, int], tuple[int, str, int]] = {}

@@ -109,14 +109,12 @@ class CodingOpDescriptor:
     granularity: Granularity
     payload: Any = None
     harq_location: BufferLocation | None = None
-    op_id: int = -1
     shape: CallShape | None = None   # what an emulated device times
 
 
 @dataclass
 class Completion:
-    op_id: int
-    status: str
+    """The result of the op at the same position in the submitted batch."""
     outputs: Any
     service_time_us: float
 

@@ -64,14 +64,14 @@ _DIST_FIELDS = ("count", "min", "p10", "q1", "median", "q3", "p90", "max",
                 "mean")
 
 
-def export_report(bundle, fmt: str = "json") -> str:
-    """Serialize a metrics bundle with stable field ordering.
+def export_report(report: dict, fmt: str = "json") -> str:
+    """Serialize a report dict (``MetricsBundle.as_dict`` and any added
+    blocks) with stable field ordering.
 
-    JSON round-trips to an equal bundle dict; CSV has one row per
-    (instance, direction, metric).
+    JSON round-trips to the report plus its schema tag; CSV has one row
+    per (instance, direction, metric).
     """
-    doc = bundle.as_dict() if hasattr(bundle, "as_dict") else dict(bundle)
-    doc = {"schema": SCHEMA_VERSION, **doc}
+    doc = {"schema": SCHEMA_VERSION, **report}
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":

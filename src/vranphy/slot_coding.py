@@ -25,11 +25,6 @@ from .nr.softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs
 MAX_PRBS = 273
 
 
-class Direction(Enum):
-    UL = "ul"
-    DL = "dl"
-
-
 class InterfaceGeneration(Enum):
     PER_CB = "per_cb"
     PER_TB = "per_tb"
@@ -60,8 +55,6 @@ class TransportBlockJob:
 
 @dataclass
 class SlotCodingRequest:
-    slot_id: int
-    direction: Direction
     jobs: list[TransportBlockJob]
     interface_generation: InterfaceGeneration = InterfaceGeneration.PER_SLOT
     symbols: int = 12
@@ -95,11 +88,8 @@ class JobResult:
 
 @dataclass
 class SlotCodingResult:
-    slot_id: int
-    direction: Direction
     generation: InterfaceGeneration
     job_results: list[JobResult]
-    per_call_us: list[float]
     total_elapsed_us: float
     calls_made: int
 
@@ -146,8 +136,7 @@ class _TbWork:
 
 
 def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
-                caps, direction: Direction,
-                harq: HarqPool | None) -> _TbWork:
+                caps, kind: OpKind, harq: HarqPool | None) -> _TbWork:
     qm, rate = mcs_params(job.mcs_index, job.mcs_table)
     tbs = compute_tbs(job.prb_share, request.symbols, job.layers,
                       job.mcs_index, job.mcs_table, request.overhead)
@@ -156,7 +145,7 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                                 request.overhead) * qm * job.layers
     params = cb_params(plan, g_total, qm, job.layers, job.rv)
     granularity = route_interface(caps, plan.num_cbs)
-    if direction is Direction.DL:
+    if kind is OpKind.ENCODE:
         cbs = split_payload(job.payload, plan)
         items = [(bits, plan, rm) for bits, rm in zip(cbs, params)]
     else:
@@ -188,7 +177,7 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
-                 direction: Direction
+                 kind: OpKind
                  ) -> list[tuple[list[tuple[int, tuple]], CallShape]]:
     """Each call's (tb_index, item) batch and timing shape."""
     # imported on first use: loading the backends (and scipy) while
@@ -196,26 +185,25 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
     # 2-vCPU VM
     from .backends.model import call_shapes
     items = [iter(w.items) for w in works]
-    calls = call_shapes(generation.value, direction_name(direction),
+    calls = call_shapes(generation.value, kind.value,
                         [(w.tbs, w.plan.num_cbs) for w in works])
     return [([(t, next(items[t])) for t in tbs], shape)
             for tbs, shape in calls]
 
 
-def _run_calls(device, direction: Direction, works: list[_TbWork],
+def _run_calls(device, kind: OpKind, works: list[_TbWork],
                calls: list[tuple[list[tuple[int, tuple]], CallShape]],
-               harq: HarqPool | None) -> tuple[list[list], list[float]]:
+               harq: HarqPool | None) -> tuple[list[list], float]:
     """Execute call batches; returns per-TB outputs (one per CB, None when
-    the device ran no payload) and per-call times."""
-    kind = OpKind.ENCODE if direction is Direction.DL else OpKind.DECODE
+    the device ran no payload) and the calls' summed time."""
     location = None if harq is None else harq.location
     ops = []
-    for op_id, (batch, shape) in enumerate(calls):
+    for batch, shape in calls:
         gran = Granularity.TB if all(
             works[t].granularity is Granularity.TB for t, _ in batch) \
             else Granularity.CB
         ops.append(CodingOpDescriptor(
-            kind=kind, granularity=gran, op_id=op_id, shape=shape,
+            kind=kind, granularity=gran, shape=shape,
             payload=[item for _, item in batch], harq_location=location))
     completions = device.process(ops)
     outputs_per_tb: list[list] = [[] for _ in works]
@@ -223,76 +211,64 @@ def _run_calls(device, direction: Direction, works: list[_TbWork],
         for pos, (t, _) in enumerate(batch):
             outputs_per_tb[t].append(
                 None if done.outputs is None else done.outputs[pos])
-    return outputs_per_tb, [c.service_time_us for c in completions]
-
-
-def direction_name(direction: Direction) -> str:
-    return "encode" if direction is Direction.DL else "decode"
+    return outputs_per_tb, float(sum(c.service_time_us
+                                     for c in completions))
 
 
 def encode_slot(request: SlotCodingRequest, executor: QueueHandle
                 ) -> SlotCodingResult:
     """Encode all transport blocks of one downlink slot."""
-    if request.direction is not Direction.DL:
-        raise InvalidConfigError("encode_slot processes DL slots")
-    return _process_slot(request, executor, None)
+    return _process_slot(request, executor, OpKind.ENCODE, None)
 
 
 def decode_slot(request: SlotCodingRequest, executor: QueueHandle,
                 harq: HarqPool | None = None) -> SlotCodingResult:
     """Decode all transport blocks of one uplink slot."""
-    if request.direction is not Direction.UL:
-        raise InvalidConfigError("decode_slot processes UL slots")
-    return _process_slot(request, executor, harq)
+    return _process_slot(request, executor, OpKind.DECODE, harq)
 
 
 def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
-                  harq: HarqPool | None) -> SlotCodingResult:
+                  kind: OpKind, harq: HarqPool | None) -> SlotCodingResult:
     """Code one slot. Results of a device that runs no payload carry no
     streams, payloads or CRC flags."""
     request.validate()
     device = executor.device
     if device is None:
         raise BackendUnavailableError("executor handle has no device")
-    works = [_prepare_tb(job, request, device.capabilities,
-                         request.direction, harq)
+    works = [_prepare_tb(job, request, device.capabilities, kind, harq)
              for job in request.jobs]
-    calls = _group_calls(works, request.interface_generation,
-                         request.direction)
-    outputs_per_tb, per_call_us = _run_calls(device, request.direction,
-                                             works, calls, harq)
+    calls = _group_calls(works, request.interface_generation, kind)
+    outputs_per_tb, elapsed_us = _run_calls(device, kind, works, calls,
+                                            harq)
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)
         if outs[0] is not None:
-            if request.direction is Direction.DL:
+            if kind is OpKind.ENCODE:
                 jr.streams = outs
             else:
                 jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
                     outs, w.plan)
         results.append(jr)
     return SlotCodingResult(
-        slot_id=request.slot_id, direction=request.direction,
         generation=request.interface_generation, job_results=results,
-        per_call_us=per_call_us, total_elapsed_us=float(sum(per_call_us)),
-        calls_made=len(calls))
+        total_elapsed_us=elapsed_us, calls_made=len(calls))
 
 
-def run_interface_bench(executor: QueueHandle,
-                        directions=("decode", "encode"),
+def run_interface_bench(device, directions=("decode", "encode"),
                         generations=tuple(InterfaceGeneration),
                         tb_counts=range(1, 9),
                         bench_config=None) -> list[dict]:
     """Slot coding time per (direction, generation, TB count).
 
     The benchmark slot is a full grid equally shared between the TBs. Its
-    calls run one after another through the emulated device's timing
-    model, so each row is one deterministic virtual-time sample.
+    calls run one after another, so none waits for a server or meets the
+    contention tail: each row is the sum of the emulated device's base
+    service times, one deterministic virtual-time sample.
     """
     from .backends.emulated import EmulatedDevice
     from .backends.model import BenchConfig, call_shapes
 
-    device = executor.device
     if not isinstance(device, EmulatedDevice):
         raise InvalidConfigError(
             "the interface bench runs on an emulated device")
@@ -303,16 +279,13 @@ def run_interface_bench(executor: QueueHandle,
         for gen in gens:
             for n_tb in tb_counts:
                 calls = call_shapes(gen.value, direction, cfg.tb_shapes(n_tb))
-                done = device.process([
-                    CodingOpDescriptor(kind=OpKind(direction),
-                                       granularity=Granularity.CB,
-                                       op_id=op_id, shape=shape)
-                    for op_id, (_, shape) in enumerate(calls)])
                 rows.append({
                     "direction": direction,
                     "generation": gen.value,
                     "n_tb": int(n_tb),
-                    "mean_us": sum(c.service_time_us for c in done),
-                    "calls_made": len(done),
+                    "mean_us": sum(device.base_service_us(
+                        direction, s.generation, s.n_tb, s.n_cb, s.kbits)
+                        for _, s in calls),
+                    "calls_made": len(calls),
                 })
     return rows

@@ -5,6 +5,7 @@ from vranphy.backends.model import JitterSpec
 from vranphy.deployment import (DeploymentConfig, expected_goodput_mbps,
                                 expected_slot_counts, run_deployment)
 from vranphy.errors import InvalidConfigError
+from vranphy.metrics import summarize
 
 
 @pytest.mark.parametrize("profile", ["ep_rfsoc", "hpp"])
@@ -33,10 +34,31 @@ def test_every_call_is_accounted_once():
     counts = expected_slot_counts(config.duration_slots)
     for m in bundle.instances:
         assert not m.failed
-        assert len(m.ul_decode_us) == len(m.ul_total_us) == counts["ul"]
-        assert len(m.dl_encode_us) == len(m.dl_total_us) \
-            == counts["dl_encoded"]
+        assert len(m.ul_decode_us) == counts["ul"]
+        assert len(m.dl_encode_us) == counts["dl_encoded"]
         assert m.slots_processed == config.duration_slots
+
+
+def test_totals_and_misses_are_the_slot_timing_rule():
+    """Every slot total of a 7-instance run is the direction's synthetic
+    cost plus that slot's coding sample, and a deadline miss is a total
+    over the direction's budget."""
+    bundle = run_deployment(DeploymentConfig(n_instances=7,
+                                             duration_slots=400, seed=3))
+    all_misses = 0
+    for m in bundle.instances:
+        dists = bundle.distributions(m.instance_id)
+        for (other, budget), coding, total, samples, misses in (
+                ((1400.0, 2000.0), "ul_decode", "ul_total", m.ul_decode_us,
+                 m.ul_deadline_misses),
+                ((407.0, 1000.0), "dl_encode", "dl_total", m.dl_encode_us,
+                 m.dl_deadline_misses)):
+            totals = [other + us for us in samples]
+            assert dists[coding] == summarize(samples)
+            assert dists[total] == summarize(totals)
+            assert misses == sum(t > budget for t in totals)
+            all_misses += misses
+    assert all_misses > 0
 
 
 @pytest.mark.parametrize("slots", [0, -3])

@@ -23,6 +23,9 @@ GOLDEN = {
     ("--format", "json", "deploy", "--profile", "hpp",
      "--instances", "4", "--slots", "2000"):
         "7890f67524c9268d751344aae5d8beacb649baa6708f5bb8fe1c31f4668f3537",
+    ("--format", "csv", "deploy", "--profile", "ep-rfsoc",
+     "--instances", "7", "--slots", "2000"):
+        "e2d0390ea95364a0b5038cf666f937cee3089c1ab7a77cf80c99ef72ccca8cd0",
     ("bench-interfaces", "--backend", "t2-emulated"):
         "443f49a1ac83fcc5a9c986bb0ad99cdd5092f0c58569b542cfd1cb0940606f05",
     ("bench-interfaces", "--backend", "vran-boost-emulated"):

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from vranphy.backends.emulated import make_emulated
+from vranphy.backends.model import JitterSpec
+from vranphy.deployment import PhyTestTraffic
 from vranphy.errors import InvalidConfigError
 from vranphy.highphy import (CellConfig, PrecodeMode, ResourceGrid,
                              layer_grid, precode_and_map, run_dl_slot,
                              run_ul_slot, tdd_slot_kind)
+from vranphy.nr import compute_tbs
+from vranphy.slot_coding import TransportBlockJob
 
 
 def _precode_scalar(w, x):
@@ -81,3 +88,28 @@ def test_slot_runners_check_the_slot_kind(t2_shapes):
     for slot in (0, 3):                               # D and S slots
         with pytest.raises(InvalidConfigError):
             run_ul_slot(cfg, [], handle, slot_id=slot)
+
+
+@pytest.mark.parametrize("backend", ["t2-emulated", "vran-boost-emulated"])
+def test_dl_slot_total_is_the_harness_rule_in_virtual_time(backend, rng):
+    """At the phy-test DL shape a DL slot costs 407 us besides its coding,
+    as in the deployment harness. Precoding runs on the host's wall clock
+    and stays out of the total, so on an emulated device the verdict and
+    the record do not depend on the host."""
+    t = PhyTestTraffic()
+    tbs = compute_tbs(t.prbs, t.symbols, t.dl_layers, t.dl_mcs, t.dl_table,
+                      t.overhead)
+    job = TransportBlockJob(ue_id=0, payload=rng.integers(0, 2, tbs),
+                            mcs_index=t.dl_mcs, mcs_table=t.dl_table,
+                            layers=t.dl_layers, prb_share=t.prbs)
+    device = make_emulated(backend, spike=JitterSpec(),
+                           compute_payloads=False)
+    handle = device.allocator.open_queue(0, device=device)
+    cell = CellConfig(overhead=t.overhead)
+    records = []
+    for _ in range(3):
+        rec, coding = run_dl_slot(cell, [job], handle, slot_id=0)
+        assert rec.total_us == 407.0 + coding.total_elapsed_us
+        assert rec.deadline_met
+        records.append(replace(rec, precode_wall_us=None))
+    assert records[0] == records[1] == records[2]

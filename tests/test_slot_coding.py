@@ -12,9 +12,9 @@ from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, e_splits,
                         encode_tb, mcs_params, new_soft_buffer,
                         resource_elements, segment_tb, split_payload)
 from vranphy.nr.pipeline import assemble_decoded
-from vranphy.slot_coding import (Direction, HarqPool, InterfaceGeneration,
+from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
-                                 decode_slot, direction_name, encode_slot)
+                                 decode_slot, encode_slot)
 
 
 def _handle(device):
@@ -29,33 +29,22 @@ def _dl_job(rng, prbs=20, mcs=9, table="T1", layers=1, ue=1):
 
 
 def test_empty_jobs_rejected(t2_quiet):
-    req = SlotCodingRequest(slot_id=0, direction=Direction.DL, jobs=[])
+    req = SlotCodingRequest(jobs=[])
     with pytest.raises(InvalidConfigError):
         encode_slot(req, _handle(t2_quiet))
-
-
-def test_wrong_direction_rejected(t2_quiet, rng):
-    req = SlotCodingRequest(slot_id=0, direction=Direction.UL,
-                            jobs=[_dl_job(rng)])
-    with pytest.raises(InvalidConfigError):
-        encode_slot(req, _handle(t2_quiet))
-    req2 = SlotCodingRequest(slot_id=0, direction=Direction.DL,
-                             jobs=[_dl_job(rng)])
-    with pytest.raises(InvalidConfigError):
-        decode_slot(req2, _handle(t2_quiet))
 
 
 def test_payload_size_validated(t2_quiet, rng):
     job = _dl_job(rng)
     job.payload = job.payload[:-8]
-    req = SlotCodingRequest(slot_id=0, direction=Direction.DL, jobs=[job])
+    req = SlotCodingRequest(jobs=[job])
     with pytest.raises(InvalidConfigError):
         encode_slot(req, _handle(t2_quiet))
 
 
 def test_prb_budget_validated(rng):
     jobs = [_dl_job(rng, prbs=100, ue=i) for i in range(3)]
-    req = SlotCodingRequest(slot_id=0, direction=Direction.DL, jobs=jobs)
+    req = SlotCodingRequest(jobs=jobs)
     with pytest.raises(InvalidConfigError):
         req.validate()
 
@@ -66,8 +55,7 @@ def test_generations_produce_identical_bits_software(rng):
     jobs = [_dl_job(rng, prbs=30, ue=1), _dl_job(rng, prbs=25, mcs=16, ue=2)]
     outs = {}
     for gen in InterfaceGeneration:
-        req = SlotCodingRequest(slot_id=0, direction=Direction.DL,
-                                jobs=jobs, interface_generation=gen)
+        req = SlotCodingRequest(jobs=jobs, interface_generation=gen)
         outs[gen] = encode_slot(req, handle)
     ref = outs[InterfaceGeneration.PER_SLOT]
     for gen, res in outs.items():
@@ -84,7 +72,7 @@ def test_calls_made_contract(t2_quiet, rng):
     job = TransportBlockJob(ue_id=1, payload=payload, mcs_index=28,
                             mcs_table="T1", layers=1, prb_share=273)
     handle = _handle(t2_quiet)
-    req = SlotCodingRequest(slot_id=4, direction=Direction.UL, jobs=[job],
+    req = SlotCodingRequest(jobs=[job],
                             interface_generation=InterfaceGeneration.PER_CB)
     res = decode_slot(req, handle)
     assert res.calls_made == 26
@@ -92,17 +80,15 @@ def test_calls_made_contract(t2_quiet, rng):
     assert res.all_crc_ok
 
     req_tb = SlotCodingRequest(
-        slot_id=4, direction=Direction.UL, jobs=[job],
-        interface_generation=InterfaceGeneration.PER_TB)
+        jobs=[job], interface_generation=InterfaceGeneration.PER_TB)
     assert decode_slot(req_tb, handle).calls_made == 1
 
     req_slot = SlotCodingRequest(
-        slot_id=4, direction=Direction.UL, jobs=[job],
-        interface_generation=InterfaceGeneration.PER_SLOT)
+        jobs=[job], interface_generation=InterfaceGeneration.PER_SLOT)
     assert decode_slot(req_slot, handle).calls_made == 1
 
     # encode batches 8 segments per legacy call: ceil(26 / 8) == 4
-    dl = SlotCodingRequest(slot_id=0, direction=Direction.DL, jobs=[job],
+    dl = SlotCodingRequest(jobs=[job],
                            interface_generation=InterfaceGeneration.PER_CB)
     assert encode_slot(dl, _handle(t2_quiet)).calls_made == 4
 
@@ -111,7 +97,7 @@ def test_eight_jobs_share_the_grid(rng, t2_quiet):
     shares = [35] + [34] * 7
     jobs = [_dl_job(rng, prbs=s, mcs=28, table="T1", ue=i)
             for i, s in enumerate(shares)]
-    req = SlotCodingRequest(slot_id=0, direction=Direction.DL, jobs=jobs,
+    req = SlotCodingRequest(jobs=jobs,
                             interface_generation=InterfaceGeneration.PER_TB)
     res = encode_slot(req, _handle(t2_quiet))
     assert res.calls_made == 8
@@ -139,8 +125,7 @@ def test_per_call_overhead_inequality(rng):
     elapsed = {}
     calls = {}
     for gen in (InterfaceGeneration.PER_CB, InterfaceGeneration.PER_SLOT):
-        req = SlotCodingRequest(slot_id=4, direction=Direction.UL,
-                                jobs=[job], interface_generation=gen)
+        req = SlotCodingRequest(jobs=[job], interface_generation=gen)
         res = decode_slot(req, handle)
         elapsed[gen] = res.total_elapsed_us
         calls[gen] = res.calls_made
@@ -152,7 +137,7 @@ def test_per_call_overhead_inequality(rng):
 def test_harq_combining_needs_a_pool(rng, t2_quiet):
     job = _dl_job(rng)
     job.new_data = False
-    req = SlotCodingRequest(slot_id=4, direction=Direction.UL, jobs=[job])
+    req = SlotCodingRequest(jobs=[job])
     with pytest.raises(HarqBufferMissingError):
         decode_slot(req, _handle(t2_quiet), None)
     with pytest.raises(HarqBufferMissingError):
@@ -163,8 +148,7 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
     handle = _handle(t2_quiet)
     for gen in InterfaceGeneration:
         job = _dl_job(rng, prbs=15, mcs=5)
-        req = SlotCodingRequest(slot_id=4, direction=Direction.UL,
-                                jobs=[job], interface_generation=gen)
+        req = SlotCodingRequest(jobs=[job], interface_generation=gen)
         res = decode_slot(req, handle, HarqPool())
         assert res.all_crc_ok
         np.testing.assert_array_equal(res.job_results[0].payload,
@@ -176,10 +160,8 @@ def test_timing_only_slots_report_unknown_crc(rng, t2_shapes):
     from vranphy.highphy import CellConfig, run_dl_slot, run_ul_slot
     handle = _handle(t2_shapes)
     job = _dl_job(rng)
-    ul = decode_slot(SlotCodingRequest(slot_id=4, direction=Direction.UL,
-                                       jobs=[job]), handle)
-    dl = encode_slot(SlotCodingRequest(slot_id=0, direction=Direction.DL,
-                                       jobs=[job]), handle)
+    ul = decode_slot(SlotCodingRequest(jobs=[job]), handle)
+    dl = encode_slot(SlotCodingRequest(jobs=[job]), handle)
     for res in (ul, dl):
         assert res.job_results[0].tb_crc_ok is None
         assert not res.all_crc_ok
@@ -192,8 +174,7 @@ def test_timing_only_slots_report_unknown_crc(rng, t2_shapes):
 def test_dtx_slot_fails_crc(rng, t2_quiet):
     """A UE that sent nothing: all-zero LLRs must not pass any CRC."""
     job = _dl_job(rng, prbs=60, mcs=20)
-    probe = decode_slot(SlotCodingRequest(
-        slot_id=4, direction=Direction.UL, jobs=[job]), _handle(t2_quiet))
+    probe = decode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
     assert probe.all_crc_ok and probe.job_results[0].num_cbs > 1
     qm, rate = mcs_params(20, "T1")
     g = resource_elements(60, 12, 0) * qm
@@ -201,8 +182,7 @@ def test_dtx_slot_fails_crc(rng, t2_quiet):
     job.payload = None
     job.llr_streams = [np.zeros(e, np.float32)
                        for e in e_splits(plan.num_cbs, g, qm, 1)]
-    res = decode_slot(SlotCodingRequest(
-        slot_id=4, direction=Direction.UL, jobs=[job]), _handle(t2_quiet))
+    res = decode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
     jr = res.job_results[0]
     assert jr.tb_crc_ok is False
     assert not any(jr.cb_crc_ok)
@@ -216,8 +196,7 @@ def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
     device without internal HARQ memory refuses it."""
     device = SoftwareBackend() if backend == "software" else make_emulated(
         backend, spike=JitterSpec(), compute_payloads=True)
-    req = SlotCodingRequest(slot_id=4, direction=Direction.UL,
-                            jobs=[_dl_job(rng, prbs=15, mcs=5)])
+    req = SlotCodingRequest(jobs=[_dl_job(rng, prbs=15, mcs=5)])
     harq = HarqPool(location=BufferLocation.DEVICE)
     if accepted:
         assert decode_slot(req, _handle(device), harq).all_crc_ok
@@ -226,13 +205,12 @@ def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
             decode_slot(req, _handle(device), harq)
 
 
-def _run_grouped(generation, direction, per_tb_items):
+def _run_grouped(generation, kind, per_tb_items):
     """Run each call of ``generation`` as one descriptor over its items;
     returns each TB's per-CB outputs."""
-    kind = lpu.OpKind(direction_name(direction))
     pending = [iter(items) for items in per_tb_items]
     outputs = [[] for _ in per_tb_items]
-    for group in call_groups(generation.value, direction_name(direction),
+    for group in call_groups(generation.value, kind.value,
                              [len(items) for items in per_tb_items]):
         op = lpu.CodingOpDescriptor(
             kind=kind, granularity=lpu.Granularity.CB,
@@ -258,11 +236,11 @@ def test_descriptors_match_the_tb_pipeline(generation, rng):
         tbs.append((plan, payload, enc, llrs))
     assert tbs[0][0].num_cbs > 1
 
-    streams = _run_grouped(generation, Direction.DL, [
+    streams = _run_grouped(generation, lpu.OpKind.ENCODE, [
         [(bits, plan, p) for bits, p in
          zip(split_payload(payload, plan), enc.params)]
         for plan, payload, enc, _ in tbs])
-    decoded = _run_grouped(generation, Direction.UL, [
+    decoded = _run_grouped(generation, lpu.OpKind.DECODE, [
         [(x, plan, p, new_soft_buffer(plan)) for x, p in
          zip(llrs, enc.params)]
         for plan, _, enc, llrs in tbs])
