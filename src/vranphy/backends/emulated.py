@@ -1,12 +1,13 @@
 """Emulated coding accelerators with calibrated timing and contention.
 
-The device runs a single-threaded virtual-time event engine. ``submit``
-adds one call at an explicit arrival time and ``advance_to`` moves the
-clock; the deployment harness drives the engine through these two and
-collects finished calls with ``pop_completed``. ``process(ops)``, the
-contract every backend shares, runs each descriptor as one call submitted
-at the device clock and advances the clock until it completes, so a
-completion carries the call's virtual service time.
+A device has two paths. ``process(ops)``, the contract every backend
+shares, is the synchronous base-time path: it codes each op's payload and
+reports the op's base service time. Its ops run one after another, so
+each arrives at an idle device, is granted at once and never meets the
+contention tail. The virtual-time event engine is the deployment
+harness's: ``submit`` adds one call at an explicit arrival time,
+``advance_to`` moves the clock and ``pop_completed`` collects finished
+calls.
 
 The device is one FIFO pool of ``parallel_servers`` servers: calls wait in
 submission order, which is arrival order since arrivals never decrease,
@@ -78,7 +79,6 @@ class EmulatedDevice:
     parallel_servers: int = 8
     spike: JitterSpec = field(default_factory=JitterSpec)
     seed: int = 0
-    compute_payloads: bool = True
 
     def __post_init__(self):
         self.allocator = QueueAllocator(self.device_id,
@@ -173,34 +173,17 @@ class EmulatedDevice:
 
     # -- lpu surface --------------------------------------------------------
     def process(self, ops: list[CodingOpDescriptor]) -> list[Completion]:
-        """Run each op as one call; one completion per op, submission order.
-
-        A call is submitted at the device clock and the clock advances
-        until it completes, so each op's service time is its own virtual
-        time. The payload runs only when ``compute_payloads`` is set;
-        otherwise the completion carries no outputs.
-        """
+        """Code each op; one completion per op, in submission order, with
+        the base service time of the op's shape."""
         validate_ops(self.capabilities, ops)
         if any(op.shape is None for op in ops):
             raise InvalidConfigError(
                 f"{self.device_id}: an emulated call needs a shape")
-        done = []
-        for op in ops:
-            outputs = None
-            if self.compute_payloads and op.payload is not None:
-                outputs = execute_descriptor(op)
-            shape = op.shape
-            call = self.submit(self.now_us, op.kind.value, shape.generation,
-                               shape.n_tb, shape.n_cb, shape.kbits)
-            while call.completion_us is None \
-                    or self.now_us < call.completion_us:
-                if not self._events:
-                    raise InvalidConfigError("event engine stalled")
-                self.advance_to(self._events[0][0])
-            self._completed.remove(call)
-            done.append(Completion(outputs=outputs,
-                                   service_time_us=call.service_us))
-        return done
+        return [Completion(outputs=execute_descriptor(op),
+                           service_time_us=self.base_service_us(
+                               op.kind.value, op.shape.generation,
+                               op.shape.n_tb, op.shape.n_cb, op.shape.kbits))
+                for op in ops]
 
 
 # -- shipped device profiles -------------------------------------------------
@@ -216,14 +199,13 @@ def _bundled_models() -> dict[tuple[str, str], ServiceTimeModel]:
 
 
 def make_emulated_t2(seed: int = 0, spike: JitterSpec | None = None,
-                     compute_payloads: bool = True,
                      device_id: str = "t2-emulated") -> EmulatedDevice:
     """RFSoC profile: 8 forward-error-correction cores, calibrated on the
     bundled interface benchmark measurements."""
     return EmulatedDevice(device_id=device_id, capabilities=discover("t2"),
                           models=dict(_bundled_models()), parallel_servers=8,
                           spike=DEFAULT_SPIKE if spike is None else spike,
-                          seed=seed, compute_payloads=compute_payloads)
+                          seed=seed)
 
 
 def _flat_rate_models(dec_per_kbit: float, enc_per_kbit: float
@@ -240,8 +222,7 @@ def _flat_rate_models(dec_per_kbit: float, enc_per_kbit: float
 
 
 def make_emulated_vran_boost(seed: int = 0, spike: JitterSpec | None = None,
-                             compute_payloads: bool = True,
-                             device_id: str = "vran-boost-emulated"
+                                     device_id: str = "vran-boost-emulated"
                              ) -> EmulatedDevice:
     """In-package accelerator profile. Throughput anchored to the observed
     single-instance medians of the deployment traffic; the 32 servers are
@@ -253,13 +234,12 @@ def make_emulated_vran_boost(seed: int = 0, spike: JitterSpec | None = None,
                           capabilities=discover("vran_boost"), models=models,
                           parallel_servers=32,
                           spike=JitterSpec() if spike is None else spike,
-                          seed=seed, compute_payloads=compute_payloads)
+                          seed=seed)
 
 
 def make_emulated_hpp_software(seed: int = 0,
                                spike: JitterSpec | None = None,
-                               compute_payloads: bool = True,
-                               device_id: str = "hpp-sw-emulated"
+                                         device_id: str = "hpp-sw-emulated"
                                ) -> EmulatedDevice:
     """Per-instance software coding on a high-performance processor,
     anchored to observed single-instance medians. Used one device per
@@ -270,7 +250,7 @@ def make_emulated_hpp_software(seed: int = 0,
                           capabilities=discover("software"), models=models,
                           parallel_servers=4,
                           spike=JitterSpec() if spike is None else spike,
-                          seed=seed, compute_payloads=compute_payloads)
+                          seed=seed)
 
 
 EMULATED_FACTORIES = {

@@ -27,7 +27,7 @@ from ..highphy import (DL_SLOT_US, TDD_PATTERN, TTI_US, UL_SLOT_US,
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
-from .topology import default_core_plan, topology_for, validate_placement
+from .topology import default_core_plan, topology_for
 
 ENCODE_LOOKAHEAD_SLOTS = 1
 UL_FAILURE_STREAK = 8
@@ -48,6 +48,15 @@ _PROFILE_BACKENDS = {
 _SHARED_DEVICE_PROFILES = {"ep_rfsoc", "vranp"}
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Reject a config value of the wrong type. A bool is not a number,
+    and an int is a valid float."""
+    kinds = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InvalidConfigError(
+            f"{name} must be a {kind.__name__}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class PhyTestTraffic:
     """Emulated full-load UE connection parameters."""
@@ -63,6 +72,14 @@ class PhyTestTraffic:
     dl_error_rate: float = 0.0
     ul_error_rate: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            _check_type(f"traffic.{f.name}", getattr(self, f.name),
+                        type(f.default))
+        for name in ("dl_error_rate", "ul_error_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:   # NaN fails too
+                raise InvalidConfigError(f"traffic.{name} must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -74,10 +91,17 @@ class DeploymentConfig:
     traffic: PhyTestTraffic = field(default_factory=PhyTestTraffic)
 
     def __post_init__(self):
+        for name, kind in (("profile", str), ("n_instances", int),
+                           ("duration_slots", int), ("seed", int)):
+            _check_type(name, getattr(self, name), kind)
+        if self.backend is not None:
+            _check_type("backend", self.backend, str)
         if self.n_instances < 1:
             raise InvalidConfigError("n_instances must be >= 1")
         if self.duration_slots < 1:
             raise InvalidConfigError("duration_slots must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
 
     @property
     def backend_name(self) -> str:
@@ -86,8 +110,12 @@ class DeploymentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "DeploymentConfig":
+        if not isinstance(doc, dict):
+            raise InvalidConfigError("a deployment config is a JSON object")
         doc = dict(doc)
         traffic = doc.pop("traffic", {})
+        if not isinstance(traffic, dict):
+            raise InvalidConfigError("traffic is a JSON object")
         known = {"profile", "n_instances", "backend", "duration_slots",
                  "seed"}
         unknown = (set(doc) - known) | {
@@ -206,24 +234,17 @@ def _make_devices(config: DeploymentConfig, n: int):
     from ..backends.emulated import make_emulated
     name = config.backend_name
     if config.profile in _SHARED_DEVICE_PROFILES:
-        device = make_emulated(name, seed=config.seed,
-                               compute_payloads=False)
+        device = make_emulated(name, seed=config.seed)
         return [device] * n, [device]
     devices = [make_emulated(name, seed=config.seed + i,
-                             compute_payloads=False,
                              device_id=f"{name}-{i}") for i in range(n)]
     return devices, devices
 
 
 def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     """Drive the configured instances for the configured slot count."""
-    topology = topology_for(config.profile)
-    plans = default_core_plan(topology, config.n_instances)
-    report = validate_placement(topology, plans)
-    if not report.ok:
-        raise InvalidConfigError(
-            f"default plan failed validation: {report.violations}")
-
+    # the instances must fit the profile's cores (CapacityError otherwise)
+    default_core_plan(topology_for(config.profile), config.n_instances)
     n = config.n_instances
     devices, unique_devices = _make_devices(config, n)
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]

@@ -1,67 +1,38 @@
-"""Server core topology, role-based instance planning and placement checks.
+"""Server core topology and role-based instance planning.
 
-EPYC-style profiles group cores into 8-core complexes (one L3 each), with
-one or two complexes per die; crossing a complex boundary costs gNB
-performance and crossing a die boundary costs more, so default plans pin
-each instance to exactly one complex and leave the first complex to the
-host OS. Flat profiles only require contiguous 8-core blocks.
+One block rule places every instance: a server's cores are cut into
+contiguous 8-core blocks, the first block stays with the host OS, and
+each instance gets one whole block. On the EPYC-style profiles a block is
+exactly one 8-core complex (one L3), so no instance crosses a complex or
+die boundary, which would cost gNB performance; on a flat profile, whose
+cores share one L3, a block is any 8 contiguous cores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CapacityError, InvalidConfigError
 
 CORES_PER_INSTANCE = 8
-POOL_MIN = 4
 
 
 @dataclass(frozen=True)
 class CoreTopology:
     name: str
     total_cores: int
-    complex_size: int = 8
-    complexes_per_die: int = 1
-    flat: bool = False
 
     def __post_init__(self):
         if self.total_cores < CORES_PER_INSTANCE:
             raise InvalidConfigError("topology smaller than one block")
-        if not self.flat and self.total_cores % self.complex_size:
-            raise InvalidConfigError("cores must fill whole complexes")
-
-    @property
-    def complexes(self) -> list[range]:
-        size = self.complex_size
-        return [range(i * size, (i + 1) * size)
-                for i in range(self.total_cores // size)]
-
-    @property
-    def dies(self) -> list[list[int]]:
-        if self.flat:
-            return [list(range(len(self.complexes)))]
-        per = self.complexes_per_die
-        idx = list(range(len(self.complexes)))
-        return [idx[i:i + per] for i in range(0, len(idx), per)]
-
-    def complex_of(self, core: int) -> int:
-        if core < 0 or core >= self.total_cores:
-            raise InvalidConfigError(f"core {core} outside topology")
-        return core // self.complex_size
-
-    def die_of(self, core: int) -> int:
-        return self.complex_of(core) // self.complexes_per_die
 
 
 TOPOLOGY_PROFILES = {
     # 64 high-performance cores, one 8-core complex per die
-    "hpp": CoreTopology(name="hpp", total_cores=64, complex_size=8,
-                        complexes_per_die=1),
+    "hpp": CoreTopology(name="hpp", total_cores=64),
     # 64 efficiency cores, two 8-core complexes per die
-    "ep_rfsoc": CoreTopology(name="ep_rfsoc", total_cores=64, complex_size=8,
-                             complexes_per_die=2),
+    "ep_rfsoc": CoreTopology(name="ep_rfsoc", total_cores=64),
     # 32 cores behind a single shared L3: no complex penalty
-    "vranp": CoreTopology(name="vranp", total_cores=32, flat=True),
+    "vranp": CoreTopology(name="vranp", total_cores=32),
 }
 
 
@@ -77,8 +48,7 @@ class InstancePlan:
     """Role-tagged core assignment of one gNB instance.
 
     Four exclusive single-task cores (IO, worker, L1 TX, L1 RX), a pool of
-    at least four, and the low-usage system and radio-unit roles overlap
-    the pool.
+    four, and the low-usage system and radio-unit roles overlap the pool.
     """
 
     instance_id: int
@@ -89,31 +59,6 @@ class InstancePlan:
     system: int
     ru: int
     pool: tuple[int, ...]
-
-    @property
-    def exclusive_cores(self) -> tuple[int, ...]:
-        return (self.io, self.worker, self.l1_tx, self.l1_rx)
-
-    @property
-    def all_cores(self) -> frozenset[int]:
-        return frozenset(self.exclusive_cores) | frozenset(self.pool)
-
-    def role_violations(self) -> list[str]:
-        out = []
-        if len(set(self.exclusive_cores)) != 4:
-            out.append("exclusive-role cores are not pairwise distinct")
-        if len(self.pool) < POOL_MIN:
-            out.append(f"thread pool smaller than {POOL_MIN} cores")
-        if self.system not in self.pool:
-            out.append("system core outside the pool")
-        if self.ru not in self.pool:
-            out.append("radio-unit core outside the pool")
-        if set(self.exclusive_cores) & set(self.pool):
-            out.append("pool overlaps an exclusive-role core")
-        if len(self.all_cores) != CORES_PER_INSTANCE:
-            out.append(f"plan does not use exactly {CORES_PER_INSTANCE} "
-                       "distinct cores")
-        return out
 
 
 def plan_from_block(instance_id: int, cores: list[int]) -> InstancePlan:
@@ -127,77 +72,15 @@ def plan_from_block(instance_id: int, cores: list[int]) -> InstancePlan:
 
 def default_core_plan(topology: CoreTopology, n_instances: int
                       ) -> list[InstancePlan]:
-    """One whole complex (or contiguous block) per instance; the first
-    block stays with the operating system."""
+    """One block per instance under the module's block rule."""
     if n_instances < 1:
         raise InvalidConfigError("n_instances must be >= 1")
-    if topology.flat:
-        blocks = [list(range(i * CORES_PER_INSTANCE,
-                             (i + 1) * CORES_PER_INSTANCE))
-                  for i in range(topology.total_cores // CORES_PER_INSTANCE)]
-    else:
-        blocks = [list(r) for r in topology.complexes]
+    size = CORES_PER_INSTANCE
+    blocks = [list(range(i * size, (i + 1) * size))
+              for i in range(topology.total_cores // size)]
     capacity = len(blocks) - 1          # block 0 is reserved for the host
     if n_instances > capacity:
         raise CapacityError(
             f"{topology.name}: {n_instances} instances need "
             f"{n_instances + 1} blocks, only {len(blocks)} exist")
     return [plan_from_block(i, blocks[i + 1]) for i in range(n_instances)]
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str        # complex_crossing | die_crossing | overlap | role
-    severity: int    # higher is worse
-    instance_id: int
-    detail: str
-
-
-@dataclass
-class PlacementReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_placement(topology: CoreTopology, plans: list[InstancePlan]
-                       ) -> PlacementReport:
-    """Flag complex/die boundary crossings, inter-instance overlap and
-    role-map breaches. Violations are data, not errors."""
-    report = PlacementReport()
-    for plan in plans:
-        for msg in plan.role_violations():
-            report.violations.append(Violation(
-                kind="role", severity=1, instance_id=plan.instance_id,
-                detail=msg))
-        for core in plan.all_cores:
-            if core >= topology.total_cores:
-                report.violations.append(Violation(
-                    kind="role", severity=1, instance_id=plan.instance_id,
-                    detail=f"core {core} outside topology"))
-        if not topology.flat:
-            cores = [c for c in plan.all_cores if c < topology.total_cores]
-            cplx = {topology.complex_of(c) for c in cores}
-            if len(cplx) > 1:
-                dies = {topology.die_of(c) for c in cores}
-                if len(dies) > 1:
-                    report.violations.append(Violation(
-                        kind="die_crossing", severity=3,
-                        instance_id=plan.instance_id,
-                        detail=f"cores span dies {sorted(dies)}"))
-                else:
-                    report.violations.append(Violation(
-                        kind="complex_crossing", severity=2,
-                        instance_id=plan.instance_id,
-                        detail=f"cores span complexes {sorted(cplx)}"))
-    for i, a in enumerate(plans):
-        for b in plans[i + 1:]:
-            shared = a.all_cores & b.all_cores
-            if shared:
-                report.violations.append(Violation(
-                    kind="overlap", severity=3, instance_id=a.instance_id,
-                    detail=f"shares cores {sorted(shared)} with instance "
-                           f"{b.instance_id}"))
-    return report

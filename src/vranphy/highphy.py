@@ -142,7 +142,6 @@ class SlotTimingRecord:
     total_us: float
     deadline_met: bool
     precode_wall_us: float | None = None
-    crc_ok: bool | None = None
 
 
 def run_dl_slot(cfg: CellConfig, jobs, executor,
@@ -181,8 +180,6 @@ def run_ul_slot(cfg: CellConfig, jobs, executor,
     request = SlotCodingRequest(jobs=list(jobs), symbols=cfg.symbols,
                                 overhead=cfg.overhead)
     coding = decode_slot(request, executor, harq)
-    decoded = all(j.tb_crc_ok is not None for j in coding.job_results)
     rec = SlotTimingRecord(slot_id, kind,
-                           *slot_timing(UL_SLOT_US, coding.total_elapsed_us),
-                           crc_ok=coding.all_crc_ok if decoded else None)
+                           *slot_timing(UL_SLOT_US, coding.total_elapsed_us))
     return rec, coding

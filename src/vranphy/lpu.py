@@ -107,7 +107,7 @@ class CallShape:
 class CodingOpDescriptor:
     kind: OpKind
     granularity: Granularity
-    payload: Any = None
+    payload: Any                     # the per-code-block items to code
     harq_location: BufferLocation | None = None
     shape: CallShape | None = None   # what an emulated device times
 
@@ -168,7 +168,10 @@ def validate_granularity(caps: LpuCapabilities,
 
 def validate_ops(caps: LpuCapabilities, ops: list[CodingOpDescriptor]
                  ) -> None:
-    """Capability checks every backend runs before it processes a batch."""
+    """Input and capability checks every backend runs before it
+    processes a batch."""
     for op in ops:
+        if op.payload is None:
+            raise InvalidConfigError("a coding op needs a payload")
         validate_granularity(caps, op)
         validate_harq_placement(caps, op)

@@ -20,27 +20,20 @@ from .ratematch import RateMatchParams, deinterleave, filler_range, \
 from .segmentation import SegmentationPlan
 
 FLOAT_CLAMP = float(1 << 20)
-INT8_CLAMP = 127.0
 
 
 @dataclass
 class SoftBuffer:
     llrs: np.ndarray
-    quantized: bool = False
-
-    @property
-    def clamp(self) -> float:
-        return INT8_CLAMP if self.quantized else FLOAT_CLAMP
 
 
-def new_soft_buffer(plan: SegmentationPlan,
-                    quantized: bool = False) -> SoftBuffer:
-    """Zeroed full circular buffer with filler positions pinned to +clamp."""
+def new_soft_buffer(plan: SegmentationPlan) -> SoftBuffer:
+    """Zeroed full circular buffer with filler positions pinned to
+    +FLOAT_CLAMP."""
     ncb = buffer_length(plan.base_graph, plan.lifting_size)
-    buffer = SoftBuffer(llrs=np.zeros(ncb, dtype=np.float32),
-                        quantized=quantized)
+    buffer = SoftBuffer(llrs=np.zeros(ncb, dtype=np.float32))
     lo, hi = filler_range(plan)
-    buffer.llrs[lo:hi] = buffer.clamp
+    buffer.llrs[lo:hi] = FLOAT_CLAMP
     return buffer
 
 
@@ -58,12 +51,9 @@ def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
     seq = deinterleave(rx, params.qm)
     positions = selection_positions(plan, params)
     np.add.at(buffer.llrs, positions, seq)
-    clamp = buffer.clamp
-    np.clip(buffer.llrs, -clamp, clamp, out=buffer.llrs)
-    if buffer.quantized:
-        np.rint(buffer.llrs, out=buffer.llrs)
+    np.clip(buffer.llrs, -FLOAT_CLAMP, FLOAT_CLAMP, out=buffer.llrs)
     lo, hi = filler_range(plan)
-    buffer.llrs[lo:hi] = clamp
+    buffer.llrs[lo:hi] = FLOAT_CLAMP
     return buffer
 
 

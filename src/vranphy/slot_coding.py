@@ -81,7 +81,7 @@ class JobResult:
     ue_id: int
     streams: list[np.ndarray] | None = None      # DL rate-matched bits per CB
     payload: np.ndarray | None = None            # UL decoded payload
-    tb_crc_ok: bool | None = None                # None: nothing decoded
+    tb_crc_ok: bool | None = None                # None on DL: no decode
     cb_crc_ok: list[bool] = field(default_factory=list)
     num_cbs: int = 0
 
@@ -95,7 +95,8 @@ class SlotCodingResult:
 
     @property
     def all_crc_ok(self) -> bool:
-        """Every TB was decoded and passed; an unknown result is no pass."""
+        """Every TB was decoded and passed; an encode decodes nothing, so
+        it is no pass."""
         return all(j.tb_crc_ok is True and all(j.cb_crc_ok)
                    for j in self.job_results)
 
@@ -194,8 +195,8 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
 def _run_calls(device, kind: OpKind, works: list[_TbWork],
                calls: list[tuple[list[tuple[int, tuple]], CallShape]],
                harq: HarqPool | None) -> tuple[list[list], float]:
-    """Execute call batches; returns per-TB outputs (one per CB, None when
-    the device ran no payload) and the calls' summed time."""
+    """Execute call batches; returns per-TB outputs (one per CB) and the
+    calls' summed time."""
     location = None if harq is None else harq.location
     ops = []
     for batch, shape in calls:
@@ -209,8 +210,7 @@ def _run_calls(device, kind: OpKind, works: list[_TbWork],
     outputs_per_tb: list[list] = [[] for _ in works]
     for (batch, _), done in zip(calls, completions):
         for pos, (t, _) in enumerate(batch):
-            outputs_per_tb[t].append(
-                None if done.outputs is None else done.outputs[pos])
+            outputs_per_tb[t].append(done.outputs[pos])
     return outputs_per_tb, float(sum(c.service_time_us
                                      for c in completions))
 
@@ -229,8 +229,7 @@ def decode_slot(request: SlotCodingRequest, executor: QueueHandle,
 
 def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
                   kind: OpKind, harq: HarqPool | None) -> SlotCodingResult:
-    """Code one slot. Results of a device that runs no payload carry no
-    streams, payloads or CRC flags."""
+    """Code one slot."""
     request.validate()
     device = executor.device
     if device is None:
@@ -243,12 +242,11 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)
-        if outs[0] is not None:
-            if kind is OpKind.ENCODE:
-                jr.streams = outs
-            else:
-                jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
-                    outs, w.plan)
+        if kind is OpKind.ENCODE:
+            jr.streams = outs
+        else:
+            jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
+                outs, w.plan)
         results.append(jr)
     return SlotCodingResult(
         generation=request.interface_generation, job_results=results,

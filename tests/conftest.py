@@ -12,11 +12,5 @@ def rng():
 
 @pytest.fixture
 def t2_quiet():
-    """Calibrated emulated device without the contention tail, payloads on."""
-    return make_emulated_t2(compute_payloads=True, spike=JitterSpec())
-
-
-@pytest.fixture
-def t2_shapes():
-    """Calibrated emulated device, timing only."""
-    return make_emulated_t2(compute_payloads=False, spike=JitterSpec())
+    """Calibrated emulated T2 without the contention tail."""
+    return make_emulated_t2(spike=JitterSpec())

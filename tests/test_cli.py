@@ -13,7 +13,8 @@ def test_plan_succeeds(capsys):
     assert cli_main(["plan", "--profile", "ep-rfsoc",
                      "--instances", "7"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["ok"] and len(doc["instances"]) == 7
+    assert set(doc) == {"profile", "instances"}
+    assert doc["profile"] == "ep_rfsoc" and len(doc["instances"]) == 7
 
 
 def test_deploy_meets_and_misses_targets(capsys):
@@ -36,6 +37,8 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["--format", "csv", "plan", "--profile", "ep-rfsoc", "--instances", "1"],
     ["--format", "csv", "calibrate"],
     ["--format", "csv", "report", "--samples", "SAMPLES"],
+    ["--seed", "-1", "deploy", "--slots", "10"],
+    ["--seed", "-1", "bench-interfaces", "--max-tbs", "1"],
 ])
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
@@ -44,13 +47,35 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     assert cli_main(argv) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("text", ["100.0\nfast\n", '{"us": 5}\n{"ms": 2}\n'],
-                         ids=["not-a-number", "no-us-field"])
+@pytest.mark.parametrize("text", [
+    "100.0\nfast\n", '{"us": 5}\n{"ms": 2}\n',
+    # a duration is finite and not negative; NaN and Infinity are not JSON
+    "nan\n1\n2\n", "-5\ninf\n", '{"us": -0.5}\n', '{"us": Infinity}\n',
+], ids=["not-a-number", "no-us-field", "nan", "negative-then-inf",
+        "negative-json", "inf-json"])
 def test_malformed_samples_are_a_usage_error(text, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
     samples.write_text(text)
     assert cli_main(["report", "--samples", str(samples)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"n_instances": "7"}, {"n_instances": True}, {"duration_slots": 2.5},
+    {"seed": -1}, {"profile": ["hpp"]},
+    {"traffic": {"ul_error_rate": "x"}}, {"traffic": {"ul_error_rate": -1}},
+    {"traffic": {"ul_error_rate": 1.5}},
+    {"traffic": {"dl_error_rate": float("nan")}},
+    {"traffic": {"prbs": "273"}}, {"traffic": []}, [], 1.5,
+], ids=str)
+def test_malformed_deploy_config_is_a_usage_error(doc, capsys, tmp_path):
+    if isinstance(doc, dict):
+        doc = {"duration_slots": 10, **doc}
+    config = tmp_path / "deploy.json"
+    config.write_text(json.dumps(doc))
+    assert cli_main(["--config", str(config), "deploy"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_deploy_config_with_unknown_traffic_key_is_a_usage_error(tmp_path):

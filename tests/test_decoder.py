@@ -74,20 +74,6 @@ def test_iterations_reported_and_bounded(rng):
     assert res.parity_ok
 
 
-def test_quantized_buffer_round_trip(rng):
-    plan = segment_tb(300, 0.5)
-    e = _full_buffer_e(plan)
-    payload = rng.integers(0, 2, 300).astype(np.uint8)
-    enc = encode_tb(payload, plan, e, qm=2, layers=1)
-    buf = new_soft_buffer(plan, quantized=True)
-    rate_recover_and_combine(noiseless_llrs(enc.streams[0], 20.0), plan,
-                             enc.params[0], buf)
-    res = ldpc_decode(buf, plan)
-    assert res.crc_ok
-    np.testing.assert_array_equal(res.info_bits[: plan.payload_bits],
-                                  payload)
-
-
 def test_punctured_head_recovered_from_parity(rng):
     # the first 2Z information bits are never transmitted; the decoder
     # must reconstruct them exactly

@@ -3,8 +3,8 @@ from vranphy.backends.emulated import OCCUPANCY_FRACTION
 from vranphy.backends.model import calibrate_per_generation
 
 
-def test_full_pool_grants_waiting_calls_in_submission_order(t2_shapes):
-    dev = t2_shapes
+def test_full_pool_grants_waiting_calls_in_submission_order(t2_quiet):
+    dev = t2_quiet
     assert dev.parallel_servers == 8
     # later calls are shorter, so servers free up in reverse order
     calls = [dev.submit(100.0, "decode", "per_slot", 1, 20 - i,

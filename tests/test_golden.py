@@ -30,6 +30,8 @@ GOLDEN = {
         "443f49a1ac83fcc5a9c986bb0ad99cdd5092f0c58569b542cfd1cb0940606f05",
     ("bench-interfaces", "--backend", "vran-boost-emulated"):
         "0cbb97f149aa3baa1460aed669dd2dd3201c102ae1c89cbabf9cf08a52e9fa36",
+    ("bench-interfaces", "--backend", "hpp-sw-emulated"):
+        "edd8b90077257a8dd1f14042d773fc3dbb89e6398892bb19e50034d95815eff5",
 }
 
 

@@ -80,9 +80,9 @@ def test_tdd_slot_kind_repeats_the_pattern():
             CellConfig(tdd_pattern=bad)
 
 
-def test_slot_runners_check_the_slot_kind(t2_shapes):
+def test_slot_runners_check_the_slot_kind(t2_quiet):
     cfg = CellConfig()
-    handle = t2_shapes.allocator.open_queue(0, device=t2_shapes)
+    handle = t2_quiet.allocator.open_queue(0, device=t2_quiet)
     with pytest.raises(InvalidConfigError):
         run_dl_slot(cfg, [], handle, slot_id=4)      # U slot
     for slot in (0, 3):                               # D and S slots
@@ -102,8 +102,7 @@ def test_dl_slot_total_is_the_harness_rule_in_virtual_time(backend, rng):
     job = TransportBlockJob(ue_id=0, payload=rng.integers(0, 2, tbs),
                             mcs_index=t.dl_mcs, mcs_table=t.dl_table,
                             layers=t.dl_layers, prb_share=t.prbs)
-    device = make_emulated(backend, spike=JitterSpec(),
-                           compute_payloads=False)
+    device = make_emulated(backend, spike=JitterSpec())
     handle = device.allocator.open_queue(0, device=device)
     cell = CellConfig(overhead=t.overhead)
     records = []

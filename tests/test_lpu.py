@@ -118,7 +118,7 @@ def test_enqueue_validates_harq_token_placement(rng):
 def _backend(name):
     if name == "software":
         return SoftwareBackend()
-    return make_emulated_t2(compute_payloads=True, spike=JitterSpec())
+    return make_emulated_t2(spike=JitterSpec())
 
 
 @pytest.mark.parametrize("name", ["software", "t2-emulated"])
@@ -162,7 +162,16 @@ def test_process_validates_capabilities(name, rng):
         backend.process([good, bad])
 
 
-def test_emulated_process_needs_a_shape(t2_shapes, rng):
+def test_emulated_process_needs_a_shape(t2_quiet, rng):
     op = _decode_op(segment_tb(300, 0.5), rng)
     with pytest.raises(InvalidConfigError):
-        t2_shapes.process([op])
+        t2_quiet.process([op])
+
+
+@pytest.mark.parametrize("name", ["software", "t2-emulated"])
+def test_process_rejects_an_op_without_payload(name):
+    op = CodingOpDescriptor(kind=OpKind.DECODE, granularity=Granularity.CB,
+                            payload=None, shape=CallShape("per_cb", 1.0, 1,
+                                                          0.3))
+    with pytest.raises(InvalidConfigError):
+        _backend(name).process([op])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from vranphy import lpu
-from vranphy.backends import SoftwareBackend, execute_descriptor
+from vranphy.backends import (EMULATED_FACTORIES, SoftwareBackend,
+                              execute_descriptor)
 from vranphy.backends.emulated import EmulatedDevice, make_emulated
-from vranphy.backends.model import JitterSpec, ServiceTimeModel, call_groups
+from vranphy.backends.model import (JitterSpec, ServiceTimeModel,
+                                    call_groups, call_shapes)
 from vranphy.errors import (CapabilityMismatchError, HarqBufferMissingError,
                             InvalidConfigError)
 from vranphy.lpu import BufferLocation
@@ -116,7 +118,7 @@ def test_per_call_overhead_inequality(rng):
               for g in ("per_cb", "per_tb", "per_slot")}
     device = EmulatedDevice(device_id="synthetic", models=models,
                             capabilities=lpu.discover("software"),
-                            spike=JitterSpec(), compute_payloads=True)
+                            spike=JitterSpec())
     handle = device.allocator.open_queue(0, device=device)
     tbs = compute_tbs(80, 12, 1, 28, "T1")
     payload = rng.integers(0, 2, tbs).astype(np.uint8)
@@ -155,22 +157,6 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
                                       job.payload)
 
 
-def test_timing_only_slots_report_unknown_crc(rng, t2_shapes):
-    """A device that runs no payload decodes nothing, so no CRC can pass."""
-    from vranphy.highphy import CellConfig, run_dl_slot, run_ul_slot
-    handle = _handle(t2_shapes)
-    job = _dl_job(rng)
-    ul = decode_slot(SlotCodingRequest(jobs=[job]), handle)
-    dl = encode_slot(SlotCodingRequest(jobs=[job]), handle)
-    for res in (ul, dl):
-        assert res.job_results[0].tb_crc_ok is None
-        assert not res.all_crc_ok
-    cell = CellConfig()
-    dl_rec, _ = run_dl_slot(cell, [job], handle, slot_id=0)
-    ul_rec, _ = run_ul_slot(cell, [job], handle, slot_id=4)
-    assert dl_rec.crc_ok is None and ul_rec.crc_ok is None
-
-
 def test_dtx_slot_fails_crc(rng, t2_quiet):
     """A UE that sent nothing: all-zero LLRs must not pass any CRC."""
     job = _dl_job(rng, prbs=60, mcs=20)
@@ -195,7 +181,7 @@ def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
     """A pool placed on the device reaches each decode descriptor, so a
     device without internal HARQ memory refuses it."""
     device = SoftwareBackend() if backend == "software" else make_emulated(
-        backend, spike=JitterSpec(), compute_payloads=True)
+        backend, spike=JitterSpec())
     req = SlotCodingRequest(jobs=[_dl_job(rng, prbs=15, mcs=5)])
     harq = HarqPool(location=BufferLocation.DEVICE)
     if accepted:
@@ -252,3 +238,26 @@ def test_descriptors_match_the_tb_pipeline(generation, rng):
         np.testing.assert_array_equal(payload, ref.payload)
         assert (tb_ok, cb_ok) == (ref.tb_crc_ok, ref.cb_crc_ok)
         assert [r.iterations_used for r in results] == ref.iterations
+
+
+@pytest.mark.parametrize("backend", sorted(EMULATED_FACTORIES))
+def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
+    """The calls of one slot run one after another, so none waits for a
+    server or meets the contention tail, even with the default spikes on:
+    a slot costs the base service times of its call shapes."""
+    device = make_emulated(backend)
+    handle = _handle(device)
+    jobs = [_dl_job(rng, prbs=60, mcs=20, ue=1), _dl_job(rng, prbs=25, ue=2)]
+    shapes = [(job.payload.size, segment_tb(
+        job.payload.size, mcs_params(job.mcs_index, "T1")[1]).num_cbs)
+        for job in jobs]
+    for kind, code in ((lpu.OpKind.ENCODE, encode_slot),
+                       (lpu.OpKind.DECODE, decode_slot)):
+        for gen in InterfaceGeneration:
+            res = code(SlotCodingRequest(jobs=jobs, interface_generation=gen),
+                       handle)
+            calls = call_shapes(gen.value, kind.value, shapes)
+            assert res.calls_made == len(calls)
+            assert res.total_elapsed_us == sum(
+                device.base_service_us(kind.value, s.generation, s.n_tb,
+                                       s.n_cb, s.kbits) for _, s in calls)

@@ -7,7 +7,7 @@ from vranphy.nr import (RateMatchParams, buffer_length, encode_tb,
                         rate_recover_and_combine, segment_tb,
                         selection_positions)
 from vranphy.nr.ratematch import filler_range
-from vranphy.nr.softbuffer import FLOAT_CLAMP, INT8_CLAMP
+from vranphy.nr.softbuffer import FLOAT_CLAMP
 
 
 def _setup(rng, a=300, rate=0.5, e=None, rv=0):
@@ -72,16 +72,6 @@ def test_saturation_clamps_at_buffer_limit(rng):
     for _ in range(3):
         rate_recover_and_combine(big, plan, enc.params[0], buf)
     assert np.abs(buf.llrs).max() <= FLOAT_CLAMP
-
-
-def test_quantized_mode_clamps_to_int8_range(rng):
-    plan, enc, _ = _setup(rng)
-    buf = new_soft_buffer(plan, quantized=True)
-    llrs = noiseless_llrs(enc.streams[0], magnitude=100.0)
-    rate_recover_and_combine(llrs, plan, enc.params[0], buf)
-    rate_recover_and_combine(llrs, plan, enc.params[0], buf)
-    assert np.abs(buf.llrs).max() <= INT8_CLAMP
-    assert np.all(buf.llrs == np.rint(buf.llrs))
 
 
 def test_length_mismatch_rejected(rng):

@@ -2,63 +2,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vranphy.deployment import (default_core_plan, plan_from_block,
-                                topology_for, validate_placement)
+from vranphy.deployment import (CORES_PER_INSTANCE, TOPOLOGY_PROFILES,
+                                default_core_plan, topology_for)
 from vranphy.errors import CapacityError
 
-COMPLEX_PROFILES = ("ep_rfsoc", "hpp")   # complexes grouped into dies
+# instances a profile holds: one 8-core block each, block 0 for the host
+CAPACITY = {"ep_rfsoc": 7, "hpp": 7, "vranp": 3}
 
 
-@st.composite
-def complex_blocks(draw):
-    """A topology with complexes and the 8 cores of one of its complexes,
-    in any order."""
-    topology = topology_for(draw(st.sampled_from(COMPLEX_PROFILES)))
-    index = draw(st.integers(0, len(topology.complexes) - 1))
-    cores = draw(st.permutations(list(topology.complexes[index])))
-    return topology, index, cores
+def _default_plans():
+    """(topology, plans) of every profile at every count up to capacity."""
+    assert set(CAPACITY) == set(TOPOLOGY_PROFILES)
+    for name, capacity in CAPACITY.items():
+        topology = topology_for(name)
+        for n in range(1, capacity + 1):
+            plans = default_core_plan(topology, n)
+            assert [p.instance_id for p in plans] == list(range(n))
+            yield topology, plans
 
 
-def _kinds(report):
-    return {v.kind for v in report.violations}
+def _cores(plan) -> set[int]:
+    return {plan.io, plan.worker, plan.l1_tx, plan.l1_rx, plan.system,
+            plan.ru, *plan.pool}
 
 
-@settings(max_examples=60, deadline=None)
-@given(complex_blocks())
-def test_a_plan_inside_one_complex_crosses_nothing(block):
-    topology, _, cores = block
-    assert validate_placement(topology, [plan_from_block(0, cores)]).ok
+def test_every_plan_fills_one_block_after_the_first():
+    for topology, plans in _default_plans():
+        for plan in plans:
+            cores = _cores(plan)
+            assert len(cores) == CORES_PER_INSTANCE
+            assert max(cores) < topology.total_cores
+            blocks = {c // CORES_PER_INSTANCE for c in cores}
+            assert len(blocks) == 1 and 0 not in blocks, plan
 
 
-@settings(max_examples=60, deadline=None)
-@given(complex_blocks(), st.integers(0, 7), st.data())
-def test_a_core_on_another_die_is_a_die_crossing(block, slot, data):
-    topology, index, cores = block
-    die = topology.dies[index // topology.complexes_per_die]
-    elsewhere = [c for i, r in enumerate(topology.complexes)
-                 if i not in die for c in r]
-    cores = list(cores)
-    cores[slot] = data.draw(st.sampled_from(elsewhere))
-    report = validate_placement(topology, [plan_from_block(3, cores)])
-    crossings = [v for v in report.violations if v.kind == "die_crossing"]
-    assert len(crossings) == 1
-    assert crossings[0].severity == 3 and crossings[0].instance_id == 3
-    assert "complex_crossing" not in _kinds(report)
+def test_plans_are_pairwise_disjoint():
+    for _, plans in _default_plans():
+        for i, a in enumerate(plans):
+            for b in plans[i + 1:]:
+                assert not _cores(a) & _cores(b), (a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("ep_rfsoc", "hpp", "vranp")), st.data())
-def test_overlapping_plans_are_flagged(profile, data):
-    topology = topology_for(profile)
-    a, b = default_core_plan(topology, 2)
-    shared = data.draw(st.sets(st.sampled_from(sorted(a.all_cores)),
-                               min_size=1, max_size=8))
-    cores = sorted(shared) + sorted(b.all_cores)[:8 - len(shared)]
-    moved = plan_from_block(b.instance_id, cores)
-    overlaps = [v for v in validate_placement(topology, [a, moved]).violations
-                if v.kind == "overlap"]
-    assert len(overlaps) == 1
-    assert overlaps[0].severity == 3 and overlaps[0].instance_id == 0
+def test_role_cores_are_distinct():
+    """IO, worker, L1 TX and L1 RX each own a core outside the pool of
+    four; the system and radio-unit roles share the pool."""
+    for _, plans in _default_plans():
+        for plan in plans:
+            exclusive = {plan.io, plan.worker, plan.l1_tx, plan.l1_rx}
+            assert len(exclusive) == 4 and len(set(plan.pool)) == 4
+            assert not exclusive & set(plan.pool)
+            assert {plan.system, plan.ru} <= set(plan.pool)
+
+
+@pytest.mark.parametrize("profile", sorted(CAPACITY))
+def test_one_instance_past_capacity_raises(profile):
+    with pytest.raises(CapacityError):
+        default_core_plan(topology_for(profile), CAPACITY[profile] + 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -69,5 +68,4 @@ def test_ep_rfsoc_holds_at_most_seven_instances(n):
         with pytest.raises(CapacityError):
             default_core_plan(topology, n)
     else:
-        assert validate_placement(topology,
-                                  default_core_plan(topology, n)).ok
+        assert len(default_core_plan(topology, n)) == n
