@@ -1,17 +1,27 @@
-"""Byte-for-byte regression of the emulator's virtual-time outputs.
+"""Byte-for-byte regression of the emulator's virtual-time outputs and of
+the DL coding chain's bits.
 
-Each case runs one command through ``cli_main`` and compares the sha256 of
-what it prints. A change to any grant, contention spike or completion
-order changes a digest. When an output is meant to change, regenerate the
+Each emulator case runs one command through ``cli_main`` and compares the
+sha256 of what it prints. A change to any grant, contention spike or
+completion order changes a digest. Each DL case hashes the rate-matched
+streams of a seeded transport block; the coding chain must keep those
+bit-identical. When an emulator output is meant to change, regenerate the
 digests by running the same argv and taking the printed digest from the
 failure message (``pytest tests/test_golden.py``), and say why in the
 change log.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
+from vranphy.backends import SoftwareBackend
 from vranphy.cli import cli_main
+from vranphy.deployment.harness import PhyTestTraffic
+from vranphy.nr import (compute_tbs, encode_tb, mcs_params,
+                        resource_elements, segment_tb)
+from vranphy.slot_coding import (InterfaceGeneration, SlotCodingRequest,
+                                 TransportBlockJob, encode_slot)
 
 GOLDEN = {
     ("--format", "json", "deploy", "--profile", "ep-rfsoc",
@@ -40,3 +50,84 @@ def test_output_matches_its_recorded_digest(argv, capsys):
     cli_main(["--seed", "0", *argv])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[argv], f"{' '.join(argv)}: {digest}"
+
+
+# sha256 of DL rate-matched streams (each CB's uint8 bits, in order): they
+# pin the encoder, rate matching and CRCs independently of the program's
+# own reference encode.
+def _streams_digest(streams) -> str:
+    h = hashlib.sha256()
+    for s in streams:
+        h.update(np.asarray(s, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+def _payload(bits: int, seed: int) -> np.ndarray:
+    return np.random.default_rng([seed, bits]).integers(
+        0, 2, bits, dtype=np.uint8)
+
+
+def _phy_test_dl():
+    t = PhyTestTraffic()
+    qm, rate = mcs_params(t.dl_mcs, t.dl_table)
+    tbs = compute_tbs(t.prbs, t.symbols, t.dl_layers, t.dl_mcs, t.dl_table,
+                      t.overhead)
+    g = resource_elements(t.prbs, t.symbols, t.overhead) * qm * t.dl_layers
+    return tbs, segment_tb(tbs, rate), g, qm, t.dl_layers
+
+
+def _small(a: int, rate: float, g: int):
+    return a, segment_tb(a, rate), g, 2, 1
+
+
+# name -> (shape builder, rv, digest)
+DL_GOLDEN = {
+    "phy_test_rv0": (_phy_test_dl, 0,
+        "2cba5e04a91bcd5aec56415c4b0ffd6cd34bc954687950540400f7c917a770df"),
+    "phy_test_rv1": (_phy_test_dl, 1,
+        "6465536d44d643615418691c4288897087872d06a15a08ee7702d180d775d8a3"),
+    "phy_test_rv2": (_phy_test_dl, 2,
+        "8b760e52f4c0f14723f6af925a340ec44d800098d4a961882abfd7c1d0f08f15"),
+    "phy_test_rv3": (_phy_test_dl, 3,
+        "44d3b1e8d9a6fdda04f1667b79905bd99702ef4025e9171af9b933a07b25df89"),
+    # BG2, three CBs with 181 filler bits each
+    "bg2_filler_rv0": (lambda: _small(8000, 0.2, 3 * 13_000), 0,
+        "0f7cbb58ef647cd45f364c34c6aedf602bc6dc73a5da0634e850e1af407c9e69"),
+    "bg2_filler_rv2": (lambda: _small(8000, 0.2, 3 * 13_000), 2,
+        "19696b21c47764c7bd6e4c00ff80e3d11efc689f94bdac8e5c16a8e212b98da4"),
+    # E = 3 Ncb: selection wraps the circular buffer
+    "repetition_wrap_rv1": (lambda: _small(500, 0.5, 3 * 3600), 1,
+        "ebda6809306a81f50c98d4560222a78df5cfe047269f8748f3e01e48f0575381"),
+}
+
+
+@pytest.mark.parametrize("name", list(DL_GOLDEN))
+def test_dl_streams_match_their_recorded_digest(name):
+    shape, rv, expected = DL_GOLDEN[name]
+    tbs, plan, g, qm, layers = shape()
+    enc = encode_tb(_payload(tbs, 9), plan, g, qm, layers, rv)
+    assert sum(p.e for p in enc.params) == g
+    assert _streams_digest(enc.streams) == expected, name
+
+
+# a two-TB slot whose TBs have different plans (BG1 with CB CRCs, BG2)
+SLOT_DIGEST = (
+        "a0eb0d5db992efb83e8ad45d89528ad4a6e2af249751704bcd5d4c39219b13fc")
+
+
+@pytest.mark.parametrize("generation", list(InterfaceGeneration),
+                         ids=lambda g: g.value)
+def test_two_tb_slot_streams_match_their_recorded_digest(generation):
+    jobs = []
+    for ue, (prbs, mcs, table, layers) in enumerate(
+            [(120, 20, "T2", 2), (30, 5, "T1", 1)]):
+        tbs = compute_tbs(prbs, 12, layers, mcs, table)
+        jobs.append(TransportBlockJob(
+            ue_id=ue, payload=_payload(tbs, 10 + ue), mcs_index=mcs,
+            mcs_table=table, layers=layers, prb_share=prbs))
+    backend = SoftwareBackend()
+    result = encode_slot(
+        SlotCodingRequest(jobs=jobs, interface_generation=generation),
+        backend.allocator.open_queue(0, device=backend))
+    streams = [s for jr in result.job_results for s in jr.streams]
+    assert _streams_digest(streams) == SLOT_DIGEST
