@@ -198,6 +198,8 @@ def calibrate_per_generation(observations=None, bench: BenchConfig | None
     calibrated separately since the measured slopes differ."""
     if observations is None:
         observations = load_reference_observations()
+    if not observations:
+        raise InvalidConfigError("no observations to calibrate from")
     groups: dict[tuple[str, str], list] = {}
     for direction, generation, n_tb, us in observations:
         groups.setdefault((direction, generation), []).append(

@@ -1,13 +1,16 @@
 """Pure-software coding backend running the channel-coding primitives.
 
 Descriptors run one after another in the calling thread, through the same
-per-code-block chain for every interface generation, so outputs are
+code-block chain for every interface generation, so outputs are
 bit-exact. A completion's service time is the wall-clock time of its
 descriptor.
 """
 from __future__ import annotations
 
 import time
+from itertools import groupby
+
+import numpy as np
 
 from ..errors import InvalidConfigError
 from ..lpu import (Completion, CodingOpDescriptor, OpKind, QueueAllocator,
@@ -21,9 +24,15 @@ def execute_descriptor(op: CodingOpDescriptor) -> list:
     The payload is a list of per-code-block items:
       encode: (bits, plan, param) -> rate-matched stream
       decode: (llrs, plan, param, buffer) -> DecodeResult
+    Each run of encode items that share a plan is encoded as one batch.
     """
-    coder = encode_cb if op.kind is OpKind.ENCODE else decode_cb
-    return [coder(*item) for item in op.payload]
+    if op.kind is OpKind.DECODE:
+        return [decode_cb(*item) for item in op.payload]
+    streams = []
+    for plan, run in groupby(op.payload, key=lambda item: item[1]):
+        bits, _, params = zip(*run)
+        streams.extend(encode_cb(np.stack(bits), plan, list(params)))
+    return streams
 
 
 class SoftwareBackend:

@@ -112,9 +112,13 @@ def _cmd_calibrate(args) -> int:
         observations = []
         with open(args.csv) as f:
             for row in _csv.DictReader(f):
-                observations.append((row["direction"], row["generation"],
-                                     int(row["n_tb"]),
-                                     float(row["mean_us"])))
+                try:
+                    observations.append((row["direction"],
+                                         row["generation"], int(row["n_tb"]),
+                                         float(row["mean_us"])))
+                except (KeyError, TypeError, ValueError):
+                    raise InvalidConfigError(
+                        f"{args.csv}: not an observation: {row}") from None
     models = calibrate_per_generation(observations)
     doc = {f"{d}/{g}": {
         "fixed_per_call_us": m.fixed_per_call_us,

@@ -6,11 +6,20 @@ state and no final inversion, so an all-zero payload yields an all-zero
 checksum and appending the checksum makes the remainder zero.
 
 The checksum is computed through the linearity of polynomial division:
-``crc(m) = sum over set bits i of (x^(L + n - 1 - i) mod g)``. Powers of x
-mod g are precomputed once per polynomial and the reduction is a single
-vectorized XOR over the payload's set-bit positions.
+``crc(m) = sum over set bits i of (x^(len + n - 1 - i) mod g)``. Over a
+block of rows of width W that sum is one GF(2) matrix product: the rows
+times a (W, len) matrix whose row j holds the bits of x^(len + W - 1 - j)
+mod g give every row's remainder at once. A batch of equal-length
+messages is such a block. A flat payload is zero-padded at the front to
+whole rows of ``ROW_BITS`` (leading zeros leave the remainder unchanged),
+and the row remainders are folded pairwise, hi * x^W + lo, in log2(rows)
+more products, so the table of x^k mod g never grows past the widest row.
+Products run on bits packed 64 to a word: AND with the matrix's packed
+columns, XOR-reduce, parity.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +31,9 @@ _POLYS = {
     "CRC24B": (0x800063, 24),
     "CRC16": (0x1021, 16),
 }
+# row width a flat payload is folded over: the largest code block, so the
+# CRC of a block is one row and needs no fold
+ROW_BITS = 8448
 
 _POWER_CACHE: dict[str, np.ndarray] = {}
 
@@ -62,26 +74,68 @@ def _x_powers(kind: str, needed: int) -> np.ndarray:
     return out
 
 
+def _to_bits(values: np.ndarray, length: int) -> np.ndarray:
+    """MSB-first bit arrays of ``length`` bits, one per integer."""
+    return ((values[..., None] >> np.arange(length - 1, -1, -1,
+                                            dtype=np.uint32)) & 1
+            ).astype(np.uint8)
+
+
+def _power_bits(kind: str, lo: int, count: int) -> np.ndarray:
+    """(count, len) bits of x^k mod g for k = lo + count - 1 down to lo."""
+    length = crc_length(kind)
+    return _to_bits(_x_powers(kind, lo + count)[lo:lo + count][::-1], length)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(n, W) 0/1 array as (n, ceil(W / 64)) uint64 words."""
+    n, width = bits.shape
+    packed = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64)
+
+
+def _gf2_product(a: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) for an (n, K) 0/1 array ``a`` and a (K, L) 0/1
+    matrix given as its packed columns ``_pack_rows(b.T)``: (n, L) bits."""
+    words = np.bitwise_xor.reduce(_pack_rows(a)[:, None, :] & b_cols, axis=2)
+    for shift in (32, 16, 8, 4, 2, 1):
+        words ^= words >> np.uint64(shift)
+    return (words & np.uint64(1)).astype(np.uint8)
+
+
+@lru_cache(maxsize=8)
+def _row_matrix(kind: str, width: int) -> np.ndarray:
+    """Packed columns of the (width, len) matrix whose row j holds
+    x^(len + width - 1 - j) mod g."""
+    return _pack_rows(_power_bits(kind, crc_length(kind), width).T)
+
+
 def crc_compute(payload, kind: str) -> np.ndarray:
-    """Checksum of ``payload`` (array-like of 0/1) as a bit array."""
-    if kind not in _POLYS:
-        raise InvalidConfigError(f"unknown CRC kind {kind!r}")
-    length = _POLYS[kind][1]
+    """Checksum bits of ``payload`` (0/1 values): one (len,) checksum of a
+    flat sequence, or an (n, len) array of the checksums of each row of an
+    (n, W) array."""
+    length = crc_length(kind)
     bits = np.asarray(payload, dtype=np.uint8)
+    if bits.ndim == 2:
+        return _gf2_product(bits, _row_matrix(kind, bits.shape[1]))
     if bits.ndim != 1:
-        raise InvalidConfigError("payload must be a flat bit sequence")
-    n = bits.size
-    reg = 0
-    if n:
-        powers = _x_powers(kind, n + length)
-        idx = np.flatnonzero(bits)
-        if idx.size:
-            exps = (length + n - 1) - idx
-            reg = int(np.bitwise_xor.reduce(powers[exps]))
-    out = np.zeros(length, dtype=np.uint8)
-    for i in range(length):
-        out[i] = (reg >> (length - 1 - i)) & 1
-    return out
+        raise InvalidConfigError("payload must be a flat bit sequence or "
+                                 "a block of rows")
+    n_rows = -(-bits.size // ROW_BITS)
+    padded = np.zeros(n_rows * ROW_BITS, dtype=np.uint8)
+    padded[padded.size - bits.size:] = bits
+    rem = _gf2_product(padded.reshape(n_rows, ROW_BITS),
+                       _row_matrix(kind, ROW_BITS))
+    # fold adjacent rows as hi * x^w + lo, doubling the row width w; row i
+    # of ``shift`` is x^w times the remainder's bit i, x^(w + len - 1 - i)
+    shift = _power_bits(kind, ROW_BITS, length)
+    while rem.shape[0] > 1:
+        if rem.shape[0] % 2:
+            rem = np.vstack([np.zeros((1, length), dtype=np.uint8), rem])
+        rem = _gf2_product(rem[0::2], _pack_rows(shift.T)) ^ rem[1::2]
+        shift = _gf2_product(shift, _pack_rows(shift.T))
+    return rem[0] if n_rows else np.zeros(length, dtype=np.uint8)
 
 
 def crc_append(payload, kind: str) -> np.ndarray:

@@ -60,6 +60,8 @@ def resource_elements(prbs: int, symbols: int, overhead: int = 0) -> int:
     """Allocated REs: min(156, 12*symbols - overhead) per PRB."""
     if prbs < 1:
         raise InvalidConfigError("prbs must be >= 1")
+    if overhead < 0:
+        raise InvalidConfigError("overhead must be >= 0")
     per_prb = 12 * symbols - overhead
     if per_prb <= 0:
         raise InvalidConfigError("overhead exceeds symbol budget")

@@ -1,10 +1,12 @@
-"""Per-code-block coding chain and the transport-block pipeline on it.
+"""Code-block coding chain and the transport-block pipeline on it.
 
 ``encode_cb`` (LDPC encode, then rate match) and ``decode_cb`` (rate
 recovery into the soft buffer, then LDPC decode) are the one statement of
-the per-block chain: the TB functions here, the software backend and slot
-coding all map them over code blocks, so every way of grouping blocks into
-calls codes the same bits.
+the chain: the TB functions here, the software backend and slot coding all
+run code blocks through them, so every way of grouping blocks into calls
+codes the same bits. ``encode_cb`` takes a batch of blocks that share a
+segmentation plan, a single block being a batch of one; it encodes only
+the codeword columns the batch's rate matching reads.
 
 The per-code-block output share follows the scheduled-bit split: each of
 the C blocks gets floor or ceil of G / (layers * Qm * C) modulation units,
@@ -13,14 +15,15 @@ remainders going to the highest-indexed blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ..errors import InvalidConfigError
-from .basegraph import buffer_length
+from .basegraph import PUNCTURED_BLOCKS, buffer_length
 from .crc import crc_check
 from .encoder import ldpc_encode
-from .ratematch import RateMatchParams, rate_match
+from .ratematch import RateMatchParams, rate_match, selection_positions
 from .decoder import DecodeResult, ldpc_decode
 from .segmentation import SegmentationPlan, assemble_payload, split_payload
 from .softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs, \
@@ -50,10 +53,25 @@ def cb_params(plan: SegmentationPlan, total_bits: int, qm: int, layers: int,
 
 
 def encode_cb(bits: np.ndarray, plan: SegmentationPlan,
-              param: RateMatchParams) -> np.ndarray:
-    """E transmitted bits of one K-bit code block."""
-    codeword = ldpc_encode(bits, plan.base_graph, plan.lifting_size)
-    return rate_match(codeword, plan, param)
+              params: list[RateMatchParams]) -> list[np.ndarray]:
+    """E transmitted bits of each of n K-bit code blocks that share
+    ``plan``: ``bits`` is (n, K) and ``params`` holds each block's
+    rate-match parameters."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[0] != len(params):
+        raise InvalidConfigError(
+            f"code blocks {bits.shape} do not match {len(params)} params")
+    z = plan.lifting_size
+    read = np.unique(np.concatenate(
+        [selection_positions(plan, p) // z for p in set(params)]))
+    codewords = ldpc_encode(bits, plan.base_graph, z,
+                            read + PUNCTURED_BLOCKS)
+    streams: list[np.ndarray] = []
+    for param, run in groupby(params):
+        first = len(streams)
+        streams.extend(rate_match(
+            codewords[first:first + len(list(run))], plan, param))
+    return streams
 
 
 def decode_cb(llrs: np.ndarray, plan: SegmentationPlan,
@@ -74,8 +92,7 @@ def encode_tb(payload, plan: SegmentationPlan, total_bits: int, qm: int,
               layers: int, rv: int = 0) -> EncodedTb:
     """Segment, LDPC-encode and rate-match one transport block."""
     params = cb_params(plan, total_bits, qm, layers, rv)
-    streams = [encode_cb(bits, plan, p)
-               for bits, p in zip(split_payload(payload, plan), params)]
+    streams = encode_cb(split_payload(payload, plan), plan, params)
     return EncodedTb(params=params, streams=streams)
 
 

@@ -3,10 +3,13 @@
 The circular buffer is the lifted codeword minus its punctured 2Z head.
 Selection starts at the redundancy-version offset, skips filler positions
 and wraps; the selected stream is then block-interleaved with Qm rows.
+The selected positions depend only on the segmentation plan and the
+rate-match parameters, so they are computed once per distinct pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +59,12 @@ def filler_range(plan: SegmentationPlan) -> tuple[int, int]:
     return start, end
 
 
+@lru_cache(maxsize=32)
 def selection_positions(plan: SegmentationPlan, params: RateMatchParams
                         ) -> np.ndarray:
-    """Buffer positions read for E output bits (filler skipped, wrapping)."""
+    """Buffer positions read for E output bits (filler skipped, wrapping),
+    as a read-only array shared by every caller with the same plan and
+    parameters."""
     z = plan.lifting_size
     ncb = params.ncb
     full = buffer_length(plan.base_graph, z)
@@ -75,7 +81,9 @@ def selection_positions(plan: SegmentationPlan, params: RateMatchParams
     keep = ring[(ring < f_lo) | (ring >= f_hi)]
     if keep.size == 0:
         raise InvalidConfigError("buffer is all filler")
-    return np.resize(keep, params.e)
+    positions = np.resize(keep, params.e)
+    positions.flags.writeable = False
+    return positions
 
 
 def interleave(selected: np.ndarray, qm: int) -> np.ndarray:
@@ -95,13 +103,14 @@ def deinterleave(received: np.ndarray, qm: int) -> np.ndarray:
 
 def rate_match(codeword: np.ndarray, plan: SegmentationPlan,
                params: RateMatchParams) -> np.ndarray:
-    """E transmitted bits for one code block's full lifted codeword."""
+    """E transmitted bits of a full lifted codeword, or an (n, E) array of
+    them for an (n, codeword) batch that shares ``params``."""
     cw = np.asarray(codeword, dtype=np.uint8)
     z = plan.lifting_size
     expected = buffer_length(plan.base_graph, z) + PUNCTURED_BLOCKS * z
-    if cw.size != expected:
+    if cw.shape[-1] != expected:
         raise InvalidConfigError(
-            f"codeword length {cw.size} != {expected}")
-    buffer = cw[PUNCTURED_BLOCKS * z:][: params.ncb]
-    positions = selection_positions(plan, params)
-    return interleave(buffer[positions], params.qm)
+            f"codeword length {cw.shape[-1]} != {expected}")
+    # interleaving the positions picks the interleaved stream in one gather
+    read = interleave(selection_positions(plan, params), params.qm)
+    return cw[..., PUNCTURED_BLOCKS * z + read]

@@ -120,13 +120,13 @@ def _min_lifting(kb: int, k_prime: int) -> int:
         f"no lifting size covers k'={k_prime} (kb={kb}, max Z={MAX_Z})")
 
 
-def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
-    """Code-block bit arrays (length K each) for a TB payload of A bits.
+def split_payload(payload, plan: SegmentationPlan) -> np.ndarray:
+    """The (C, K) code blocks of a TB payload of A bits, one per row.
 
     Appends the TB CRC, splits into ``num_cbs`` segments (zero-padding the
     tail when the CRC'd block is not divisible, which never happens for
-    TBS-aligned sizes), attaches per-CB CRCs and filler. Every payload
-    value must be 0 or 1.
+    TBS-aligned sizes), attaches per-CB CRCs (one CRC call over all
+    segments) and filler. Every payload value must be 0 or 1.
     """
     raw = np.asarray(payload)
     if raw.size != plan.payload_bits:
@@ -137,24 +137,19 @@ def split_payload(payload, plan: SegmentationPlan) -> list[np.ndarray]:
     # 0.5 truncate to 0); a uint8 payload is used as is
     if bits.max() > 1 or (bits is not raw and not np.array_equal(bits, raw)):
         raise InvalidConfigError("payload bits must be 0 or 1")
-    stream = crc.crc_append(bits, plan.tb_crc_kind)
     c = plan.num_cbs
     seg_data = plan.segment_data_bits
-    total = seg_data * c
-    if total < stream.size:
+    if seg_data * c < plan.tb_size_bits:
         raise InvalidConfigError("plan too small for payload")
-    if total > stream.size:
-        stream = np.concatenate(
-            [stream, np.zeros(total - stream.size, dtype=np.uint8)])
-    out = []
-    for r in range(c):
-        seg = stream[r * seg_data:(r + 1) * seg_data]
-        if plan.cb_crc_present:
-            seg = crc.crc_append(seg, CB_CRC)
-        if plan.filler_per_cb:
-            seg = np.concatenate(
-                [seg, np.full(plan.filler_per_cb, FILLER, dtype=np.uint8)])
-        out.append(seg)
+    segments = np.zeros((c, seg_data), dtype=np.uint8)
+    stream = segments.reshape(-1)
+    stream[: bits.size] = bits
+    stream[bits.size:plan.tb_size_bits] = crc.crc_compute(bits,
+                                                          plan.tb_crc_kind)
+    out = np.full((c, plan.k), FILLER, dtype=np.uint8)
+    out[:, :seg_data] = segments
+    if plan.cb_crc_present:
+        out[:, seg_data:plan.k_prime] = crc.crc_compute(segments, CB_CRC)
     return out
 
 

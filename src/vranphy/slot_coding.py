@@ -155,9 +155,8 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
             if job.payload is None:
                 raise InvalidConfigError(
                     "UL job needs llr_streams or a loopback payload")
-            streams = [noiseless_llrs(encode_cb(bits, plan, rm))
-                       for bits, rm in zip(split_payload(job.payload, plan),
-                                           params)]
+            streams = [noiseless_llrs(s) for s in encode_cb(
+                split_payload(job.payload, plan), plan, params)]
         if len(streams) != plan.num_cbs:
             raise InvalidConfigError("llr stream count != segment count")
         items = []
@@ -270,6 +269,8 @@ def run_interface_bench(device, directions=("decode", "encode"),
     if not isinstance(device, EmulatedDevice):
         raise InvalidConfigError(
             "the interface bench runs on an emulated device")
+    if not tb_counts or min(tb_counts) < 1:
+        raise InvalidConfigError("the interface bench needs TB counts >= 1")
     cfg = bench_config or BenchConfig()
     gens = [InterfaceGeneration(g) for g in generations]
     rows = []

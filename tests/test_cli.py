@@ -39,11 +39,28 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["--format", "csv", "report", "--samples", "SAMPLES"],
     ["--seed", "-1", "deploy", "--slots", "10"],
     ["--seed", "-1", "bench-interfaces", "--max-tbs", "1"],
+    # a bound that selects no TB count is no benchmark
+    ["bench-interfaces", "--max-tbs", "0"],
+    ["bench-interfaces", "--max-tbs", "-2"],
+    # a CSV without data rows fits no model
+    ["calibrate", "--csv", "/dev/null"],
+    ["calibrate", "--csv", "HEADER_ONLY"],
+    ["calibrate", "--csv", "NO_MEAN_COLUMN"],
+    ["calibrate", "--csv", "BAD_N_TB"],
 ])
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
     samples.write_text("100.0\n200.0\n")
-    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("direction,generation,n_tb,mean_us\n")
+    no_mean = tmp_path / "no_mean.csv"
+    no_mean.write_text("direction,generation,n_tb\ndecode,per_cb,1\n")
+    bad_n_tb = tmp_path / "bad_n_tb.csv"
+    bad_n_tb.write_text("direction,generation,n_tb,mean_us\n"
+                        "decode,per_cb,x,5\n")
+    files = {"SAMPLES": str(samples), "HEADER_ONLY": str(header_only),
+             "NO_MEAN_COLUMN": str(no_mean), "BAD_N_TB": str(bad_n_tb)}
+    argv = [files.get(a, a) for a in argv]
     assert cli_main(argv) == EXIT_USAGE
 
 
@@ -76,6 +93,13 @@ def test_malformed_deploy_config_is_a_usage_error(doc, capsys, tmp_path):
     assert cli_main(["--config", str(config), "deploy"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_deploy_config_with_negative_overhead_is_a_usage_error(tmp_path):
+    config = tmp_path / "deploy.json"
+    config.write_text(json.dumps({"duration_slots": 10,
+                                  "traffic": {"overhead": -3}}))
+    assert cli_main(["--config", str(config), "deploy"]) == EXIT_USAGE
 
 
 def test_deploy_config_with_unknown_traffic_key_is_a_usage_error(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from vranphy.errors import InvalidConfigError
 from vranphy.nr import crc_append, crc_check, crc_compute, crc_length
+from vranphy.nr.crc import ROW_BITS
 
 POLYS = {"CRC24A": (0x864CFB, 24), "CRC24B": (0x800063, 24),
          "CRC16": (0x1021, 16)}
@@ -16,7 +17,7 @@ def crc_long_division(bits, kind):
     reg = 0
     mask = (1 << length) - 1
     top = 1 << (length - 1)
-    for b in bits:
+    for b in np.asarray(bits).tolist():
         reg ^= int(b) << (length - 1)
         if reg & top:
             reg = ((reg << 1) ^ poly) & mask
@@ -64,6 +65,28 @@ def test_single_bit_flip_always_detected(data, kind):
     flip = len(block) // 2
     block[flip] ^= 1
     assert not crc_check(block, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(POLYS))
+@pytest.mark.parametrize("n", [0, 1, ROW_BITS - 1, ROW_BITS, ROW_BITS + 1,
+                               1_081_512 + 7])
+def test_block_rows_match_oracle_at_row_boundaries(kind, n):
+    bits = np.random.default_rng([n, 3]).integers(0, 2, n, dtype=np.uint8)
+    np.testing.assert_array_equal(crc_compute(bits, kind),
+                                  crc_long_division(bits, kind))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(0, 6), width=st.integers(0, 3 * ROW_BITS),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(POLYS)))
+def test_each_row_of_a_block_is_its_own_message(rows, width, seed, kind):
+    block = np.random.default_rng(seed).integers(0, 2, (rows, width),
+                                                 dtype=np.uint8)
+    out = crc_compute(block, kind)
+    assert out.shape == (rows, crc_length(kind))
+    for row, checksum in zip(block, out):
+        np.testing.assert_array_equal(checksum,
+                                      crc_long_division(row, kind))
 
 
 def test_empty_payload_checksum_is_zero():

@@ -115,7 +115,7 @@ def test_corrupted_code_block_fails_its_crc_and_the_tb(rng):
     enc = encode_tb(payload, plan, 4 * 2400, qm, 1)
     bits = split_payload(payload, plan)[1]
     bits[5] ^= 1
-    enc.streams[1] = encode_cb(bits, plan, enc.params[1])
+    enc.streams[1] = encode_cb(bits[None], plan, [enc.params[1]])[0]
     out = decode_tb([noiseless_llrs(s) for s in enc.streams], plan,
                     enc.params)
     assert out.cb_crc_ok == [True, False]

@@ -3,7 +3,8 @@ import pytest
 
 from vranphy.errors import DataFileError, InvalidConfigError, \
     UnsupportedConfigError
-from vranphy.nr import ldpc_encode, lifted, lifting_sizes
+from vranphy.nr import (cb_params, encode_cb, ldpc_encode, lifted,
+                        lifting_sizes, segment_tb, split_payload)
 from vranphy.nr.basegraph import base_graph, parse_table_text
 
 
@@ -112,3 +113,40 @@ def test_checksum_guard_rejects_tampered_table():
         parse_table_text(good, "tampered")
     with pytest.raises(DataFileError):
         parse_table_text("0 0 1 1 1 1 1 1 1 1\n", "headerless")
+
+
+@pytest.mark.parametrize("bg,z", [(1, 24), (2, 16)])
+def test_batch_encode_equals_each_block_alone(bg, z, rng):
+    info = rng.integers(0, 2, (5, (22 if bg == 1 else 10) * z),
+                        dtype=np.uint8)
+    batch = ldpc_encode(info, bg, z)
+    for row, bits in zip(batch, info):
+        np.testing.assert_array_equal(row, ldpc_encode(bits, bg, z))
+
+
+@pytest.mark.parametrize("read", [range(0, 26), range(30, 68),
+                                  (0, 27, 40, 41, 67)])
+def test_restricted_encode_is_exact_on_the_columns_read(read, rng):
+    z = 16
+    info = rng.integers(0, 2, (3, 22 * z), dtype=np.uint8)
+    full = ldpc_encode(info, 1, z).reshape(3, -1, z)
+    part = ldpc_encode(info, 1, z, read).reshape(3, -1, z)
+    cols = sorted(set(read) | set(range(26)))   # core is always solved
+    np.testing.assert_array_equal(part[:, cols], full[:, cols])
+    assert not np.delete(part, cols, axis=1).any()
+
+
+@pytest.mark.parametrize("rv", [0, 2])
+def test_batched_encode_cb_equals_batches_of_one(rv, rng):
+    plan = segment_tb(30_000, 0.6)
+    assert plan.num_cbs > 2
+    params = cb_params(plan, 6 * (4000 * plan.num_cbs + 1), 2, 3, rv)
+    assert len(set(p.e for p in params)) == 2
+    bits = split_payload(rng.integers(0, 2, plan.payload_bits,
+                                      dtype=np.uint8), plan)
+    batch = encode_cb(bits, plan, params)
+    assert len(batch) == plan.num_cbs
+    for i, stream in enumerate(batch):
+        one = encode_cb(bits[i:i + 1], plan, params[i:i + 1])
+        assert len(one) == 1
+        np.testing.assert_array_equal(stream, one[0])

@@ -141,3 +141,28 @@ def test_repetition_wraps_consistently(rng):
     counts = np.bincount(pos, minlength=ncb)
     covered = np.concatenate([counts[:lo], counts[hi:]])
     assert covered.min() == 2 and covered.max() == 2
+
+
+def test_selection_is_memoised_and_read_only():
+    plan = segment_tb(300, 0.5)
+    params = RateMatchParams(e=600, rv=2, qm=2,
+                             ncb=buffer_length(plan.base_graph,
+                                               plan.lifting_size))
+    pos = selection_positions(plan, params)
+    assert selection_positions(plan, params) is pos
+    assert not pos.flags.writeable
+    with pytest.raises(ValueError):
+        pos[0] = 0
+
+
+def test_batch_rate_match_equals_each_row_alone(rng):
+    plan = segment_tb(300, 0.5)
+    z = plan.lifting_size
+    cws = ldpc_encode(rng.integers(0, 2, (3, plan.k), dtype=np.uint8),
+                      plan.base_graph, z)
+    params = RateMatchParams(e=4 * 170, rv=3, qm=4,
+                             ncb=buffer_length(plan.base_graph, z))
+    batch = rate_match(cws, plan, params)
+    assert batch.shape == (3, params.e)
+    for row, cw in zip(batch, cws):
+        np.testing.assert_array_equal(row, rate_match(cw, plan, params))

@@ -83,3 +83,10 @@ def test_resource_elements_cap():
         resource_elements(0, 12)
     with pytest.raises(InvalidConfigError):
         resource_elements(1, 1, 24)
+
+
+def test_negative_overhead_rejected():
+    with pytest.raises(InvalidConfigError):
+        resource_elements(10, 12, -3)
+    with pytest.raises(InvalidConfigError):
+        compute_tbs(10, 12, 1, 5, "T1", overhead=-1)
