@@ -10,8 +10,6 @@ from __future__ import annotations
 import time
 from itertools import groupby
 
-import numpy as np
-
 from ..errors import InvalidConfigError
 from ..lpu import (Completion, CodingOpDescriptor, OpKind, QueueAllocator,
                    discover, validate_ops)
@@ -31,7 +29,7 @@ def execute_descriptor(op: CodingOpDescriptor) -> list:
     streams = []
     for plan, run in groupby(op.payload, key=lambda item: item[1]):
         bits, _, params = zip(*run)
-        streams.extend(encode_cb(np.stack(bits), plan, list(params)))
+        streams.extend(encode_cb(bits, plan, params))
     return streams
 
 

@@ -74,17 +74,14 @@ def _x_powers(kind: str, needed: int) -> np.ndarray:
     return out
 
 
-def _to_bits(values: np.ndarray, length: int) -> np.ndarray:
-    """MSB-first bit arrays of ``length`` bits, one per integer."""
-    return ((values[..., None] >> np.arange(length - 1, -1, -1,
-                                            dtype=np.uint32)) & 1
-            ).astype(np.uint8)
-
-
 def _power_bits(kind: str, lo: int, count: int) -> np.ndarray:
-    """(count, len) bits of x^k mod g for k = lo + count - 1 down to lo."""
+    """(count, len) MSB-first bits of x^k mod g for k = lo + count - 1
+    down to lo."""
     length = crc_length(kind)
-    return _to_bits(_x_powers(kind, lo + count)[lo:lo + count][::-1], length)
+    powers = _x_powers(kind, lo + count)[lo:lo + count][::-1]
+    return ((powers[:, None] >> np.arange(length - 1, -1, -1,
+                                          dtype=np.uint32)) & 1
+            ).astype(np.uint8)
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -1,22 +1,17 @@
-"""Systematic LDPC encoding of a batch of code blocks on the lifted
-quasi-cyclic structure.
+"""Systematic LDPC encoding of a batch of code blocks that share one
+(base graph, Z), on the lifted quasi-cyclic structure.
 
-The blocks of a batch share one (base graph, Z). The syndrome of each core
-row over the information columns comes, for every block at once, from one
-gather of the information bits through the lifted structure's variable
-index and one XOR reduction over the row's edges. The four core parity blocks
-then follow from the double-diagonal form of the core parity submatrix
-(Richardson & Urbanke, IEEE Trans. IT 47(2), 2001): summing the four core
-rows isolates the first parity block.
-
-Each extension row r >= 4 owns identity column kb + r and touches only
-information and core parity columns besides it, so its parity is one more
-gather/XOR over the solved head and any subset of extension rows can be
-solved alone. A caller that reads only some codeword columns (rate
-matching reads the span its redundancy version selects) asks for just
-those; the extension columns it does not ask for are left zero. Output is
-the lifted codeword, information part (filler included) first; the
-2Z-head puncture is applied later by rate matching.
+Each row's parity over the columns it reads is, for every block at once,
+one gather through the lifted variable index and one XOR reduction. The
+four core parity blocks follow from the core rows' syndromes through the
+double-diagonal form of the core submatrix (Richardson & Urbanke, IEEE
+Trans. IT 47(2), 2001): summing the four core rows isolates the first.
+Extension row r >= 4 owns identity column kb + r and reads only
+information and core parity columns besides it, so each extension column
+is solved alone, and only the columns the caller reads are (rate matching
+reads the span its redundancy version selects). Output is the lifted
+codeword, information part (filler included) first; the 2Z-head puncture
+is applied later by rate matching.
 """
 from __future__ import annotations
 
@@ -30,11 +25,10 @@ from .basegraph import CORE_PARITY_BLOCKS, lifted
 
 
 class _EncodePlan:
-    """Gather plan of one (base graph, Z): the edges each row reads (a core
-    row's information edges, an extension row's edges but its own identity
-    column) and the core anchor shifts. Columns ascend within a row of the
-    lifted structure, so a row's read edges are a prefix of its edges and
-    their codeword positions a slice of its variable index."""
+    """The edges each row reads (a core row's information edges, an
+    extension row's edges but its own identity column) and the core anchor
+    shifts of one (base graph, Z). Columns ascend within a lifted row, so
+    a row's read edges are a prefix of its edges."""
 
     def __init__(self, bg: int, z: int):
         st = lifted(bg, z)

@@ -14,6 +14,7 @@ remainders going to the highest-indexed blocks.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -52,11 +53,11 @@ def cb_params(plan: SegmentationPlan, total_bits: int, qm: int, layers: int,
             for e in e_splits(plan.num_cbs, total_bits, qm, layers)]
 
 
-def encode_cb(bits: np.ndarray, plan: SegmentationPlan,
-              params: list[RateMatchParams]) -> list[np.ndarray]:
+def encode_cb(bits, plan: SegmentationPlan,
+              params: Sequence[RateMatchParams]) -> list[np.ndarray]:
     """E transmitted bits of each of n K-bit code blocks that share
-    ``plan``: ``bits`` is (n, K) and ``params`` holds each block's
-    rate-match parameters."""
+    ``plan``: ``bits`` is (n, K) (or n rows) and ``params`` holds each
+    block's rate-match parameters."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[0] != len(params):
         raise InvalidConfigError(
