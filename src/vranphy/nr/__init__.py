@@ -1,7 +1,7 @@
 """Bit-exact NR channel-coding primitives: CRC, TBS, segmentation, LDPC
 encode/decode, rate matching and HARQ soft combining."""
 
-from .crc import crc_append, crc_check, crc_compute, crc_length
+from .crc import crc_check, crc_compute, crc_length
 from .mcs import compute_tbs, mcs_params, resource_elements
 from .segmentation import (SegmentationPlan, assemble_payload,
                            select_base_graph, segment_tb, split_payload)
@@ -18,7 +18,7 @@ from .pipeline import (EncodedTb, TbDecodeOutcome, cb_params, decode_cb,
                        loopback_tb)
 
 __all__ = [
-    "crc_compute", "crc_append", "crc_check", "crc_length",
+    "crc_compute", "crc_check", "crc_length",
     "compute_tbs", "mcs_params", "resource_elements",
     "SegmentationPlan", "segment_tb", "select_base_graph", "split_payload",
     "assemble_payload",

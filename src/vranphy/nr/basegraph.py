@@ -140,9 +140,9 @@ class LiftedStructure:
     """Gather/reduce index plan for one (base graph, Z) pair.
 
     ``rows`` restricts the plan to those check rows (every row when None):
-    the edges, row groups and column groups then cover only the kept
-    rows, and ``active_cols`` lists the columns some kept edge touches.
-    ``n_rows`` stays the base graph's row count.
+    the edges and row groups then cover only the kept rows, and
+    ``row_blocks`` holds each kept row's ``(degree, z)`` slice of
+    ``var_index``. ``n_rows`` stays the base graph's row count.
     """
 
     def __init__(self, bg: int, z: int, rows: tuple[int, ...] | None = None):
@@ -169,24 +169,12 @@ class LiftedStructure:
         # it back to one entry per edge
         _, self.row_starts, self.row_degree = np.unique(
             self.rows, return_index=True, return_counts=True)
-        # column groups over the column-sorted edges; columns no kept edge
-        # touches have no group (reduceat would return a stray element)
-        col_perm = np.argsort(self.cols, kind="stable")
-        self.active_cols, self.col_starts = np.unique(
-            self.cols[col_perm], return_index=True)
-        base = np.arange(z)
-        # both plans are built in place to keep construction temporaries small
-        # check-local position i of edge e reads variable (i + s_e) mod z
-        self.var_index = base[None, :] + self.shifts[:, None]
+        # check-local position i of edge e reads variable (i + s_e) mod z;
+        # built in place to keep construction temporaries small
+        self.var_index = np.arange(z)[None, :] + self.shifts[:, None]
         self.var_index %= z
         self.var_index += self.cols[:, None] * z
-        # flat index into a check-local (n_edges, z) array, in column-sorted
-        # edge order, of the value each variable position receives: edge e
-        # sends check-local position (j - s_e) mod z to variable position j
-        to_var = base[None, :] - self.shifts[col_perm, None]
-        to_var %= z
-        to_var += col_perm[:, None] * z
-        self.to_var_flat = to_var.ravel()
+        self.row_blocks = tuple(np.split(self.var_index, self.row_starts[1:]))
 
     def gather(self, flat_vars: np.ndarray) -> np.ndarray:
         """Check-local view (n_edges, z) of a flat variable vector."""

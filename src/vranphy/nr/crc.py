@@ -135,11 +135,6 @@ def crc_compute(payload, kind: str) -> np.ndarray:
     return rem[0] if n_rows else np.zeros(length, dtype=np.uint8)
 
 
-def crc_append(payload, kind: str) -> np.ndarray:
-    bits = np.asarray(payload, dtype=np.uint8)
-    return np.concatenate([bits, crc_compute(bits, kind)])
-
-
 def crc_check(block, kind: str) -> bool:
     """True when ``block`` ends with a valid checksum over its head."""
     bits = np.asarray(block, dtype=np.uint8)

@@ -1,22 +1,31 @@
-"""Flooding normalized min-sum LDPC decoding on the rows a transmission
-reached.
+"""Layered normalized min-sum LDPC decoding of one code block on the rows
+a transmission reached.
+
+Each kept base-graph row is one layer, and the layers run in row order. A
+row reads its edges' variable totals through its ``(degree, Z)`` block of
+the lifted variable index and takes away the messages it sent on the last
+pass. Each edge then gets the smallest magnitude among the row's other
+edges (the second smallest at the one edge holding a unique smallest),
+scaled by the normalisation, clamped, and signed by the sign parity of
+the other edges. The row writes ``v + message`` back before the next row
+reads it, so a layer already sees the updates of the rows before it, and
+the schedule converges in fewer iterations than flooding (Hocevar, "A
+reduced complexity decoder architecture via layered decoding of LDPC
+codes", SiPS 2004, reports about half). One pass over the kept rows is one
+iteration, and the decoder exits after any pass that leaves the word
+solved.
 
 Each extension row r >= 4 of BG1/BG2 owns one degree-1 parity column,
 kb + r. When every channel LLR of that column is zero (rate matching never
-reached it, or a short circular buffer cut it off), its extrinsic value is
-exactly 0, so the row's min-sum messages to every other neighbour are +-0
-and add nothing to any column total; the row also constrains no other bit
-in the syndrome. The decoder therefore reads the reached rows off the soft
-buffer itself (the four core rows always run) and runs message passing,
-erasure peeling and the syndrome check on the lifted graph restricted to
-them. Combined HARQ buffers, shortened circular buffers and untransmitted
-blocks need no bookkeeping: the buffer's non-zero columns say it all.
-
-Message passing runs vectorized over the kept lifted edges at once:
-check-local views are gathered with precomputed indices, per-check sign
-parities and two-smallest magnitudes come from grouped reductions, and
-variable totals are rebuilt by a flat gather and a grouped sum over the
-columns the kept rows touch.
+reached it, or a short circular buffer cut it off), the value the row
+reads from it is exactly 0 on every pass, so the row sends +-0 to every
+other neighbour and changes no other column's total. The row also
+constrains no other bit in the syndrome. The decoder therefore reads the
+reached rows off the soft buffer itself (the four core rows always run),
+and runs message passing, erasure peeling and the syndrome check on the
+lifted graph restricted to them. Combined HARQ buffers, shortened circular
+buffers and untransmitted blocks need no bookkeeping: the buffer's
+non-zero columns say it all.
 
 An information position whose total is exactly 0 is undecided: an erased
 block (or a UE that sent nothing) never exits early and never passes CRC.
@@ -43,6 +52,8 @@ _MSG_CLAMP = float(1 << 24)
 # enables erasure peeling of punctured/untransmitted positions
 _CERTAIN_LLR = float(1 << 19)
 _MAX_PEEL_PASSES = 16
+# masks the smallest magnitudes out of a row's second-minimum search
+_ABOVE_ANY = np.finfo(np.float32).max
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ def ldpc_decode(buffer: SoftBuffer, plan: SegmentationPlan,
     reached[:CORE_PARITY_BLOCKS] = True
     st = lifted(plan.base_graph, z, tuple(np.flatnonzero(reached).tolist()))
 
-    totals, iters, solved = _min_sum(st, channel, max_iters)
+    totals, iters, solved = _layered_min_sum(st, channel, max_iters)
     info = (totals[: plan.k_prime] < 0).astype(np.uint8)
     decided = bool(totals[: st.k].all())
     return DecodeResult(info_bits=info,
@@ -126,39 +137,44 @@ def _peel_erasures(st, totals: np.ndarray) -> None:
         totals[flat_idx] = np.where(bit, -clamp, clamp)
 
 
-def _min_sum(st, channel: np.ndarray, max_iters: int
-             ) -> tuple[np.ndarray, int, bool]:
+def _layered_min_sum(st, channel: np.ndarray, max_iters: int
+                     ) -> tuple[np.ndarray, int, bool]:
     """Final totals, iterations run, and whether the word is solved."""
     totals = channel.copy()
     _peel_erasures(st, totals)
     if _solved(st, totals):
         return totals, 0, True
-    z = st.z
-    deg = st.row_degree
-    c2v = np.zeros((st.n_edges, z), dtype=np.float32)
+    sent = [np.zeros(index.shape, dtype=np.float32)
+            for index in st.row_blocks]
     for it in range(1, max_iters + 1):
-        v = totals.take(st.var_index) - c2v
-        mag = np.abs(v)
-        neg = (v < 0).astype(np.uint8)
-        parity = np.bitwise_xor.reduceat(neg, st.row_starts, axis=0)
-        m1 = np.minimum.reduceat(mag, st.row_starts, axis=0)
-        m1_edge = np.repeat(m1, deg, axis=0)
-        at_min = mag == m1_edge
-        n_min = np.add.reduceat(at_min.astype(np.int32), st.row_starts,
-                                axis=0)
-        masked = np.where(at_min, np.float32(np.inf), mag)
-        m2 = np.minimum.reduceat(masked, st.row_starts, axis=0)
-        unique_min = at_min & np.repeat(n_min == 1, deg, axis=0)
-        out_mag = np.where(unique_min, np.repeat(m2, deg, axis=0), m1_edge)
-        sign = 1.0 - 2.0 * (np.repeat(parity, deg, axis=0)
-                            ^ neg).astype(np.float32)
-        c2v = NORMALIZATION * sign * out_mag
-        np.clip(c2v, -_MSG_CLAMP, _MSG_CLAMP, out=c2v)
-        # back to variable coordinates and per-column sums
-        col_sums = np.add.reduceat(c2v.take(st.to_var_flat).reshape(-1, z),
-                                   st.col_starts, axis=0)
-        totals = channel.copy()
-        totals.reshape(-1, z)[st.active_cols] += col_sums
+        for index, messages in zip(st.row_blocks, sent):
+            v = totals.take(index)
+            v -= messages
+            _row_messages(v, messages)
+            v += messages
+            totals[index] = v
         if _solved(st, totals):
             return totals, it, True
     return totals, max_iters, False
+
+
+def _row_messages(v: np.ndarray, out: np.ndarray) -> None:
+    """One row's new check-to-variable messages, written into ``out``,
+    from its ``(degree, Z)`` variable-to-check values ``v``."""
+    mag = np.abs(v, out=out)
+    m1 = mag.min(axis=0)
+    at_m1 = mag == m1
+    # smallest magnitude above m1; it is sent only where m1 is unique, so
+    # on a tie every edge gets m1
+    m2 = np.maximum(mag, at_m1 * _ABOVE_ANY).min(axis=0)
+    at_m1 &= np.add.reduce(at_m1, axis=0, dtype=np.uint8) == 1
+    m1 = np.minimum(NORMALIZATION * m1, _MSG_CLAMP)
+    m2 = np.minimum(NORMALIZATION * m2, _MSG_CLAMP)
+    np.maximum(m1, np.multiply(at_m1, m2, out=out), out=out)
+    # edge sign = parity of the other edges' signs; flipping the sign bit
+    # of a non-negative float negates it exactly
+    flip = v < 0
+    flip ^= np.logical_xor.reduce(flip, axis=0)
+    sign_bits = out.view(np.uint32)
+    np.bitwise_xor(sign_bits, np.left_shift(flip, 31, dtype=np.uint32),
+                   out=sign_bits)

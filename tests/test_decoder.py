@@ -128,7 +128,8 @@ def _reference_decode(buf, plan):
     """The decoder's own loop on the full lifted graph: every row runs."""
     channel = decoder._channel(buf, plan)
     st = lifted(plan.base_graph, plan.lifting_size)
-    totals, iters, _ = decoder._min_sum(st, channel, DEFAULT_MAX_ITERS)
+    totals, iters, _ = decoder._layered_min_sum(st, channel,
+                                                DEFAULT_MAX_ITERS)
     info = (totals < 0)[: plan.k_prime].astype(np.uint8)
     ok = bool(totals[: st.k].all()) and decoder._crc_verdict(info, plan)
     return info, ok, iters
@@ -154,10 +155,22 @@ def test_single_block_tb_crc_is_computed_once(rng, monkeypatch):
     assert calls == [plan.tb_crc_kind]
 
 
+def _awgn_buffer(plan, a, e, rvs, sigma, rng):
+    """Soft buffer combining BPSK-AWGN transmissions, one per rv, of a
+    random ``a``-bit payload."""
+    payload = rng.integers(0, 2, a, dtype=np.uint8)
+    buf = new_soft_buffer(plan)
+    for rv in rvs:
+        enc = encode_tb(payload, plan, e, qm=2, layers=1, rv=rv)
+        rate_recover_and_combine(awgn_llrs(enc.streams[0], sigma, rng), plan,
+                                 enc.params[0], buf)
+    return buf
+
+
 @pytest.mark.parametrize("a,rate,bg", [(1000, 0.8, 1), (500, 0.5, 2)],
                          ids=["bg1", "bg2"])
 @pytest.mark.parametrize("rvs", [(0,), (0, 2)], ids=["rv0", "rv0+rv2"])
-@pytest.mark.parametrize("sigma,decodes", [(0.5, True), (1.3, False)])
+@pytest.mark.parametrize("sigma,decodes", [(0.5, True), (1.6, False)])
 def test_row_pruning_changes_no_decision(a, rate, bg, rvs, sigma, decodes):
     plan = segment_tb(a, rate)
     assert plan.base_graph == bg
@@ -166,12 +179,7 @@ def test_row_pruning_changes_no_decision(a, rate, bg, rvs, sigma, decodes):
     verdicts = []
     for seed in range(6):
         r = np.random.default_rng([seed, a])
-        payload = r.integers(0, 2, a, dtype=np.uint8)
-        buf = new_soft_buffer(plan)
-        for rv in rvs:
-            enc = encode_tb(payload, plan, e, qm=2, layers=1, rv=rv)
-            rate_recover_and_combine(awgn_llrs(enc.streams[0], sigma, r),
-                                     plan, enc.params[0], buf)
+        buf = _awgn_buffer(plan, a, e, rvs, sigma, r)
         parity_cols = decoder._channel(buf, plan).reshape(-1, z)[
             plan.k // z:]
         assert not parity_cols.any(axis=1).all()   # some rows are pruned
@@ -184,3 +192,34 @@ def test_row_pruning_changes_no_decision(a, rate, bg, rvs, sigma, decodes):
     # pruning passes every block the full graph passes
     assert all(ok or not ref_ok for ok, ref_ok in verdicts)
     assert sum(ok for ok, _ in verdicts) == (6 if decodes else 0)
+
+
+# CB CRC passes and total iterations of 20 seeded blocks per point,
+# measured on the flooding min-sum decoder this one replaced:
+# (shape, rvs) -> {sigma: (passed, iterations)}
+FLOODING_SWEEP = {
+    ("bg1", (0,)): {0.45: (20, 93), 0.5: (20, 136), 0.55: (4, 160)},
+    ("bg1", (0, 2)): {0.75: (18, 138), 0.85: (16, 156), 0.95: (0, 160)},
+    ("bg2", (0,)): {0.6: (20, 101), 0.65: (20, 120), 0.7: (17, 143)},
+    ("bg2", (0, 2)): {1.05: (20, 148), 1.15: (14, 160), 1.25: (4, 160)},
+}
+SWEEP_SHAPES = {"bg1": (1000, 0.8), "bg2": (500, 0.5)}
+
+
+@pytest.mark.parametrize("shape,rvs", list(FLOODING_SWEEP),
+                         ids=lambda v: v if isinstance(v, str)
+                         else "+".join(f"rv{rv}" for rv in v))
+def test_awgn_sweep_no_worse_than_flooding(shape, rvs):
+    a, rate = SWEEP_SHAPES[shape]
+    plan = segment_tb(a, rate)
+    e = 2 * round(plan.k_prime / rate / 2)
+    for sigma, (flood_passed, flood_iters) in FLOODING_SWEEP[
+            (shape, rvs)].items():
+        passed = iters = 0
+        for seed in range(20):
+            r = np.random.default_rng([seed, a, round(sigma * 100)])
+            res = ldpc_decode(_awgn_buffer(plan, a, e, rvs, sigma, r), plan)
+            passed += res.crc_ok
+            iters += res.iterations_used
+        assert passed >= flood_passed, sigma
+        assert iters <= flood_iters, sigma

@@ -1,14 +1,15 @@
-"""Byte-for-byte regression of the emulator's virtual-time outputs and of
-the DL coding chain's bits.
+"""Byte-for-byte regression of the emulator's virtual-time outputs, of
+the DL coding chain's bits and of the UL decoder's decisions.
 
 Each emulator case runs one command through ``cli_main`` and compares the
 sha256 of what it prints. A change to any grant, contention spike or
 completion order changes a digest. Each DL case hashes the rate-matched
 streams of a seeded transport block; the coding chain must keep those
-bit-identical. When an emulator output is meant to change, regenerate the
-digests by running the same argv and taking the printed digest from the
-failure message (``pytest tests/test_golden.py``), and say why in the
-change log.
+bit-identical. Each UL case hashes what seeded noisy transmissions of one
+transport block decode to, so any change to the decoder's arithmetic or
+schedule shows. When an output is meant to change, regenerate its digest
+by taking the printed digest from the failure message
+(``pytest tests/test_golden.py``), and say why in the change log.
 """
 import hashlib
 
@@ -18,8 +19,9 @@ import pytest
 from vranphy.backends import SoftwareBackend
 from vranphy.cli import cli_main
 from vranphy.deployment.harness import PhyTestTraffic
-from vranphy.nr import (compute_tbs, encode_tb, mcs_params,
-                        resource_elements, segment_tb)
+from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, encode_tb,
+                        mcs_params, new_soft_buffer, resource_elements,
+                        segment_tb)
 from vranphy.slot_coding import (InterfaceGeneration, SlotCodingRequest,
                                  TransportBlockJob, encode_slot)
 
@@ -67,13 +69,18 @@ def _payload(bits: int, seed: int) -> np.ndarray:
         0, 2, bits, dtype=np.uint8)
 
 
-def _phy_test_dl():
+def _phy_test(link: str):
     t = PhyTestTraffic()
-    qm, rate = mcs_params(t.dl_mcs, t.dl_table)
-    tbs = compute_tbs(t.prbs, t.symbols, t.dl_layers, t.dl_mcs, t.dl_table,
-                      t.overhead)
-    g = resource_elements(t.prbs, t.symbols, t.overhead) * qm * t.dl_layers
-    return tbs, segment_tb(tbs, rate), g, qm, t.dl_layers
+    mcs, table, layers = (getattr(t, f"{link}_{f}")
+                          for f in ("mcs", "table", "layers"))
+    qm, rate = mcs_params(mcs, table)
+    tbs = compute_tbs(t.prbs, t.symbols, layers, mcs, table, t.overhead)
+    g = resource_elements(t.prbs, t.symbols, t.overhead) * qm * layers
+    return tbs, segment_tb(tbs, rate), g, qm, layers
+
+
+def _phy_test_dl():
+    return _phy_test("dl")
 
 
 def _small(a: int, rate: float, g: int):
@@ -131,3 +138,36 @@ def test_two_tb_slot_streams_match_their_recorded_digest(generation):
         backend.allocator.open_queue(0, device=backend))
     streams = [s for jr in result.job_results for s in jr.streams]
     assert _streams_digest(streams) == SLOT_DIGEST
+
+
+# sha256 of UL decodes at the phy-test shape (36 BG1 CBs): each
+# transmission (rv, sigma) of one seeded TB is combined into the same soft
+# buffers and decoded, and every decode's per-CB iterations, CB CRC
+# verdicts and TB payload are hashed in order. Recorded on the layered
+# min-sum decoder.
+UL_GOLDEN = {
+    "rv0_sigma0.44": (((0, 0.44),),
+        "aeed61423a7cb4578d837402e5aa79424c46ebe3bb7907552af38d8f95ed8221"),
+    "rv0_sigma0.625": (((0, 0.625),),
+        "58fda7364aa795a1c65aca4dfe9c82dc22918d24dac8e46c0f212246d6914a34"),
+    "rv0_sigma0.625+rv2_sigma0.44": (((0, 0.625), (2, 0.44)),
+        "b22bf241dca416c016b280f649430b88bce66bd34a808e7b37e4fb400436dddf"),
+}
+
+
+@pytest.mark.parametrize("name", list(UL_GOLDEN))
+def test_ul_decodes_match_their_recorded_digest(name):
+    transmissions, expected = UL_GOLDEN[name]
+    tbs, plan, g, qm, layers = _phy_test("ul")
+    payload = _payload(tbs, 11)
+    rng = np.random.default_rng(12)
+    buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
+    h = hashlib.sha256()
+    for rv, sigma in transmissions:
+        enc = encode_tb(payload, plan, g, qm, layers, rv)
+        out = decode_tb([awgn_llrs(s, sigma, rng) for s in enc.streams],
+                        plan, enc.params, buffers)
+        h.update(np.asarray(out.iterations, dtype=np.int32).tobytes())
+        h.update(np.asarray(out.cb_crc_ok, dtype=np.uint8).tobytes())
+        h.update(out.payload.tobytes())
+    assert h.hexdigest() == expected, f"{name}: {h.hexdigest()}"
