@@ -98,13 +98,14 @@ def call_groups(generation: str, direction: str, cbs_per_tb: list[int]
     This is the one statement of how an interface generation groups a
     slot's CBs into calls: the whole slot in one call, one call per TB, or
     per CB (decode) and per batch of ``ENCODE_CB_BATCH`` CBs (encode). Each
-    call takes the next CBs in TB order.
+    call takes the next CBs in TB order. A TB with no CB to code makes no
+    call.
     """
     flat = [t for t, n in enumerate(cbs_per_tb) for _ in range(n)]
     if generation == "per_slot":
-        return [flat]
+        return [flat] if flat else []
     if generation == "per_tb":
-        return [[t] * n for t, n in enumerate(cbs_per_tb)]
+        return [[t] * n for t, n in enumerate(cbs_per_tb) if n]
     if generation == "per_cb":
         size = 1 if direction == "decode" else ENCODE_CB_BATCH
         return [flat[i:i + size] for i in range(0, len(flat), size)]
@@ -116,15 +117,17 @@ def call_shapes(generation: str, direction: str,
                 ) -> list[tuple[list[int], CallShape]]:
     """Each call of one slot: the TB index of each of its CBs, and its shape.
 
-    ``tb_shapes`` holds (TBS bits, CB count) per TB. A CB carries an equal
-    share of its TB's bits.
+    ``tb_shapes`` holds (bits, CB count) per TB: the CBs to code and the
+    bits they carry, each CB an equal share. The TBs that make a call are
+    spread evenly over the calls.
     """
     groups = call_groups(generation, direction, [c for _, c in tb_shapes])
-    n_tb = len(tb_shapes) / len(groups)
+    coded_tbs = sum(c > 0 for _, c in tb_shapes)
     out = []
     for tbs in groups:
         kbits = sum(tb_shapes[t][0] / tb_shapes[t][1] / 1000.0 for t in tbs)
-        out.append((tbs, CallShape(generation, n_tb, len(tbs), kbits)))
+        out.append((tbs, CallShape(generation, coded_tbs / len(groups),
+                                   len(tbs), kbits)))
     return out
 
 

@@ -37,17 +37,24 @@ def new_soft_buffer(plan: SegmentationPlan) -> SoftBuffer:
     return buffer
 
 
+def received_llrs(llrs, params: RateMatchParams) -> np.ndarray:
+    """One code block's received LLRs as float32, checked to be E finite
+    values."""
+    rx = np.asarray(llrs, dtype=np.float32)
+    if rx.size != params.e:
+        raise InvalidConfigError(f"LLR length {rx.size} != E={params.e}")
+    if not np.isfinite(rx).all():
+        raise InvalidConfigError("LLRs must be finite")
+    return rx
+
+
 def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
                              params: RateMatchParams,
                              buffer: SoftBuffer) -> SoftBuffer:
     """De-interleave, map to buffer positions and saturating-add."""
-    rx = np.asarray(llrs, dtype=np.float32)
-    if rx.size != params.e:
-        raise InvalidConfigError(f"LLR length {rx.size} != E={params.e}")
+    rx = received_llrs(llrs, params)
     if buffer.llrs.size != params.ncb:
         raise InvalidConfigError("buffer length does not match Ncb")
-    if not np.isfinite(rx).all():
-        raise InvalidConfigError("LLRs must be finite")
     seq = deinterleave(rx, params.qm)
     positions = selection_positions(plan, params)
     np.add.at(buffer.llrs, positions, seq)

@@ -4,7 +4,8 @@ Every generation produces bit-identical coded output because all of them
 run the same per-segment primitives; they differ only in how the slot's
 segments are grouped into coding-library calls (one call per segment or
 8-segment batch, one per transport block, or one for the whole slot) and
-therefore in call count and timing.
+therefore in call count and timing. A decode call codes only the code
+blocks that have not yet passed in their HARQ process (see ``HarqPool``).
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
 from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
                   OpKind, QueueHandle, route_interface)
+from .nr.decoder import DecodeResult
 from .nr.mcs import compute_tbs, mcs_params, resource_elements
 from .nr.pipeline import assemble_decoded, cb_params, encode_cb
-from .nr.segmentation import segment_tb, split_payload
-from .nr.softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs
+from .nr.segmentation import SegmentationPlan, segment_tb, split_payload
+from .nr.softbuffer import (SoftBuffer, new_soft_buffer, noiseless_llrs,
+                            received_llrs)
 
 MAX_PRBS = 273
 
@@ -50,7 +53,7 @@ class TransportBlockJob:
         if self.prb_share < 1:
             raise InvalidConfigError("prb_share must be >= 1")
         if self.payload is not None:
-            self.payload = np.asarray(self.payload, dtype=np.uint8)
+            self.payload = np.asarray(self.payload)
 
 
 @dataclass
@@ -101,39 +104,84 @@ class SlotCodingResult:
                    for j in self.job_results)
 
 
+@dataclass
+class HarqProcess:
+    """One HARQ process: the soft buffer of each CB of its TB, and the
+    decoder result of each CB kept as passed (see ``HarqPool``)."""
+    plan: SegmentationPlan
+    buffers: list[SoftBuffer]
+    passed: dict[int, DecodeResult] = field(default_factory=dict)
+
+    @classmethod
+    def fresh(cls, plan: SegmentationPlan) -> HarqProcess:
+        return cls(plan, [new_soft_buffer(plan)
+                          for _ in range(plan.num_cbs)])
+
+    def assemble(self, decoded: list[DecodeResult]
+                 ) -> tuple[np.ndarray, bool, list[bool]]:
+        """TB payload and verdicts from the kept results and the results
+        of the CBs just decoded, in CB order; then keep the new passes."""
+        new = iter(decoded)
+        results = [self.passed[i] if i in self.passed else next(new)
+                   for i in range(self.plan.num_cbs)]
+        payload, tb_ok, cb_ok = assemble_decoded(results, self.plan)
+        undetected = all(cb_ok) and not tb_ok
+        self.passed = {} if undetected else {
+            i: r for i, (r, ok) in enumerate(zip(results, cb_ok)) if ok}
+        return payload, tb_ok, cb_ok
+
+
 class HarqPool:
-    """Soft buffers keyed by (ue, HARQ process, segment index)."""
+    """The HARQ processes of a receiver, one per (ue, HARQ process).
+
+    A code block (CB) that passed its CRC is kept and never decoded again:
+    a retransmission combines and decodes only the CBs of its process with
+    no kept result, leaves a kept CB's buffer as it was, and assembles the
+    TB from the kept results and the new ones in CB order. When every CB
+    passed but the TB CRC failed (an undetected CB error), the process
+    drops its kept results, so the next retransmission decodes every CB
+    from its buffer again. New data replaces the process, so nothing kept
+    reaches another TB, and ``release`` deletes it.
+    """
 
     def __init__(self, location: BufferLocation = BufferLocation.HOST):
         self.location = location
-        self._buffers: dict[tuple[int, int, int], SoftBuffer] = {}
+        self._processes: dict[tuple[int, int], HarqProcess] = {}
 
-    def fresh(self, key, plan) -> SoftBuffer:
-        buf = new_soft_buffer(plan)
-        self._buffers[key] = buf
-        return buf
+    def start(self, ue_id: int, harq_pid: int,
+              plan: SegmentationPlan) -> HarqProcess:
+        """A fresh process for new data."""
+        process = HarqProcess.fresh(plan)
+        self._processes[ue_id, harq_pid] = process
+        return process
 
-    def existing(self, key) -> SoftBuffer:
+    def resume(self, ue_id: int, harq_pid: int,
+               plan: SegmentationPlan) -> HarqProcess:
+        """The process a retransmission of ``plan``'s TB combines into."""
         try:
-            return self._buffers[key]
+            process = self._processes[ue_id, harq_pid]
         except KeyError:
             raise HarqBufferMissingError(
-                f"no soft buffer for ue={key[0]} pid={key[1]} cb={key[2]}")
+                f"no HARQ process for ue={ue_id} pid={harq_pid}") from None
+        if process.plan != plan:
+            raise InvalidConfigError(
+                f"ue={ue_id} pid={harq_pid}: a retransmission must keep "
+                "its TB's segmentation")
+        return process
 
     def release(self, ue_id: int, harq_pid: int) -> None:
-        for key in [k for k in self._buffers
-                    if k[0] == ue_id and k[1] == harq_pid]:
-            del self._buffers[key]
+        self._processes.pop((ue_id, harq_pid), None)
 
 
 @dataclass
 class _TbWork:
     """Per-TB precomputed coding state shared by every generation."""
     job: TransportBlockJob
-    plan: object
+    plan: SegmentationPlan
     tbs: int
-    items: list[tuple]           # per-CB execute_descriptor items
+    items: list[tuple]           # execute_descriptor items of the CBs to code
     granularity: Granularity
+    process: HarqProcess | None = None    # decode only
 
 
 def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
@@ -146,6 +194,7 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                                 request.overhead) * qm * job.layers
     params = cb_params(plan, g_total, qm, job.layers, job.rv)
     granularity = route_interface(caps, plan.num_cbs)
+    process = None
     if kind is OpKind.ENCODE:
         cbs = split_payload(job.payload, plan)
         items = [(bits, plan, rm) for bits, rm in zip(cbs, params)]
@@ -159,21 +208,22 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                 split_payload(job.payload, plan), plan, params)]
         if len(streams) != plan.num_cbs:
             raise InvalidConfigError("llr stream count != segment count")
+        if job.new_data:
+            process = HarqProcess.fresh(plan) if harq is None \
+                else harq.start(job.ue_id, job.harq_pid, plan)
+        elif harq is None:
+            raise HarqBufferMissingError(
+                f"ue={job.ue_id}: combining needs a HARQ pool")
+        else:
+            process = harq.resume(job.ue_id, job.harq_pid, plan)
         items = []
         for idx, (llrs, rm) in enumerate(zip(streams, params)):
-            key = (job.ue_id, job.harq_pid, idx)
-            if not job.new_data:
-                if harq is None:
-                    raise HarqBufferMissingError(
-                        f"ue={job.ue_id}: combining needs a HARQ pool")
-                buf = harq.existing(key)
-            elif harq is not None:
-                buf = harq.fresh(key, plan)
+            if idx in process.passed:
+                received_llrs(llrs, rm)     # checked, not combined
             else:
-                buf = new_soft_buffer(plan)
-            items.append((llrs, plan, rm, buf))
+                items.append((llrs, plan, rm, process.buffers[idx]))
     return _TbWork(job=job, plan=plan, tbs=tbs, items=items,
-                   granularity=granularity)
+                   granularity=granularity, process=process)
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
@@ -185,8 +235,9 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
     # 2-vCPU VM
     from .backends.model import call_shapes
     items = [iter(w.items) for w in works]
-    calls = call_shapes(generation.value, kind.value,
-                        [(w.tbs, w.plan.num_cbs) for w in works])
+    calls = call_shapes(generation.value, kind.value, [
+        (w.tbs * len(w.items) / w.plan.num_cbs, len(w.items))
+        for w in works])
     return [([(t, next(items[t])) for t in tbs], shape)
             for tbs, shape in calls]
 
@@ -244,8 +295,7 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
         if kind is OpKind.ENCODE:
             jr.streams = outs
         else:
-            jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = assemble_decoded(
-                outs, w.plan)
+            jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = w.process.assemble(outs)
         results.append(jr)
     return SlotCodingResult(
         generation=request.interface_generation, job_results=results,

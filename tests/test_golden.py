@@ -20,10 +20,11 @@ from vranphy.backends import SoftwareBackend
 from vranphy.cli import cli_main
 from vranphy.deployment.harness import PhyTestTraffic
 from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, encode_tb,
-                        mcs_params, new_soft_buffer, resource_elements,
-                        segment_tb)
-from vranphy.slot_coding import (InterfaceGeneration, SlotCodingRequest,
-                                 TransportBlockJob, encode_slot)
+                        mcs_params, new_soft_buffer, pipeline,
+                        resource_elements, segment_tb)
+from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
+                                 SlotCodingRequest, TransportBlockJob,
+                                 decode_slot, encode_slot)
 
 GOLDEN = {
     ("--format", "json", "deploy", "--profile", "ep-rfsoc",
@@ -170,4 +171,61 @@ def test_ul_decodes_match_their_recorded_digest(name):
         h.update(np.asarray(out.iterations, dtype=np.int32).tobytes())
         h.update(np.asarray(out.cb_crc_ok, dtype=np.uint8).tobytes())
         h.update(out.payload.tobytes())
+    assert h.hexdigest() == expected, f"{name}: {h.hexdigest()}"
+
+
+# sha256 of HARQ retransmission sets decoded through ``decode_slot``: a
+# faded first transmission of the UL test TB (27 of its 36 CBs pass), then
+# retransmissions combined in one HARQ process. Every transmission's CB
+# verdicts, TB verdict and payload are hashed in order; iteration counts
+# are not, since a CB that passed is not decoded again. Recorded while
+# every CB of a retransmission was still decoded again, so keeping the
+# passed CBs changes no decision. A retransmission decodes exactly the CBs
+# that had failed.
+HARQ_GOLDEN = {
+    "rv0_sigma0.625+rv2_sigma0.44": (((0, 0.625), (2, 0.44)),
+        "e6e3ca5ac659399610bdae844a40a36cdc1cb008ac828863a1b375ef97820882"),
+    "rv0_sigma0.625+rv2_sigma3.0+rv3_sigma0.6": (
+        ((0, 0.625), (2, 3.0), (3, 0.6)),
+        "80c93b7e331891f018e362f58920474f5b1854de080956dbd62cff4b6f1c0476"),
+}
+
+
+@pytest.mark.parametrize("name", list(HARQ_GOLDEN))
+def test_harq_retransmissions_match_their_recorded_digest(name,
+                                                         monkeypatch):
+    transmissions, expected = HARQ_GOLDEN[name]
+    decodes = []
+    real = pipeline.ldpc_decode
+
+    def counted(*args):
+        decodes.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "ldpc_decode", counted)
+    t = PhyTestTraffic()
+    tbs, plan, g, qm, layers = _phy_test("ul")
+    payload = _payload(tbs, 11)
+    rng = np.random.default_rng(12)
+    backend = SoftwareBackend()
+    handle = backend.allocator.open_queue(0, device=backend)
+    harq = HarqPool()
+    h = hashlib.sha256()
+    failed = plan.num_cbs
+    for tx, (rv, sigma) in enumerate(transmissions):
+        decodes.clear()
+        enc = encode_tb(payload, plan, g, qm, layers, rv)
+        job = TransportBlockJob(
+            ue_id=0, payload=None, mcs_index=t.ul_mcs, mcs_table=t.ul_table,
+            layers=layers, prb_share=t.prbs, rv=rv, harq_pid=3,
+            new_data=tx == 0,
+            llr_streams=[awgn_llrs(s, sigma, rng) for s in enc.streams])
+        jr = decode_slot(SlotCodingRequest(
+            jobs=[job], symbols=t.symbols, overhead=t.overhead),
+            handle, harq).job_results[0]
+        assert len(decodes) == failed
+        failed = jr.cb_crc_ok.count(False)
+        h.update(np.asarray(jr.cb_crc_ok, dtype=np.uint8).tobytes())
+        h.update(np.uint8(jr.tb_crc_ok).tobytes())
+        h.update(jr.payload.tobytes())
     assert h.hexdigest() == expected, f"{name}: {h.hexdigest()}"

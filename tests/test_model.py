@@ -38,6 +38,16 @@ def test_call_groups_per_generation():
 
 @pytest.mark.parametrize("generation", GENERATIONS)
 @pytest.mark.parametrize("direction", DIRECTIONS)
+def test_a_tb_with_no_cb_to_code_makes_no_call(generation, direction):
+    assert call_shapes(generation, direction, [(3000, 0)]) == []
+    calls = call_shapes(generation, direction, [(3000, 0), (9000, 3)])
+    assert [t for tbs, _ in calls for t in tbs] == [1, 1, 1]
+    assert sum(s.n_tb for _, s in calls) == pytest.approx(1)
+    assert all(s.kbits == pytest.approx(3.0 * s.n_cb) for _, s in calls)
+
+
+@pytest.mark.parametrize("generation", GENERATIONS)
+@pytest.mark.parametrize("direction", DIRECTIONS)
 def test_call_shapes_conserve_the_slot(generation, direction):
     tb_shapes = BenchConfig().tb_shapes(3)
     calls = call_shapes(generation, direction, tb_shapes)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from vranphy.backends.model import (JitterSpec, ServiceTimeModel,
 from vranphy.errors import (CapabilityMismatchError, HarqBufferMissingError,
                             InvalidConfigError)
 from vranphy.lpu import BufferLocation
-from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, e_splits,
-                        encode_tb, mcs_params, new_soft_buffer,
-                        resource_elements, segment_tb, split_payload)
+from vranphy.nr import (awgn_llrs, compute_tbs, crc_compute, decode_tb,
+                        e_splits, encode_tb, mcs_params, new_soft_buffer,
+                        noiseless_llrs, pipeline, resource_elements,
+                        segment_tb, split_payload)
 from vranphy.nr.pipeline import assemble_decoded
+from vranphy.nr.segmentation import CB_CRC
 from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
                                  decode_slot, encode_slot)
@@ -261,3 +265,158 @@ def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
             assert res.total_elapsed_us == sum(
                 device.base_service_us(kind.value, s.generation, s.n_tb,
                                        s.n_cb, s.kbits) for _, s in calls)
+
+
+@pytest.mark.parametrize("value", [0.5, 256])
+def test_payload_of_non_bits_is_rejected(value, t2_quiet):
+    """A payload is checked before any conversion, so 0.5 cannot truncate
+    to 0 nor 256 wrap to 0."""
+    tbs = compute_tbs(4, 12, 1, 5, "T1")
+    job = TransportBlockJob(ue_id=1, payload=np.full(tbs, value),
+                            mcs_index=5, mcs_table="T1", layers=1,
+                            prb_share=4)
+    with pytest.raises(InvalidConfigError):
+        encode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The soft buffer of every ``ldpc_decode`` call, in call order."""
+    seen = []
+    real = pipeline.ldpc_decode
+
+    def counted(buffer, plan, *args):
+        seen.append(buffer)
+        return real(buffer, plan, *args)
+
+    monkeypatch.setattr(pipeline, "ldpc_decode", counted)
+    return seen
+
+
+def _ul_job(payload_job, new_data=True, harq_pid=0, silent=()):
+    """A UL job carrying ``payload_job``'s TB as noiseless LLRs, with the
+    CBs in ``silent`` sent as all-zero LLRs (nothing received)."""
+    job = payload_job
+    qm, rate = mcs_params(job.mcs_index, job.mcs_table)
+    plan = segment_tb(job.payload.size, rate)
+    g = resource_elements(job.prb_share, 12, 0) * qm * job.layers
+    streams = [noiseless_llrs(s) for s in
+               encode_tb(job.payload, plan, g, qm, job.layers).streams]
+    for i in silent:
+        streams[i] = np.zeros_like(streams[i])
+    return dataclasses.replace(job, payload=None, llr_streams=streams,
+                               new_data=new_data, harq_pid=harq_pid)
+
+
+def _decode(handle, harq, *jobs, generation=InterfaceGeneration.PER_SLOT):
+    return decode_slot(SlotCodingRequest(jobs=list(jobs),
+                                         interface_generation=generation),
+                       handle, harq)
+
+
+@pytest.mark.parametrize("generation", list(InterfaceGeneration))
+def test_retransmission_decodes_only_the_cbs_that_failed(
+        generation, rng, t2_quiet, decodes):
+    """Each call shape counts only the CBs decoded, at an unchanged share
+    of bits per CB, and a TB with every CB kept makes no call."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    full = _dl_job(rng, prbs=60, mcs=20, ue=1)
+    other = _dl_job(rng, prbs=15, mcs=5, ue=2)
+    num_cbs = segment_tb(full.payload.size, mcs_params(20, "T1")[1]).num_cbs
+    assert num_cbs == 4
+    first = _decode(handle, harq, _ul_job(full, silent=(0, 2)),
+                    _ul_job(other), generation=generation)
+    assert first.job_results[0].cb_crc_ok == [False, True, False, True]
+    assert first.job_results[1].tb_crc_ok
+    assert len(decodes) == num_cbs + 1
+
+    again = _decode(handle, harq, _ul_job(full, new_data=False),
+                    _ul_job(other, new_data=False), generation=generation)
+    assert len(decodes) == num_cbs + 1 + 2
+    assert again.all_crc_ok
+    np.testing.assert_array_equal(again.job_results[0].payload, full.payload)
+    np.testing.assert_array_equal(again.job_results[1].payload,
+                                  other.payload)
+    calls = call_shapes(generation.value, "decode",
+                        [(full.payload.size * 2 / num_cbs, 2)])
+    assert again.calls_made == len(calls)
+    assert again.total_elapsed_us == pytest.approx(sum(
+        t2_quiet.base_service_us("decode", s.generation, s.n_tb, s.n_cb,
+                                 s.kbits) for _, s in calls))
+
+    last = _decode(handle, harq, _ul_job(full, new_data=False),
+                   generation=generation)
+    assert len(decodes) == num_cbs + 3
+    assert (last.calls_made, last.total_elapsed_us) == (0, 0.0)
+    assert last.all_crc_ok
+    np.testing.assert_array_equal(last.job_results[0].payload, full.payload)
+
+
+def test_undetected_cb_error_decodes_every_cb_again(rng, t2_quiet, decodes,
+                                                    monkeypatch):
+    """Every CB passes its CRC but the TB CRC fails: the next transmission
+    must decode every CB, or the TB could never be delivered."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    job = _dl_job(rng, prbs=60, mcs=20)
+    plan = segment_tb(job.payload.size, mcs_params(20, "T1")[1])
+    counted = pipeline.ldpc_decode
+
+    def corrupt_first(buffer, plan, *args):
+        result = counted(buffer, plan, *args)
+        if len(decodes) > 1:
+            return result
+        bits = result.info_bits.copy()
+        data = plan.segment_data_bits
+        bits[0] ^= 1
+        bits[data:plan.k_prime] = crc_compute(bits[:data], CB_CRC)
+        return dataclasses.replace(result, info_bits=bits)
+
+    monkeypatch.setattr(pipeline, "ldpc_decode", corrupt_first)
+    first = _decode(handle, harq, _ul_job(job))
+    jr = first.job_results[0]
+    assert all(jr.cb_crc_ok) and jr.tb_crc_ok is False
+    assert len(decodes) == plan.num_cbs
+
+    again = _decode(handle, harq, _ul_job(job, new_data=False))
+    assert len(decodes) == 2 * plan.num_cbs
+    assert again.all_crc_ok
+    np.testing.assert_array_equal(again.job_results[0].payload, job.payload)
+
+
+def test_new_data_starts_a_fresh_process(rng, t2_quiet, decodes):
+    """Results kept for the process's previous TB never reach a new one."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    old = _dl_job(rng, prbs=60, mcs=20)
+    new = _dl_job(rng, prbs=60, mcs=20)
+    assert not np.array_equal(old.payload, new.payload)
+    _decode(handle, harq, _ul_job(old, harq_pid=5, silent=(0,)))
+    res = _decode(handle, harq, _ul_job(new, harq_pid=5))
+    assert len(decodes) == 8
+    assert res.all_crc_ok
+    np.testing.assert_array_equal(res.job_results[0].payload, new.payload)
+
+
+@pytest.mark.parametrize("bad", ["nan", "short"])
+def test_stream_of_a_kept_cb_is_still_validated(bad, rng, t2_quiet):
+    handle, harq = _handle(t2_quiet), HarqPool()
+    job = _dl_job(rng, prbs=60, mcs=20)
+    first = _decode(handle, harq, _ul_job(job, silent=(0,)))
+    assert first.job_results[0].cb_crc_ok[1]
+    retx = _ul_job(job, new_data=False)
+    retx.llr_streams[1] = (np.full_like(retx.llr_streams[1], np.nan)
+                           if bad == "nan" else retx.llr_streams[1][:-2])
+    with pytest.raises(InvalidConfigError):
+        _decode(handle, harq, retx)
+
+
+def test_retransmission_needs_its_process_and_its_segmentation(rng,
+                                                               t2_quiet):
+    handle, harq = _handle(t2_quiet), HarqPool()
+    job = _dl_job(rng, prbs=60, mcs=20)
+    _decode(handle, harq, _ul_job(job, harq_pid=2, silent=(0,)))
+    smaller = _dl_job(rng, prbs=50, mcs=20)
+    with pytest.raises(InvalidConfigError):
+        _decode(handle, harq, _ul_job(smaller, new_data=False, harq_pid=2))
+    harq.release(job.ue_id, 2)
+    with pytest.raises(HarqBufferMissingError):
+        _decode(handle, harq, _ul_job(job, new_data=False, harq_pid=2))
