@@ -32,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from measure import nearest_rank  # noqa: E402
 
 
 def _git(*args: str) -> str:
@@ -68,12 +70,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"]}
 
 
-def p90(values: list[float]) -> float:
-    """Nearest-rank 90th percentile."""
-    ranked = sorted(values)
-    return ranked[max(0, -(-9 * len(ranked) // 10) - 1)]
-
-
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each tree's median, p90 and quartiles, and the pairs in
     which the change was better."""
@@ -87,7 +83,7 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
             q1, _, q3 = statistics.quantiles(values, n=4) \
                 if len(values) > 1 else (values[0],) * 3
             stats[tree] = {"median": statistics.median(values),
-                           "p90": p90(values), "q1": q1, "q3": q3}
+                           "p90": nearest_rank(values, 0.9), "q1": q1, "q3": q3}
         sign = 1 if spec["better"] == "lower" else -1
         out[name] = {"unit": spec["unit"], "better": spec["better"], **stats,
                      "change_won": sum(sign * (c - b) < 0 for b, c in zip(
