@@ -7,16 +7,23 @@ A call's base service time is linear in its shape:
 Calibration fits the four coefficients per (direction, generation) with
 non-negative least squares on relative residuals, so fitted models are
 monotone in every feature and reproduce measured curves within a small
-relative envelope.
+relative envelope. The fit is Lawson and Hanson's active-set method
+(*Solving Least Squares Problems*, 1974, ch. 23). Where the design has
+equal columns (a per-CB decode makes one call per CB, a per-TB call one
+per TB) the fit is not unique; the method then moves the column with the
+largest gradient into the solution, and on a tie the last such column, so
+the weight goes to the per-CB or per-TB coefficient rather than the
+per-call one. An observed time that is not finite and positive is
+rejected.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..errors import CalibrationError, InvalidConfigError
 from ..lpu import CallShape
@@ -147,6 +154,40 @@ def _design_row(generation: str, direction: str, n_tb: int, n_cb: int,
             float(n_tb), float(n_cb), kbits]
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x >= 0 that minimises |a x - b| (Lawson and Hanson's active set).
+
+    Each outer step frees the bound column of largest gradient, the last
+    one on a tie; the inner loop steps back toward the feasible region
+    until the free columns' least-squares solution is positive.
+    """
+    m, n = a.shape
+    tol = (10 * np.finfo(float).eps * max(m, n)
+           * np.abs(a).sum(axis=0).max() * np.abs(b).max())
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        # a column sum, not a.T @ r: equal columns get equal gradients
+        w = (a * (b - a @ x)[:, None]).sum(axis=0)
+        w[free] = -np.inf
+        j = n - 1 - int(np.argmax(w[::-1]))
+        if w[j] <= tol:
+            break
+        free[j] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if (z[free] > 0).all():
+                break
+            neg = free & (z <= 0)
+            step = x[neg] / np.maximum(x[neg] - z[neg], np.finfo(float).tiny)
+            x += step.min() * (z - x)
+            free[np.flatnonzero(neg)[step == step.min()]] = False
+            x[~free] = 0.0
+        x = z
+    return x
+
+
 def calibrate_model(observations, direction: str = "decode",
                     bench: BenchConfig | None = None) -> ServiceTimeModel:
     """Fit one coefficient set to (generation, n_tb, mean_us) observations.
@@ -164,8 +205,9 @@ def calibrate_model(observations, direction: str = "decode",
     for generation, n_tb, us in obs:
         if generation not in GENERATIONS:
             raise CalibrationError(f"unknown generation {generation!r}")
-        if us <= 0:
-            raise CalibrationError("observed times must be positive")
+        if not (math.isfinite(us) and us > 0):
+            raise CalibrationError(
+                f"observed times must be finite and positive, got {us}")
         n_cb, kbits = bench.slot_shape(int(n_tb))
         rows.append(_design_row(generation, direction, int(n_tb), n_cb,
                                 kbits))
@@ -174,7 +216,7 @@ def calibrate_model(observations, direction: str = "decode",
     yv = np.asarray(y, dtype=float)
     if np.linalg.matrix_rank(x) < 2:
         raise CalibrationError("degenerate design matrix")
-    coef, _ = nnls(x / yv[:, None], np.ones_like(yv))
+    coef = _nnls(x / yv[:, None], np.ones_like(yv))
     resid = np.abs(x @ coef - yv) / yv
     return ServiceTimeModel(
         fixed_per_call_us=float(coef[0]), per_tb_us=float(coef[1]),

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ..backends.emulated import make_emulated
 from ..errors import InvalidConfigError
 from ..highphy import (DL_SLOT_US, TDD_PATTERN, TTI_US, UL_SLOT_US,
                        slot_timing, tdd_slot_kind)
@@ -231,7 +232,6 @@ def traffic_shapes(traffic: PhyTestTraffic) -> dict[str, _TrafficShape]:
 
 
 def _make_devices(config: DeploymentConfig, n: int):
-    from ..backends.emulated import make_emulated
     name = config.backend_name
     if config.profile in _SHARED_DEVICE_PROFILES:
         device = make_emulated(name, seed=config.seed)

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .backends.emulated import EmulatedDevice
+from .backends.model import BenchConfig, call_shapes
 from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
 from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
@@ -230,10 +232,6 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
                  kind: OpKind
                  ) -> list[tuple[list[tuple[int, tuple]], CallShape]]:
     """Each call's (tb_index, item) batch and timing shape."""
-    # imported on first use: loading the backends (and scipy) while
-    # highphy loads made a cold import of the program 40-60 ms slower on a
-    # 2-vCPU VM
-    from .backends.model import call_shapes
     items = [iter(w.items) for w in works]
     calls = call_shapes(generation.value, kind.value, [
         (w.tbs * len(w.items) / w.plan.num_cbs, len(w.items))
@@ -313,9 +311,6 @@ def run_interface_bench(device, directions=("decode", "encode"),
     contention tail: each row is the sum of the emulated device's base
     service times, one deterministic virtual-time sample.
     """
-    from .backends.emulated import EmulatedDevice
-    from .backends.model import BenchConfig, call_shapes
-
     if not isinstance(device, EmulatedDevice):
         raise InvalidConfigError(
             "the interface bench runs on an emulated device")

@@ -29,7 +29,7 @@ from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
 GOLDEN = {
     ("--format", "json", "deploy", "--profile", "ep-rfsoc",
      "--instances", "7", "--slots", "2000"):
-        "66c690ae31169c8abf0bdd9cb0741025a17bec3dc45174a1e6e63b4f179a90f9",
+        "bfe98d0b061253f8304c8db9350c4cf396d24b30b4156463ee7b3d822d921b97",
     ("--format", "json", "deploy", "--profile", "vranp",
      "--instances", "3", "--slots", "2000"):
         "9e740d3dca64953ee99be9c91f67c6b424e96c532a4c4ca7099915e8d88974a9",
@@ -38,7 +38,7 @@ GOLDEN = {
         "7890f67524c9268d751344aae5d8beacb649baa6708f5bb8fe1c31f4668f3537",
     ("--format", "csv", "deploy", "--profile", "ep-rfsoc",
      "--instances", "7", "--slots", "2000"):
-        "e2d0390ea95364a0b5038cf666f937cee3089c1ab7a77cf80c99ef72ccca8cd0",
+        "6339e3eb813c012528d0b1180eda4e8a5dcdca775aa82cf16c9859378c57c6d3",
     ("bench-interfaces", "--backend", "t2-emulated"):
         "443f49a1ac83fcc5a9c986bb0ad99cdd5092f0c58569b542cfd1cb0940606f05",
     ("bench-interfaces", "--backend", "vran-boost-emulated"):

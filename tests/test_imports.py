@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vranphy
+
+SRC = Path(vranphy.__file__).resolve().parent.parent
+
+IMPORT_ALL = """
+import pkgutil, sys
+import vranphy
+names = [m.name for m in pkgutil.walk_packages(vranphy.__path__, "vranphy.")]
+for name in names:
+    __import__(name)
+assert "vranphy.backends.model" in sys.modules, names
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_importing_every_module_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

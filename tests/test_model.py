@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vranphy.backends.model import (ENCODE_CB_BATCH, BenchConfig,
-                                    ServiceTimeModel, call_groups,
-                                    call_shapes, calibrate_per_generation,
-                                    calls_for)
-from vranphy.errors import InvalidConfigError
+                                    ServiceTimeModel, _nnls, call_groups,
+                                    call_shapes, calibrate_model,
+                                    calibrate_per_generation, calls_for)
+from vranphy.errors import CalibrationError, InvalidConfigError
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
 DIRECTIONS = ("decode", "encode")
@@ -67,3 +68,67 @@ def test_calibrated_models_are_non_negative_and_close():
         assert min(m.fixed_per_call_us, m.per_tb_us, m.per_cb_us,
                    m.per_kbit_us) >= 0
         assert m.max_rel_residual < 0.1
+
+
+# (fixed_per_call_us, per_tb_us, per_cb_us, per_kbit_us) of each bundled
+# fit, as scipy.optimize.nnls 1.17.1 computed them
+SCIPY_FITS = {
+    ("decode", "per_cb"): (0.0, 114.88054922772764, 5.326389288784673,
+                           1.9555984475032655),
+    ("decode", "per_tb"): (0.0, 160.01898004079044, 0.0, 0.6588111370667799),
+    ("decode", "per_slot"): (0.0, 118.58915172765867, 0.0,
+                             0.855904823454352),
+    ("encode", "per_cb"): (66.25079187471876, 5.144061673825687,
+                           0.6440990638742282, 0.0),
+    ("encode", "per_tb"): (0.0, 10.361800520940266, 0.23388798407591013,
+                           0.5193062199297153),
+    ("encode", "per_slot"): (137.39349297941567, 0.8384694558929965, 0.0,
+                             0.0),
+}
+
+
+def test_bundled_fits_match_scipy():
+    models = calibrate_per_generation()
+    assert set(models) == set(SCIPY_FITS)
+    for key, expected in SCIPY_FITS.items():
+        m = models[key]
+        got = (m.fixed_per_call_us, m.per_tb_us, m.per_cb_us, m.per_kbit_us)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12,
+                                   err_msg=str(key))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_a_time_that_is_not_finite_and_positive_is_rejected(bad):
+    obs = [("per_tb", n, 100.0 * n) for n in range(1, 5)]
+    obs[2] = ("per_tb", 3, bad)
+    with pytest.raises(CalibrationError):
+        calibrate_model(obs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+             min_size=1, max_size=7),
+    st.lists(st.integers(-5, 5), min_size=7, max_size=7))))
+def test_nnls_meets_the_kkt_conditions(problem):
+    rows, rhs = problem
+    a = np.asarray(rows, dtype=float)
+    b = np.asarray(rhs[:len(rows)], dtype=float)
+    x = _nnls(a, b)
+    grad = a.T @ (b - a @ x)
+    tol = 1e-9 * (1 + np.abs(a).sum()) ** 2 * (1 + np.abs(b).sum()
+                                                + np.abs(x).sum())
+    assert (x >= 0).all()
+    assert np.abs(grad[x > 0]).max(initial=0) <= tol
+    assert grad[x == 0].max(initial=0) <= tol
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # equal columns: all weight on the last
+    ([[1, 1], [1, 1], [1, 1]], [1, 1, 1], [0, 1]),
+    # a per-TB design: the call count equals the TB count
+    ([[1, 1, 2], [2, 2, 1], [3, 3, 1]], [3, 3, 4], [0, 1, 1]),
+])
+def test_nnls_puts_the_weight_on_the_last_of_equal_columns(a, b, expected):
+    x = _nnls(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    np.testing.assert_allclose(x, expected, atol=1e-12)
