@@ -8,13 +8,13 @@ Calibration fits the four coefficients per (direction, generation) with
 non-negative least squares on relative residuals, so fitted models are
 monotone in every feature and reproduce measured curves within a small
 relative envelope. The fit is Lawson and Hanson's active-set method
-(*Solving Least Squares Problems*, 1974, ch. 23). Where the design has
-equal columns (a per-CB decode makes one call per CB, a per-TB call one
-per TB) the fit is not unique; the method then moves the column with the
-largest gradient into the solution, and on a tie the last such column, so
-the weight goes to the per-CB or per-TB coefficient rather than the
-per-call one. An observed time that is not finite and positive is
-rejected.
+(*Solving Least Squares Problems*, 1974, ch. 23), which frees one
+coefficient at a time: the one of largest gradient, and the last of them
+on a tie, as ``scipy.optimize.nnls`` does. Where the design has equal
+columns (a per-CB decode makes one call per CB, a per-TB call one per TB)
+the fit is not unique, and this rule puts the weight on the per-CB or
+per-TB coefficient rather than the per-call one. An observation whose time
+is not finite and positive, or whose slot holds no TB, is rejected.
 """
 from __future__ import annotations
 
@@ -155,11 +155,11 @@ def _design_row(generation: str, direction: str, n_tb: int, n_cb: int,
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The x >= 0 that minimises |a x - b| (Lawson and Hanson's active set).
+    """The x >= 0 that minimises |a x - b| (see the module docstring).
 
-    Each outer step frees the bound column of largest gradient, the last
-    one on a tie; the inner loop steps back toward the feasible region
-    until the free columns' least-squares solution is positive.
+    Each outer step frees one bound coefficient; the inner loop steps back
+    toward the feasible region until the free coefficients' least-squares
+    solution is positive.
     """
     m, n = a.shape
     tol = (10 * np.finfo(float).eps * max(m, n)
@@ -208,6 +208,8 @@ def calibrate_model(observations, direction: str = "decode",
         if not (math.isfinite(us) and us > 0):
             raise CalibrationError(
                 f"observed times must be finite and positive, got {us}")
+        if int(n_tb) < 1:
+            raise CalibrationError(f"a slot holds at least 1 TB, got {n_tb}")
         n_cb, kbits = bench.slot_shape(int(n_tb))
         rows.append(_design_row(generation, direction, int(n_tb), n_cb,
                                 kbits))

@@ -47,9 +47,10 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["calibrate", "--csv", "HEADER_ONLY"],
     ["calibrate", "--csv", "NO_MEAN_COLUMN"],
     ["calibrate", "--csv", "BAD_N_TB"],
-    # a time that is not finite fits no model
+    # a time that is not finite, or a slot without TBs, fits no model
     ["calibrate", "--csv", "NAN_MEAN"],
     ["calibrate", "--csv", "INF_MEAN"],
+    ["calibrate", "--csv", "ZERO_N_TB"],
 ])
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
@@ -63,10 +64,11 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
                         "decode,per_cb,x,5\n")
     files = {"SAMPLES": str(samples), "HEADER_ONLY": str(header_only),
              "NO_MEAN_COLUMN": str(no_mean), "BAD_N_TB": str(bad_n_tb)}
-    for name, bad in (("NAN_MEAN", "nan"), ("INF_MEAN", "inf")):
+    for name, bad in (("NAN_MEAN", "3,nan"), ("INF_MEAN", "3,inf"),
+                      ("ZERO_N_TB", "0,300")):
         path = tmp_path / f"{name}.csv"
         path.write_text("direction,generation,n_tb,mean_us\n" + "".join(
-            f"decode,per_tb,{n},{bad if n == 3 else 100 * n}\n"
+            f"decode,per_tb,{bad if n == 3 else f'{n},{100 * n}'}\n"
             for n in range(1, 5)))
         files[name] = str(path)
     argv = [files.get(a, a) for a in argv]

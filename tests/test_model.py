@@ -97,23 +97,24 @@ def test_bundled_fits_match_scipy():
                                    err_msg=str(key))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
-def test_a_time_that_is_not_finite_and_positive_is_rejected(bad):
+@pytest.mark.parametrize("n_tb, us", [
+    (3, float("nan")), (3, float("inf")), (3, 0.0), (3, -1.0),
+    (0, 300.0), (-1, 300.0),
+])
+def test_an_observation_out_of_range_is_rejected(n_tb, us):
     obs = [("per_tb", n, 100.0 * n) for n in range(1, 5)]
-    obs[2] = ("per_tb", 3, bad)
+    obs[2] = ("per_tb", n_tb, us)
     with pytest.raises(CalibrationError):
         calibrate_model(obs)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-             min_size=1, max_size=7),
-    st.lists(st.integers(-5, 5), min_size=7, max_size=7))))
-def test_nnls_meets_the_kkt_conditions(problem):
-    rows, rhs = problem
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs[:len(rows)], dtype=float)
+@given(st.integers(1, 7), st.integers(1, 6), st.data())
+def test_nnls_meets_the_kkt_conditions(m, n, data):
+    def draw(size):
+        return np.asarray(data.draw(st.lists(
+            st.integers(-5, 5), min_size=size, max_size=size)), dtype=float)
+    a, b = draw(m * n).reshape(m, n), draw(m)
     x = _nnls(a, b)
     grad = a.T @ (b - a @ x)
     tol = 1e-9 * (1 + np.abs(a).sum()) ** 2 * (1 + np.abs(b).sum()
