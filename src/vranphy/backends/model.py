@@ -162,6 +162,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     solution is positive.
     """
     m, n = a.shape
+    # a gradient within rounding of 0, as an equal column's is once its
+    # twin is free, frees nothing
     tol = (10 * np.finfo(float).eps * max(m, n)
            * np.abs(a).sum(axis=0).max() * np.abs(b).max())
     x = np.zeros(n)
