@@ -31,6 +31,7 @@ from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
+DIRECTIONS = ("decode", "encode")
 ENCODE_CB_BATCH = 8   # legacy encoder interface: 8 segments per call
 
 
@@ -195,9 +196,12 @@ def calibrate_model(observations, direction: str = "decode",
     """Fit one coefficient set to (generation, n_tb, mean_us) observations.
 
     Features per observation are completed from the benchmark geometry.
-    Raises when the data is underdetermined (fewer than four points or a
-    design without at least two distinct shapes).
+    Raises when the direction is neither decode nor encode, or when the
+    data is underdetermined (fewer than four points or a design without
+    at least two distinct shapes).
     """
+    if direction not in DIRECTIONS:
+        raise CalibrationError(f"unknown direction {direction!r}")
     obs = list(observations)
     if len(obs) < 4:
         raise CalibrationError(

@@ -1,5 +1,5 @@
 """Slot-level High-PHY pipelines: cell timing constants, TDD slot typing,
-vectorized precoding and resource mapping, and the slot-timing rule.
+the DL bit-to-grid chain, vectorized precoding, and the slot-timing rule.
 
 The slot-timing rule is stated once, by ``slot_timing``: a slot's total is
 its direction's synthetic cost of the non-coding stages plus its coding
@@ -12,13 +12,31 @@ On an emulated device the coding time is virtual, so a slot's total and
 verdict do not depend on the host. On the ``software`` backend the coding
 time is wall-clock, so there the verdict describes this host.
 
+``run_dl_slot`` maps what it encoded onto the slot's layer grid
+(``nr.modulation``). Each job's rate-matched streams, concatenated in code
+block order, are scrambled with c_init = ue_id * 2^15 (RNTI ``ue_id``,
+codeword 0, N_ID 0), modulated at the job's Qm and layer-mapped onto its
+own layers. Jobs take PRBs in request order: job j holds PRBs
+[sum of earlier ``prb_share``, + ``prb_share``) over the last
+``cfg.symbols`` OFDM symbols of the slot. Inside that region REs are
+numbered frequency-first (subcarrier, then symbol); the first
+``overhead * prb_share`` are reserved, the job's symbols fill those after
+them, and every RE no symbol reaches stays 0, as do the layers beyond the
+job's own. The layer grid and port grid are built once per slot shape and
+reused by every later slot of that shape in the same thread; the bits and
+symbols on the way to them pass through the same memory.
+
 Precoding accumulates over layers in a fixed order, one whole-grid
-multiply-add per (port, layer). It equals a per-element loop in the same
-order up to the rounding of NumPy's vectorized complex multiply, and bit
-for bit when the products are exact, as with the default identity weights.
+multiply-add per (port, layer) whose weight is not zero. A zero weight
+would add +-0 to a sum that starts at +0 and so is never -0, which changes
+no bit; under the identity weights ``run_dl_slot`` defaults to, each port
+takes one term. The result equals a per-element loop over every layer in the
+same order up to the rounding of NumPy's vectorized complex multiply, and
+bit for bit when the products are exact, as with identity weights.
 """
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +44,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidConfigError
-from .slot_coding import (HarqPool, SlotCodingRequest, SlotCodingResult,
-                          decode_slot, encode_slot)
+from .nr.mcs import mcs_params
+from .nr.modulation import (layer_map, modulate, scramble, scrambling_init,
+                            symbol_indices)
+from .slot_coding import (MAX_PRBS, HarqPool, SlotCodingRequest,
+                          SlotCodingResult, decode_slot, encode_slot)
 
 SYMBOLS_PER_SLOT = 14
 SUBCARRIERS_PER_PRB = 12
@@ -62,6 +83,15 @@ class CellConfig:
 
     def __post_init__(self):
         check_tdd_pattern(self.tdd_pattern)
+        if not 1 <= self.prbs <= MAX_PRBS:
+            raise InvalidConfigError(f"prbs must be in 1..{MAX_PRBS}")
+        if not 1 <= self.symbols <= SYMBOLS_PER_SLOT:
+            raise InvalidConfigError(
+                f"symbols must be in 1..{SYMBOLS_PER_SLOT}")
+        if self.overhead < 0:
+            raise InvalidConfigError("overhead must be >= 0")
+        if self.tx_antennas < 1:
+            raise InvalidConfigError("tx_antennas must be >= 1")
 
     @property
     def subcarriers(self) -> int:
@@ -101,23 +131,16 @@ class ResourceGrid:
         return self.data.shape[0]
 
 
-def layer_grid(cfg: CellConfig, layers: int, seed: int = 0) -> ResourceGrid:
-    """Deterministic pseudo-modulated layer grid (unit-power QPSK-like)."""
-    rng = np.random.default_rng(seed)
-    re_im = rng.integers(0, 2, size=(2, layers, SYMBOLS_PER_SLOT,
-                                     cfg.subcarriers))
-    data = ((2.0 * re_im[0] - 1.0) + 1j * (2.0 * re_im[1] - 1.0)) / np.sqrt(2)
-    return ResourceGrid(data)
-
-
 class PrecodeMode(Enum):
     VECTOR = "vector"
 
 
 def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
-                    mode: PrecodeMode = PrecodeMode.VECTOR) -> ResourceGrid:
+                    mode: PrecodeMode = PrecodeMode.VECTOR,
+                    out: np.ndarray | None = None) -> ResourceGrid:
     """Per-port combination out[p] = sum_l w[p, l] * in[l], mapped onto the
-    port grid."""
+    port grid; written into ``out`` (a complex128 array of the port grid's
+    shape that shares no memory with ``layers``) when given."""
     if mode is not PrecodeMode.VECTOR:
         raise InvalidConfigError(f"unknown mode {mode!r}")
     w = np.asarray(weights, dtype=np.complex128)
@@ -125,12 +148,92 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise InvalidConfigError(
             f"weights {w.shape} do not match {x.shape[0]} layers")
-    ports, nl = w.shape
-    out = np.zeros((ports, x.shape[1], x.shape[2]), dtype=np.complex128)
+    ports = w.shape[0]
+    shape = (ports, *x.shape[1:])
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise InvalidConfigError(
+            f"out {out.dtype}{out.shape} is not a complex128 {shape} grid")
+    term = np.empty(x.shape[1:], dtype=np.complex128)
     for p in range(ports):
-        for l in range(nl):
-            out[p] += w[p, l] * x[l]
+        out[p] = 0
+        for l in np.flatnonzero(w[p]):
+            np.multiply(w[p, l], x[l], out=term)
+            out[p] += term
     return ResourceGrid(out)
+
+
+class _DlSlotBuffers:
+    """The layer grid and port grid of one DL slot shape, at most as many
+    layers as ports. A slot has at most one symbol per RE of the layer
+    grid, so before precoding the port grid holds the slot's symbols; and
+    before RE mapping the layer grid holds one job's bits (a byte each, at
+    most 8 per symbol), then, once packed, its symbol indices."""
+
+    def __init__(self, layers: int, ports: int, subcarriers: int):
+        grid = (SYMBOLS_PER_SLOT, subcarriers)
+        self.layers = ResourceGrid(np.zeros((layers, *grid),
+                                            dtype=np.complex128))
+        self.ports = np.zeros((ports, *grid), dtype=np.complex128)
+
+    def map_jobs(self, cfg: CellConfig, jobs: list,
+                 coding: SlotCodingResult) -> None:
+        """Scramble, modulate, layer-map and RE-map each job's encoded
+        streams onto the layer grid (the rule is in the module
+        docstring)."""
+        grid = self.layers.data
+        scratch = grid.reshape(-1).view(np.uint8)
+        free = self.ports.reshape(-1)
+        symbols = []
+        for job, result in zip(jobs, coding.job_results):
+            qm, _ = mcs_params(job.mcs_index, job.mcs_table)
+            bits = scratch[:sum(s.size for s in result.streams)]
+            np.concatenate(result.streams, out=bits)
+            packed = scramble(bits, scrambling_init(job.ue_id))
+            count = bits.size // qm
+            idx = symbol_indices(packed, qm, count, out=scratch.view(np.intp))
+            symbols.append(modulate(idx, qm, out=free[:count]))
+            free = free[count:]
+        grid.fill(0)
+        first_symbol = SYMBOLS_PER_SLOT - cfg.symbols
+        prb = 0
+        for job, d in zip(jobs, symbols):
+            sc = SUBCARRIERS_PER_PRB * prb
+            prb += job.prb_share
+            _map_region(grid[:job.layers, first_symbol:,
+                             sc:SUBCARRIERS_PER_PRB * prb],
+                        layer_map(d, job.layers),
+                        cfg.overhead * job.prb_share)
+
+
+def _map_region(region: np.ndarray, x: np.ndarray, start: int) -> None:
+    """Write the layer-mapped symbols ``x`` (layers, M) onto REs
+    start .. start + M of ``region`` (layers, symbols, subcarriers),
+    numbered frequency-first."""
+    width = region.shape[2]
+    end = start + x.shape[1]
+    for row in range(start // width, -(-end // width)):
+        lo, hi = max(start, row * width), min(end, (row + 1) * width)
+        region[:, row, lo - row * width:hi - row * width] = \
+            x[:, lo - start:hi - start]
+
+
+_BUFFERS = threading.local()
+_MAX_BUFFERED_SHAPES = 4
+
+
+def _dl_slot_buffers(layers: int, ports: int,
+                     subcarriers: int) -> _DlSlotBuffers:
+    """This thread's buffers for a DL slot shape, built by its first slot;
+    past ``_MAX_BUFFERED_SHAPES`` shapes the oldest is dropped."""
+    cache = vars(_BUFFERS).setdefault("by_shape", {})
+    key = (layers, ports, subcarriers)
+    if key not in cache:
+        if len(cache) >= _MAX_BUFFERED_SHAPES:
+            del cache[next(iter(cache))]
+        cache[key] = _DlSlotBuffers(*key)
+    return cache[key]
 
 
 @dataclass
@@ -149,19 +252,32 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
                 weights: np.ndarray | None = None,
                 slot_id: int = 0) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
-    """Encode, synthetic-modulate and precode one downlink slot."""
+    """Encode one downlink slot, map what it encoded onto the layer grid
+    (the rule is in the module docstring) and precode that grid onto the
+    cell's ``tx_antennas`` ports."""
     kind = tdd_slot_kind(slot_id, cfg.tdd_pattern)
     if kind not in ("D", "S"):
         raise InvalidConfigError(f"slot {slot_id} is {kind}, not a DL slot")
-    request = SlotCodingRequest(jobs=list(jobs), symbols=cfg.symbols,
+    jobs = list(jobs)
+    for job in jobs:
+        if job.layers > cfg.tx_antennas:
+            raise InvalidConfigError(
+                f"job ue={job.ue_id}: {job.layers} layers exceed "
+                f"{cfg.tx_antennas} antennas")
+        scrambling_init(job.ue_id)      # an RNTI has 16 bits
+    if sum(j.prb_share for j in jobs) > cfg.prbs:
+        raise InvalidConfigError(
+            f"PRB shares exceed the cell's {cfg.prbs} PRBs")
+    request = SlotCodingRequest(jobs=jobs, symbols=cfg.symbols,
                                 overhead=cfg.overhead)
     coding = encode_slot(request, executor)
-    n_layers = max(j.layers for j in request.jobs)
-    grid = layer_grid(cfg, n_layers, seed=slot_id)
+    n_layers = max(j.layers for j in jobs)
     if weights is None:
         weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
+    buffers = _dl_slot_buffers(n_layers, cfg.tx_antennas, cfg.subcarriers)
+    buffers.map_jobs(cfg, jobs, coding)
     t0 = time.perf_counter()
-    precode_and_map(grid, weights, mode=mode)
+    precode_and_map(buffers.layers, weights, mode=mode, out=buffers.ports)
     precode_us = (time.perf_counter() - t0) * 1e6
     rec = SlotTimingRecord(slot_id, kind,
                            *slot_timing(DL_SLOT_US, coding.total_elapsed_us),

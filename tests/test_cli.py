@@ -51,6 +51,8 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["calibrate", "--csv", "NAN_MEAN"],
     ["calibrate", "--csv", "INF_MEAN"],
     ["calibrate", "--csv", "ZERO_N_TB"],
+    # a direction other than encode and decode names no model
+    ["calibrate", "--csv", "SIDEWAYS"],
 ])
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
@@ -71,6 +73,10 @@ def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
             f"decode,per_tb,{bad if n == 3 else f'{n},{100 * n}'}\n"
             for n in range(1, 5)))
         files[name] = str(path)
+    sideways = tmp_path / "sideways.csv"
+    sideways.write_text("direction,generation,n_tb,mean_us\n" + "".join(
+        f"sideways,per_tb,{n},{100 * n}\n" for n in range(1, 5)))
+    files["SIDEWAYS"] = str(sideways)
     argv = [files.get(a, a) for a in argv]
     assert cli_main(argv) == EXIT_USAGE
 

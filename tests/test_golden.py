@@ -5,7 +5,9 @@ Each emulator case runs one command through ``cli_main`` and compares the
 sha256 of what it prints. A change to any grant, contention spike or
 completion order changes a digest. Each DL case hashes the rate-matched
 streams of a seeded transport block; the coding chain must keep those
-bit-identical. Each UL case hashes what seeded noisy transmissions of one
+bit-identical. The DL port-grid case hashes the grid a seeded phy-test
+slot precodes, which pins scrambling, modulation, layer and RE mapping.
+Each UL case hashes what seeded noisy transmissions of one
 transport block decode to, so any change to the decoder's arithmetic or
 schedule shows. When an output is meant to change, regenerate its digest
 by taking the printed digest from the failure message
@@ -16,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from vranphy import highphy
 from vranphy.backends import SoftwareBackend
 from vranphy.cli import cli_main
 from vranphy.deployment.harness import PhyTestTraffic
@@ -139,6 +142,35 @@ def test_two_tb_slot_streams_match_their_recorded_digest(generation):
         backend.allocator.open_queue(0, device=backend))
     streams = [s for jr in result.job_results for s in jr.streams]
     assert _streams_digest(streams) == SLOT_DIGEST
+
+
+# sha256 of the port grid (complex128, ports x symbols x subcarriers) that
+# run_dl_slot precodes for a seeded phy-test TB of RNTI 3. The default
+# identity weights make every product exact, so no machine rounds it
+# differently.
+PORT_GRID_DIGEST = (
+        "a33fcdc965b84337d84e094e7c836f45b5c775745ec9984996902d73a20dbea1")
+
+
+def test_dl_port_grid_matches_its_recorded_digest(monkeypatch):
+    grids = []
+    real = highphy.precode_and_map
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        grids.append(hashlib.sha256(result.data.tobytes()).hexdigest())
+        return result
+
+    monkeypatch.setattr(highphy, "precode_and_map", spy)
+    t = PhyTestTraffic()
+    tbs, *_ = _phy_test_dl()
+    job = TransportBlockJob(
+        ue_id=3, payload=_payload(tbs, 9), mcs_index=t.dl_mcs,
+        mcs_table=t.dl_table, layers=t.dl_layers, prb_share=t.prbs)
+    backend = SoftwareBackend()
+    highphy.run_dl_slot(highphy.CellConfig(overhead=t.overhead), [job],
+                        backend.allocator.open_queue(0, device=backend))
+    assert grids == [PORT_GRID_DIGEST], grids
 
 
 # sha256 of UL decodes at the phy-test shape (36 BG1 CBs): each

@@ -108,6 +108,13 @@ def test_an_observation_out_of_range_is_rejected(n_tb, us):
         calibrate_model(obs)
 
 
+def test_a_direction_other_than_encode_or_decode_is_rejected():
+    obs = [(d, "per_tb", n, 100.0 * n) for d in ("decode", "sideways")
+           for n in range(1, 5)]
+    with pytest.raises(CalibrationError, match="sideways"):
+        calibrate_per_generation(obs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 6), st.data())
 def test_nnls_meets_the_kkt_conditions(m, n, data):

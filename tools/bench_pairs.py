@@ -3,19 +3,23 @@
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 10 \
         --workload ul_harq_awgn --out BENCH.json
 
-Run from anywhere inside the repository. ``--base`` is checked out into a
-temporary git worktree, removed again on exit, error or interrupt
-included. Pair ``i`` runs ``perfbench/run.py --trace 0`` once in each tree
-with seed ``--first-seed + i``; the tree that runs first alternates from
-pair to pair, so a drift of the machine's speed favours neither. Each tree
-runs its own ``perfbench`` on its own ``src``, one run at a time.
+Run from anywhere inside the repository. ``--base`` is exported (``git
+archive``) into a temporary directory, removed again on exit, error or
+interrupt included. Pair ``i`` runs ``perfbench/run.py --trace 0`` once in
+each tree with seed ``--first-seed + i``; the tree that runs first
+alternates from pair to pair, so a drift of the machine's speed favours
+neither. Each tree runs its own ``perfbench`` on its own ``src``, one run
+at a time.
 
 The JSON written to ``--out`` names the machine (CPU model, ``nproc``,
 Python and numpy versions), both commits, the seeds and the pair count.
 For every workload and every end-to-end metric of ``BENCHMARK.json`` it
 holds each tree's median, p90 and quartiles, and the number of pairs in
 which the change was better; each run's metrics, quality metrics and
-failed-step count are kept too. ``--workload`` may be given several times.
+failed-step count are kept too, with the minor page faults and maximum
+resident set size of the run's process tree (its timed set-ups included),
+and each tree's median of both, so that effects of heap layout show.
+``--workload`` may be given several times.
 """
 from __future__ import annotations
 
@@ -57,17 +61,33 @@ def machine() -> dict:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``tree``: its end-to-end metrics,
-    quality metrics and step counts."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    lines = out.stdout.strip().splitlines()
+    quality metrics, step counts and resource usage.
+
+    The usage is what ``getrusage(RUSAGE_CHILDREN)`` adds for this one
+    child, read with ``os.wait4``: a difference of ``RUSAGE_CHILDREN``
+    around the run would do for the fault count, but its ``ru_maxrss`` is
+    the largest of every child waited for so far."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=tree, stdout=out, stderr=err,
+                                text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv, stdout,
+                                            stderr)
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     detail = json.loads(lines[-2])["detail"]
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "quality": detail["quality"], "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"]}
+            "attempted": result["attempted"], "failed": result["failed"],
+            "minflt": usage.ru_minflt, "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
@@ -89,6 +109,13 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
                      "change_won": sum(sign * (c - b) < 0 for b, c in zip(
                          trees["base"], trees["change"]))}
     return out
+
+
+def rusage_summary(runs: list[dict]) -> dict:
+    """Each tree's median minor page faults and maximum RSS per run."""
+    return {tree: {key: statistics.median(r[tree][key] for r in runs)
+                   for key in ("minflt", "maxrss_mb")}
+            for tree in ("base", "change")}
 
 
 def _stop(signum, frame):
@@ -127,7 +154,12 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base_tree = scratch / "base"
     try:
-        _git("worktree", "add", "--detach", str(base_tree), base_commit)
+        base_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", base_commit], check=True,
+            capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
+                       check=True)
         trees = {"base": base_tree, "change": ROOT}
         for workload in args.workload:
             runs = []
@@ -143,13 +175,10 @@ def main(argv=None) -> int:
                     f"{t} {pair[t]['metrics']['ms_per_op']:.2f} ms"
                     for t in ("base", "change")), file=sys.stderr)
             doc["workloads"][workload] = {
-                "metrics": summary(runs, spec["end_to_end"]), "runs": runs}
+                "metrics": summary(runs, spec["end_to_end"]),
+                "rusage": rusage_summary(runs), "runs": runs}
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                        "--force", str(base_tree)], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"],
-                       capture_output=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
