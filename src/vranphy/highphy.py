@@ -22,12 +22,14 @@ own layers. Jobs take PRBs in request order: job j holds PRBs
 numbered frequency-first (subcarrier, then symbol); the first
 ``overhead * prb_share`` are reserved, the job's symbols fill those after
 them, and every RE no symbol reaches stays 0, as do the layers beyond the
-job's own. The layer grid and port grid are built once per slot shape and
-reused by every later slot of that shape in the same thread; the bits and
-symbols on the way to them pass through the same memory.
+job's own. Each slot runs in one complex128 grid of ``tx_antennas`` rows,
+built by the first slot of its shape in a thread and reused by the later
+ones: a job's bits pass through its memory on their way to the symbol
+values, the layer grid is its first rows, and precoding writes the port
+grid over it.
 
-Precoding accumulates over layers in a fixed order, one whole-grid
-multiply-add per (port, layer) whose weight is not zero. A zero weight
+Precoding accumulates over layers in a fixed order, one multiply-add per
+OFDM symbol and (port, layer) whose weight is not zero. A zero weight
 would add +-0 to a sum that starts at +0 and so is never -0, which changes
 no bit; under the identity weights ``run_dl_slot`` defaults to, each port
 takes one term. The result equals a per-element loop over every layer in the
@@ -140,7 +142,8 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
                     out: np.ndarray | None = None) -> ResourceGrid:
     """Per-port combination out[p] = sum_l w[p, l] * in[l], mapped onto the
     port grid; written into ``out`` (a complex128 array of the port grid's
-    shape that shares no memory with ``layers``) when given."""
+    shape) when given. ``out`` may hold ``layers`` itself: each OFDM
+    symbol is precoded from a copy of that symbol's layers."""
     if mode is not PrecodeMode.VECTOR:
         raise InvalidConfigError(f"unknown mode {mode!r}")
     w = np.asarray(weights, dtype=np.complex128)
@@ -148,92 +151,95 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise InvalidConfigError(
             f"weights {w.shape} do not match {x.shape[0]} layers")
-    ports = w.shape[0]
-    shape = (ports, *x.shape[1:])
+    shape = (w.shape[0], *x.shape[1:])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128:
         raise InvalidConfigError(
             f"out {out.dtype}{out.shape} is not a complex128 {shape} grid")
-    term = np.empty(x.shape[1:], dtype=np.complex128)
-    for p in range(ports):
-        out[p] = 0
-        for l in np.flatnonzero(w[p]):
-            np.multiply(w[p, l], x[l], out=term)
-            out[p] += term
+    terms = [(p, np.flatnonzero(row)) for p, row in enumerate(w)]
+    symbol = np.empty((x.shape[0], x.shape[2]), dtype=np.complex128)
+    term = np.empty(x.shape[2], dtype=np.complex128)
+    for s in range(x.shape[1]):
+        np.copyto(symbol, x[:, s])
+        for p, nonzero in terms:
+            acc = out[p, s]
+            acc.fill(0)
+            for l in nonzero:
+                np.multiply(w[p, l], symbol[l], out=term)
+                acc += term
     return ResourceGrid(out)
 
 
 class _DlSlotBuffers:
-    """The layer grid and port grid of one DL slot shape, at most as many
-    layers as ports. A slot has at most one symbol per RE of the layer
-    grid, so before precoding the port grid holds the slot's symbols; and
-    before RE mapping the layer grid holds one job's bits (a byte each, at
-    most 8 per symbol), then, once packed, its symbol indices."""
+    """The grid of one DL slot shape (ports, symbols, subcarriers) and room
+    for the Qm-bit group values of as many symbols as its layers can hold.
+    A job's bits (a byte each, at most 8 per symbol) fit in the grid's
+    memory before any symbol is mapped into it."""
 
-    def __init__(self, layers: int, ports: int, subcarriers: int):
-        grid = (SYMBOLS_PER_SLOT, subcarriers)
-        self.layers = ResourceGrid(np.zeros((layers, *grid),
-                                            dtype=np.complex128))
-        self.ports = np.zeros((ports, *grid), dtype=np.complex128)
+    def __init__(self, ports: int, subcarriers: int):
+        self.shape = (ports, subcarriers)
+        self.grid = np.zeros((ports, SYMBOLS_PER_SLOT, subcarriers),
+                             dtype=np.complex128)
+        self.indices = np.empty(self.grid.size, dtype=np.uint8)
+        self._layer_grids: dict[int, ResourceGrid] = {}
+
+    def layer_grid(self, layers: int) -> ResourceGrid:
+        """The first ``layers`` rows of the grid."""
+        if layers not in self._layer_grids:
+            self._layer_grids[layers] = ResourceGrid(self.grid[:layers])
+        return self._layer_grids[layers]
 
     def map_jobs(self, cfg: CellConfig, jobs: list,
                  coding: SlotCodingResult) -> None:
         """Scramble, modulate, layer-map and RE-map each job's encoded
-        streams onto the layer grid (the rule is in the module
-        docstring)."""
-        grid = self.layers.data
-        scratch = grid.reshape(-1).view(np.uint8)
-        free = self.ports.reshape(-1)
-        symbols = []
+        streams onto the grid (the rule is in the module docstring)."""
+        scratch = self.grid.reshape(-1).view(np.uint8)
+        free = self.indices
+        values = []
         for job, result in zip(jobs, coding.job_results):
             qm, _ = mcs_params(job.mcs_index, job.mcs_table)
             bits = scratch[:sum(s.size for s in result.streams)]
             np.concatenate(result.streams, out=bits)
             packed = scramble(bits, scrambling_init(job.ue_id))
             count = bits.size // qm
-            idx = symbol_indices(packed, qm, count, out=scratch.view(np.intp))
-            symbols.append(modulate(idx, qm, out=free[:count]))
+            values.append((qm, symbol_indices(packed, qm, count, out=free)))
             free = free[count:]
-        grid.fill(0)
+        self.grid.fill(0)
         first_symbol = SYMBOLS_PER_SLOT - cfg.symbols
         prb = 0
-        for job, d in zip(jobs, symbols):
+        for job, (qm, idx) in zip(jobs, values):
             sc = SUBCARRIERS_PER_PRB * prb
             prb += job.prb_share
-            _map_region(grid[:job.layers, first_symbol:,
-                             sc:SUBCARRIERS_PER_PRB * prb],
-                        layer_map(d, job.layers),
+            _map_region(self.grid[:job.layers, first_symbol:,
+                                  sc:SUBCARRIERS_PER_PRB * prb],
+                        layer_map(idx, job.layers), qm,
                         cfg.overhead * job.prb_share)
 
 
-def _map_region(region: np.ndarray, x: np.ndarray, start: int) -> None:
-    """Write the layer-mapped symbols ``x`` (layers, M) onto REs
-    start .. start + M of ``region`` (layers, symbols, subcarriers),
-    numbered frequency-first."""
+def _map_region(region: np.ndarray, x: np.ndarray, qm: int,
+                start: int) -> None:
+    """Modulate the layer-mapped Qm-bit group values ``x`` (layers, M)
+    onto REs start .. start + M of ``region`` (layers, symbols,
+    subcarriers), numbered frequency-first."""
     width = region.shape[2]
     end = start + x.shape[1]
     for row in range(start // width, -(-end // width)):
         lo, hi = max(start, row * width), min(end, (row + 1) * width)
-        region[:, row, lo - row * width:hi - row * width] = \
-            x[:, lo - start:hi - start]
+        for v in range(x.shape[0]):
+            modulate(x[v, lo - start:hi - start], qm,
+                     out=region[v, row, lo - row * width:hi - row * width])
 
 
 _BUFFERS = threading.local()
-_MAX_BUFFERED_SHAPES = 4
 
 
-def _dl_slot_buffers(layers: int, ports: int,
-                     subcarriers: int) -> _DlSlotBuffers:
-    """This thread's buffers for a DL slot shape, built by its first slot;
-    past ``_MAX_BUFFERED_SHAPES`` shapes the oldest is dropped."""
-    cache = vars(_BUFFERS).setdefault("by_shape", {})
-    key = (layers, ports, subcarriers)
-    if key not in cache:
-        if len(cache) >= _MAX_BUFFERED_SHAPES:
-            del cache[next(iter(cache))]
-        cache[key] = _DlSlotBuffers(*key)
-    return cache[key]
+def _dl_slot_buffers(ports: int, subcarriers: int) -> _DlSlotBuffers:
+    """This thread's buffers, built again when the slot shape changes."""
+    buffers = getattr(_BUFFERS, "dl", None)
+    if buffers is None or buffers.shape != (ports, subcarriers):
+        buffers = _BUFFERS.dl = _DlSlotBuffers(ports, subcarriers)
+    return buffers
 
 
 @dataclass
@@ -274,10 +280,11 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
     n_layers = max(j.layers for j in jobs)
     if weights is None:
         weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
-    buffers = _dl_slot_buffers(n_layers, cfg.tx_antennas, cfg.subcarriers)
+    buffers = _dl_slot_buffers(cfg.tx_antennas, cfg.subcarriers)
     buffers.map_jobs(cfg, jobs, coding)
+    layers = buffers.layer_grid(n_layers)
     t0 = time.perf_counter()
-    precode_and_map(buffers.layers, weights, mode=mode, out=buffers.ports)
+    precode_and_map(layers, weights, mode=mode, out=buffers.grid)
     precode_us = (time.perf_counter() - t0) * 1e6
     rec = SlotTimingRecord(slot_id, kind,
                            *slot_timing(DL_SLOT_US, coding.total_elapsed_us),

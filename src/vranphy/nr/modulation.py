@@ -8,6 +8,7 @@ group of Qm bits, b(0) most significant, is the index of its symbol.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
 
@@ -53,20 +54,37 @@ def _m_sequence(init, taps: tuple[int, ...], length: int) -> np.ndarray:
     return s[:length]
 
 
-@lru_cache(maxsize=8)
+_SEQUENCES: OrderedDict[int, np.ndarray] = OrderedDict()
+_KEPT_SEQUENCES = 8
+
+
 def gold_sequence(c_init: int, length: int) -> np.ndarray:
     """The first ``length`` bits of c(n) = x1(n+Nc) + x2(n+Nc) mod 2
-    (5.2.1) for ``c_init``, packed, as a read-only array shared by every
-    caller with the same arguments."""
+    (5.2.1) for ``c_init``, packed, as a read-only view; the bits that pad
+    the last byte are those of c(length), c(length + 1), ....
+
+    The sequence of a length is a prefix of that of any longer one, so the
+    longest sequence made for each of the last ``_KEPT_SEQUENCES`` c_init
+    values asked for is kept and a shorter request reads a prefix of it.
+    Only a new c_init or a longer request generates bits, so a DL slot
+    generates none when each of its RNTIs is among the last
+    ``_KEPT_SEQUENCES`` scrambled and no longer a TB than before."""
     if not 0 <= c_init < 1 << 31:
         raise InvalidConfigError(f"c_init {c_init} outside 0..2^31-1")
     if length < 0:
         raise InvalidConfigError("sequence length must be >= 0")
-    x1 = _m_sequence(_X1_INIT, (3,), NC + length)
-    x2 = _m_sequence((c_init >> np.arange(31)) & 1, (1, 2, 3), NC + length)
-    c = np.packbits(x1[NC:] ^ x2[NC:])
-    c.flags.writeable = False
-    return c
+    size = -(-length // 8)
+    kept = _SEQUENCES.pop(c_init, None)
+    if kept is None or kept.size < size:
+        x1 = _m_sequence(_X1_INIT, (3,), NC + 8 * size)
+        x2 = _m_sequence((c_init >> np.arange(31)) & 1, (1, 2, 3),
+                         NC + 8 * size)
+        kept = np.packbits(x1[NC:] ^ x2[NC:])
+        kept.flags.writeable = False
+    _SEQUENCES[c_init] = kept
+    if len(_SEQUENCES) > _KEPT_SEQUENCES:
+        _SEQUENCES.popitem(last=False)
+    return kept[:size]
 
 
 def scramble(bits: np.ndarray, c_init: int) -> np.ndarray:
@@ -80,7 +98,8 @@ def scramble(bits: np.ndarray, c_init: int) -> np.ndarray:
 def symbol_indices(packed: np.ndarray, qm: int, count: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Value of each of the first ``count`` Qm-bit groups of the packed
-    bits, written into ``out`` (an intp array) when given."""
+    bits, written into ``out`` (an integer array) when given, else into a
+    new uint8 array."""
     if qm not in QM:
         raise InvalidConfigError(f"Qm must be one of {QM}, got {qm}")
     if packed.size * 8 < count * qm:
@@ -88,20 +107,27 @@ def symbol_indices(packed: np.ndarray, qm: int, count: int,
             f"{packed.size} bytes hold fewer than {count} {qm}-bit groups")
     per = qm // gcd(qm, 8)        # bytes of a run of whole groups: 1 or 3
     k = 8 * per // qm             # groups in a run: 4, 2, 4 or 1
-    runs = -(-count // k)
-    if per == 1:
-        word = packed[:runs]
-    else:
-        run_bytes = np.zeros(runs * per, dtype=np.intp)
-        take = min(run_bytes.size, packed.size)
-        run_bytes[:take] = packed[:take]
-        word = run_bytes.reshape(runs, per) @ (
-            1 << 8 * np.arange(per - 1, -1, -1))
-    idx = np.empty(count, dtype=np.intp) if out is None else out[:count]
+    full = count // k             # runs whose groups are all wanted
+    mask = (1 << qm) - 1
+    idx = np.empty(count, dtype=np.uint8) if out is None else out[:count]
     for j in range(k):
-        col = idx[j::k]
-        np.right_shift(word[:col.size], 8 * per - qm * (j + 1), out=col)
-    np.bitwise_and(idx, (1 << qm) - 1, out=idx)
+        # group j of a run: its bits end `spill` bits into the byte after
+        # byte `first` of the run (spill <= 0: they end inside it)
+        first, bit = divmod(qm * j, 8)
+        spill = bit + qm - 8
+        col = idx[j:full * k:k]
+        head = packed[first:per * full:per]
+        if spill <= 0:
+            np.right_shift(head, -spill, out=col)
+        else:
+            np.left_shift(head, spill, out=col)
+            col |= packed[first + 1:per * full:per] >> 8 - spill
+    if count > full * k:
+        word = int.from_bytes(packed[per * full:per * (full + 1)].tobytes()
+                              .ljust(per, b"\0"), "big")
+        idx[full * k:] = [word >> 8 * per - qm * (j + 1) & mask
+                          for j in range(count - full * k)]
+    np.bitwise_and(idx, mask, out=idx)
     return idx
 
 

@@ -115,6 +115,19 @@ def test_precoding_writes_into_out(rng):
     assert np.array_equal(out, precode_and_map(grid, w).data)
 
 
+def test_precoding_in_place_matches_a_separate_output(rng):
+    """An ``out`` whose first rows are the layer grid gets the bytes a
+    separate output gets."""
+    x = rng.standard_normal((2, SYMBOLS_PER_SLOT, 24)) \
+        + 1j * rng.standard_normal((2, SYMBOLS_PER_SLOT, 24))
+    w = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    expected = precode_and_map(ResourceGrid(x), w).data
+    out = np.full((3, SYMBOLS_PER_SLOT, 24), np.nan, dtype=complex)
+    out[:2] = x
+    precode_and_map(ResourceGrid(out[:2]), w, out=out)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_grid_rejects_non_finite_values():
     with pytest.raises(InvalidConfigError):
         ResourceGrid(np.full((1, 1, 1), np.nan))
@@ -206,8 +219,9 @@ def precoded(monkeypatch):
     real = highphy.precode_and_map
 
     def spy(layers, weights, mode=PrecodeMode.VECTOR, out=None):
+        before = layers.data.copy()      # the port grid may overwrite it
         result = real(layers, weights, mode=mode, out=out)
-        calls.append((layers.data.copy(), result.data.copy()))
+        calls.append((before, result.data.copy()))
         return result
 
     monkeypatch.setattr(highphy, "precode_and_map", spy)

@@ -29,8 +29,17 @@ def test_gold_sequence_matches_the_scalar_recurrence(c_init, length):
 
 
 def test_gold_sequence_is_shared_read_only():
-    c = gold_sequence(5, 100)
-    assert c is gold_sequence(5, 100) and not c.flags.writeable
+    """A request no longer than one made before for the same c_init reads
+    a prefix of the kept sequence; a longer one generates a new one."""
+    c_init = 12321
+    kept = gold_sequence(c_init, 100)
+    prefix = gold_sequence(c_init, 37)
+    assert prefix.size == 5 and np.shares_memory(prefix, kept)
+    assert not prefix.flags.writeable and not kept.flags.writeable
+    longer = gold_sequence(c_init, 200)
+    assert not np.shares_memory(longer, kept)
+    assert np.array_equal(longer[:kept.size], kept)
+    assert np.shares_memory(gold_sequence(c_init, 100), longer)
 
 
 @pytest.mark.parametrize("c_init, length", [(-1, 8), (2**31, 8), (0, -1)])
@@ -83,10 +92,11 @@ def test_symbol_indices_read_each_group_most_significant_bit_first(
     expected = bits.reshape(count, qm) @ (1 << np.arange(qm - 1, -1, -1))
     packed = np.packbits(bits)
     assert np.array_equal(symbol_indices(packed, qm, count), expected)
-    out = np.full(count + 4, -1, dtype=np.intp)
-    symbol_indices(packed, qm, count, out=out)
-    assert np.array_equal(out[:count], expected)
-    assert (out[count:] == -1).all()
+    for dtype in (np.uint8, np.intp):
+        out = np.full(count + 4, 255, dtype=dtype)
+        symbol_indices(packed, qm, count, out=out)
+        assert np.array_equal(out[:count], expected)
+        assert (out[count:] == 255).all()
 
 
 def test_scrambling_is_an_xor_with_the_gold_sequence(rng):
