@@ -5,7 +5,9 @@
 
 Run from anywhere inside the repository. ``--base`` is exported (``git
 archive``) into a temporary directory, removed again on exit, error or
-interrupt included. Pair ``i`` runs ``perfbench/run.py --trace 0`` once in
+interrupt included. The export writes nothing into the repository: a
+``git worktree`` would be registered in its ``.git`` and stay registered
+after a run killed by a signal no ``finally`` sees (SIGKILL). Pair ``i`` runs ``perfbench/run.py --trace 0`` once in
 each tree with seed ``--first-seed + i``; the tree that runs first
 alternates from pair to pair, so a drift of the machine's speed favours
 neither. Each tree runs its own ``perfbench`` on its own ``src``, one run
