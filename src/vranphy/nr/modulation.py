@@ -8,6 +8,7 @@ group of Qm bits, b(0) most significant, is the index of its symbol.
 """
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 from math import gcd
@@ -55,6 +56,7 @@ def _m_sequence(init, taps: tuple[int, ...], length: int) -> np.ndarray:
 
 
 _SEQUENCES: OrderedDict[int, np.ndarray] = OrderedDict()
+_SEQUENCES_LOCK = threading.Lock()
 _KEPT_SEQUENCES = 8
 
 
@@ -74,16 +76,17 @@ def gold_sequence(c_init: int, length: int) -> np.ndarray:
     if length < 0:
         raise InvalidConfigError("sequence length must be >= 0")
     size = -(-length // 8)
-    kept = _SEQUENCES.pop(c_init, None)
-    if kept is None or kept.size < size:
-        x1 = _m_sequence(_X1_INIT, (3,), NC + 8 * size)
-        x2 = _m_sequence((c_init >> np.arange(31)) & 1, (1, 2, 3),
-                         NC + 8 * size)
-        kept = np.packbits(x1[NC:] ^ x2[NC:])
-        kept.flags.writeable = False
-    _SEQUENCES[c_init] = kept
-    if len(_SEQUENCES) > _KEPT_SEQUENCES:
-        _SEQUENCES.popitem(last=False)
+    with _SEQUENCES_LOCK:
+        kept = _SEQUENCES.pop(c_init, None)
+        if kept is None or kept.size < size:
+            x1 = _m_sequence(_X1_INIT, (3,), NC + 8 * size)
+            x2 = _m_sequence((c_init >> np.arange(31)) & 1, (1, 2, 3),
+                             NC + 8 * size)
+            kept = np.packbits(x1[NC:] ^ x2[NC:])
+            kept.flags.writeable = False
+        _SEQUENCES[c_init] = kept
+        if len(_SEQUENCES) > _KEPT_SEQUENCES:
+            _SEQUENCES.popitem(last=False)
     return kept[:size]
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,47 @@ def test_gold_sequence_is_shared_read_only():
     assert not np.shares_memory(longer, kept)
     assert np.array_equal(longer[:kept.size], kept)
     assert np.shares_memory(gold_sequence(c_init, 100), longer)
+
+
+def test_gold_sequence_keeps_the_last_8_c_init_values():
+    first = gold_sequence(777, 64)
+    for c_init in range(778, 785):
+        gold_sequence(c_init, 64)
+    assert np.shares_memory(gold_sequence(777, 64), first)
+    for c_init in range(778, 786):
+        gold_sequence(c_init, 64)
+    assert not np.shares_memory(gold_sequence(777, 64), first)
+
+
+def test_gold_sequence_is_right_under_concurrent_callers():
+    """More threads than cores ask for prefixes of 12 sequences, so entries
+    are evicted and regenerated while others read them."""
+    expected = {c: np.unpackbits(gold_sequence(c, 2048)).copy()
+                for c in range(900, 912)}
+    wrong = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            c_init = int(rng.integers(900, 912))
+            length = int(rng.integers(1, 2049))
+            got = np.unpackbits(gold_sequence(c_init, length), count=length)
+            if not np.array_equal(got, expected[c_init][:length]):
+                wrong.append((c_init, length))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("c_init, length", [(-1, 8), (2**31, 8), (0, -1)])
