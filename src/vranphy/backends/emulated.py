@@ -26,12 +26,21 @@ rated capacity sits well above the offered load. A heavy-tail delay is
 added to calls arriving while the device-wide outstanding count exceeds
 the server count, which is what turns instance sharing into latency
 spikes while leaving medians nearly unchanged.
+
+Random variates: each device owns one numpy stream of spike normals,
+consumed one per spiked call in submission order and drawn ``DRAW_BLOCK``
+values at a time (``block_draws``, which the deployment harness uses for
+its instances' streams too). A block holds exactly the values the same
+number of scalar calls would return, so the draw order alone fixes the
+outputs. Each call shape's base time is computed, and the shape checked,
+the first time the device sees it; ``submit`` reuses it after that.
 """
 from __future__ import annotations
 
 import functools
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,9 +53,17 @@ from .model import JitterSpec, ServiceTimeModel, calibrate_per_generation
 from .software import execute_descriptor
 
 OCCUPANCY_FRACTION = 0.25   # share of a call's base latency a server is held
+DRAW_BLOCK = 1024           # variates a stream draws per numpy call
 
 
-@dataclass
+def block_draws(draw):
+    """The values of successive scalar ``draw()`` calls, drawn a block at a
+    time: ``draw`` is a bound ``Generator`` method such as ``rng.random``."""
+    while True:
+        yield from draw(DRAW_BLOCK).tolist()
+
+
+@dataclass(slots=True)
 class CallRecord:
     direction: str
     generation: str
@@ -83,7 +100,9 @@ class EmulatedDevice:
     def __post_init__(self):
         self.allocator = QueueAllocator(self.device_id,
                                         self.capabilities.num_queues)
-        self._rng = np.random.default_rng(self.seed)
+        self._normals = block_draws(
+            np.random.default_rng(self.seed).standard_normal)
+        self._base_us: dict[tuple, float] = {}   # call shape -> base time
         self._seq = itertools.count()
         self.now_us = 0.0
         # events: (time, phase, seq, call); phase 0 = server release,
@@ -107,6 +126,10 @@ class EmulatedDevice:
 
     def base_service_us(self, direction: str, generation: str, n_tb: float,
                         n_cb: int, kbits: float) -> float:
+        if not all(math.isfinite(v) and v >= 0 for v in (n_tb, n_cb, kbits)):
+            raise InvalidConfigError(
+                f"{self.device_id}: a call's TB count, CB count and kbits "
+                f"must be finite and non-negative, not {(n_tb, n_cb, kbits)}")
         if n_cb == 0:
             return 0.0
         model = self.service_model(direction, generation)
@@ -116,18 +139,18 @@ class EmulatedDevice:
     def submit(self, arrival_us: float, direction: str, generation: str,
                n_tb: float, n_cb: int, kbits: float) -> CallRecord:
         """Add one call at the given virtual arrival time."""
-        if arrival_us < self.now_us - 1e-9:
+        if not arrival_us >= self.now_us - 1e-9:   # NaN fails too
             raise InvalidConfigError("arrivals must be non-decreasing")
+        shape = (direction, generation, n_tb, n_cb, kbits)
+        base_us = self._base_us.get(shape)
+        if base_us is None:
+            base_us = self._base_us[shape] = self.base_service_us(*shape)
         self.advance_to(arrival_us)
-        call = CallRecord(direction=direction, generation=generation,
-                          n_tb=n_tb, n_cb=n_cb, kbits=kbits,
-                          arrival_us=arrival_us)
-        call.seq = next(self._seq)
-        call.base_us = self.base_service_us(direction, generation, n_tb,
-                                            n_cb, kbits)
+        call = CallRecord(direction, generation, n_tb, n_cb, kbits,
+                          arrival_us, base_us, seq=next(self._seq))
         occupancy = self._outstanding + 1
         if self.spike.enabled and occupancy > self.parallel_servers:
-            draw = self._rng.standard_normal()
+            draw = next(self._normals)
             call.spike_us = float(
                 self.spike.scale_us * np.exp(self.spike.sigma * draw))
         self._waiting.append(call)
@@ -152,10 +175,12 @@ class EmulatedDevice:
         """Process events up to ``t_us``."""
         while self._events and self._events[0][0] <= t_us + 1e-9:
             when, phase, _, call = heapq.heappop(self._events)
-            self.now_us = max(self.now_us, when)
+            if when > self.now_us:
+                self.now_us = when
             if phase == 0:
                 self._servers_busy -= 1
-                self._try_start()
+                if self._waiting:
+                    self._try_start()
             else:
                 self._outstanding -= 1
                 self._completed.append(call)

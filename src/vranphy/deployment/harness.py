@@ -13,6 +13,12 @@ events land in a metrics bundle that serializes deterministically. Slot
 totals are derived, not stored: the deadline check and the bundle's
 ``ul_total``/``dl_total`` summaries both apply ``highphy.slot_timing`` to
 the coding samples.
+
+Each instance owns one uniform stream, drawn a block at a time
+(``emulated.block_draws``) and consumed in order: per slot its DL then its
+UL submission jitter, then one error draw per completed call, in
+completion order. A jitter is ``SUBMIT_JITTER_US * u``, which is bitwise
+``rng.uniform(0.0, SUBMIT_JITTER_US)``.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..backends.emulated import make_emulated
+from ..backends.emulated import block_draws, make_emulated
 from ..errors import InvalidConfigError
 from ..highphy import (DL_SLOT_US, TDD_PATTERN, TTI_US, UL_SLOT_US,
                        slot_timing, tdd_slot_kind)
@@ -249,8 +255,8 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     devices, unique_devices = _make_devices(config, n)
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]
     shapes = traffic_shapes(config.traffic)
-    rngs = [np.random.default_rng(np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(i,))) for i in range(n)]
+    uniforms = [block_draws(np.random.default_rng(np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(i,))).random) for i in range(n)]
 
     duration = config.duration_slots
     ul_streak = [0] * n
@@ -268,11 +274,11 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
             if metrics[i].failed:
                 continue
             if encode_ahead:
-                jitter = rngs[i].uniform(0.0, SUBMIT_JITTER_US)
+                jitter = SUBMIT_JITTER_US * next(uniforms[i])
                 out.append((t0 + DL_PREP_OFFSET_US + jitter, i, "dl",
                             target))
             if uplink:
-                jitter = rngs[i].uniform(0.0, SUBMIT_JITTER_US)
+                jitter = SUBMIT_JITTER_US * next(uniforms[i])
                 out.append((t0 + UL_PREP_OFFSET_US + jitter, i, "ul", slot))
         return out
 
@@ -281,7 +287,7 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         elapsed = call.elapsed_us
         if direction == "ul":
             m.ul_decode_us.append(elapsed)
-            ok = rngs[instance].random() >= config.traffic.ul_error_rate
+            ok = next(uniforms[instance]) >= config.traffic.ul_error_rate
             if ok:
                 m.delivered_ul_bits += shapes["ul"].tbs
             _, met = slot_timing(UL_SLOT_US, elapsed)
@@ -296,22 +302,22 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
                 ul_streak[instance] = 0
         else:
             m.dl_encode_us.append(elapsed)
-            ok = rngs[instance].random() >= config.traffic.dl_error_rate
+            ok = next(uniforms[instance]) >= config.traffic.dl_error_rate
             if ok:
                 m.delivered_dl_bits += shapes["dl"].tbs
             _, met = slot_timing(DL_SLOT_US, elapsed)
             if not met:
                 m.dl_deadline_misses += 1
 
+    # (op, generation, n_tb, n_cb, kbits) of each direction's one call
+    call_shapes = {d: ("decode" if d == "ul" else "encode", "per_slot", 1,
+                       s.n_cbs, s.kbits) for d, s in shapes.items()}
     calls_in_flight: dict[tuple[str, int], tuple[int, str, int]] = {}
     for slot in range(duration):
         wave = sorted(schedule(slot))
         for arrival, instance, direction, target in wave:
-            shape = shapes[direction]
             dev = devices[instance]
-            call = dev.submit(
-                arrival, "decode" if direction == "ul" else "encode",
-                "per_slot", 1, shape.n_cbs, shape.kbits)
+            call = dev.submit(arrival, *call_shapes[direction])
             calls_in_flight[(dev.device_id, call.seq)] = (instance,
                                                           direction, target)
         horizon = (slot + 1) * TTI_US

@@ -14,6 +14,7 @@ by taking the printed digest from the failure message
 (``pytest tests/test_golden.py``), and say why in the change log.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -56,6 +57,37 @@ def test_output_matches_its_recorded_digest(argv, capsys):
     cli_main(["--seed", "0", *argv])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[argv], f"{' '.join(argv)}: {digest}"
+
+
+# name -> (argv, --config document or None, digest). The first is the
+# benchmark's deployment; the second pins how each instance's error draws
+# interleave with its jitter draws on the instance's one stream. Both were
+# recorded while every random variate was still drawn by its own numpy
+# call, so drawing them a block at a time changes no draw.
+DEPLOY_GOLDEN = {
+    "ep_rfsoc_7x4000_seed3": (
+        ["--seed", "3", "--format", "json", "deploy", "--profile",
+         "ep-rfsoc", "--instances", "7", "--slots", "4000"], None,
+        "ff9dbac0328383956cc3a530af4fcb98a8c9405e57bc55745b6e6116ce9de8ec"),
+    "ep_rfsoc_3x2000_seed5_error_rates": (
+        ["--format", "json", "deploy"],
+        {"profile": "ep_rfsoc", "n_instances": 3, "duration_slots": 2000,
+         "seed": 5, "traffic": {"dl_error_rate": 0.1,
+                                "ul_error_rate": 0.2}},
+        "98d1084ea22d1afb3e1c5431465b771a1b6a6b0e0fcb073b972d921a2ead6441"),
+}
+
+
+@pytest.mark.parametrize("name", list(DEPLOY_GOLDEN))
+def test_deploy_matches_its_recorded_digest(name, capsys, tmp_path):
+    argv, config, expected = DEPLOY_GOLDEN[name]
+    if config is not None:
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    cli_main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == expected, f"{name}: {digest}"
 
 
 # sha256 of DL rate-matched streams (each CB's uint8 bits, in order): they
