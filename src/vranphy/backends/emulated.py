@@ -19,6 +19,18 @@ profile, 1 to 7 instances, seeds 0-9, 4 000 slots each, plus the
 interface bench on every device) no call ever arrived while its own queue
 was busy or held a waiting call, though the pool was full 947 times.
 
+The engine keeps two heaps: the time each server is next free
+(``_free``) and the calls in flight by ``(completion_us, seq)``. With
+FIFO grants, identical servers and non-decreasing arrivals, every earlier
+call already holds its server and no later call can overtake, so
+``submit`` fixes a call's start at once (J. Kiefer and J. Wolfowitz, "On
+the theory of queues with many servers", Trans. AMS 78, 1955): after
+advancing to the arrival it starts the call at the clock if the earliest
+server is free by ``arrival_us + 1e-9`` (so a server freed inside
+``(arrival_us, arrival_us + 1e-9]`` counts as free at the clock), else at
+that server's free time. The server is next free at ``min(start +
+OCCUPANCY_FRACTION * base, completion)``.
+
 Base call latencies come from the calibrated linear models; only
 ``OCCUPANCY_FRACTION`` of that latency holds a server (the rest is
 transfer/driver latency that does not consume the shared cores), so the
@@ -41,7 +53,6 @@ import functools
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +82,15 @@ class CallRecord:
     n_cb: int
     kbits: float
     arrival_us: float
-    base_us: float = 0.0
-    spike_us: float = 0.0
-    start_us: float | None = None
-    completion_us: float | None = None
-    seq: int = -1
+    base_us: float
+    spike_us: float
+    start_us: float
+    completion_us: float
+    seq: int
 
     @property
     def elapsed_us(self) -> float:
         return self.completion_us - self.arrival_us
-
-    @property
-    def service_us(self) -> float:
-        return self.base_us + self.spike_us
 
 
 @dataclass
@@ -98,6 +105,10 @@ class EmulatedDevice:
     seed: int = 0
 
     def __post_init__(self):
+        servers = self.parallel_servers
+        if type(servers) is not int or servers < 1:
+            raise InvalidConfigError(f"{self.device_id}: parallel_servers "
+                                     f"must be an int >= 1, not {servers!r}")
         self.allocator = QueueAllocator(self.device_id,
                                         self.capabilities.num_queues)
         self._normals = block_draws(
@@ -105,15 +116,9 @@ class EmulatedDevice:
         self._base_us: dict[tuple, float] = {}   # call shape -> base time
         self._seq = itertools.count()
         self.now_us = 0.0
-        # events: (time, phase, seq, call); phase 0 = server release,
-        # phase 1 = completion (result visible)
-        self._events: list[tuple[float, int, int, CallRecord]] = []
-        self._waiting: deque[CallRecord] = deque()
-        # events pop in (time, phase, seq) order and none is pushed before
-        # the clock, so this list is in (completion_us, seq) order
+        self._free = [0.0] * servers   # heap: when each server is next free
+        self._in_flight: list[tuple[float, int, CallRecord]] = []   # heap
         self._completed: list[CallRecord] = []
-        self._outstanding = 0
-        self._servers_busy = 0
 
     # -- service model ----------------------------------------------------
     def service_model(self, direction: str, generation: str
@@ -138,7 +143,7 @@ class EmulatedDevice:
     # -- event engine ------------------------------------------------------
     def submit(self, arrival_us: float, direction: str, generation: str,
                n_tb: float, n_cb: int, kbits: float) -> CallRecord:
-        """Add one call at the given virtual arrival time."""
+        """Add one call at the given virtual arrival time and grant it."""
         if not arrival_us >= self.now_us - 1e-9:   # NaN fails too
             raise InvalidConfigError("arrivals must be non-decreasing")
         shape = (direction, generation, n_tb, n_cb, kbits)
@@ -146,44 +151,30 @@ class EmulatedDevice:
         if base_us is None:
             base_us = self._base_us[shape] = self.base_service_us(*shape)
         self.advance_to(arrival_us)
+        spike_us = 0.0
+        if len(self._in_flight) >= self.parallel_servers and \
+                self.spike.enabled:
+            spike_us = float(self.spike.scale_us * np.exp(
+                self.spike.sigma * next(self._normals)))
+        free_us = self._free[0]
+        start = self.now_us if free_us <= arrival_us + 1e-9 else free_us
+        completion = start + (base_us + spike_us)
         call = CallRecord(direction, generation, n_tb, n_cb, kbits,
-                          arrival_us, base_us, seq=next(self._seq))
-        occupancy = self._outstanding + 1
-        if self.spike.enabled and occupancy > self.parallel_servers:
-            draw = next(self._normals)
-            call.spike_us = float(
-                self.spike.scale_us * np.exp(self.spike.sigma * draw))
-        self._waiting.append(call)
-        self._outstanding += 1
-        self._try_start()
+                          arrival_us, base_us, spike_us, start, completion,
+                          next(self._seq))
+        heapq.heapreplace(self._free, min(
+            start + OCCUPANCY_FRACTION * base_us, completion))
+        heapq.heappush(self._in_flight, (completion, call.seq, call))
         return call
 
-    def _try_start(self) -> None:
-        """Grant free servers to the oldest waiting calls at the clock."""
-        while self._waiting and self._servers_busy < self.parallel_servers:
-            call = self._waiting.popleft()
-            call.start_us = self.now_us
-            call.completion_us = call.start_us + call.service_us
-            release = min(call.start_us + OCCUPANCY_FRACTION * call.base_us,
-                          call.completion_us)
-            self._servers_busy += 1
-            heapq.heappush(self._events, (release, 0, call.seq, call))
-            heapq.heappush(self._events,
-                           (call.completion_us, 1, call.seq, call))
-
     def advance_to(self, t_us: float) -> None:
-        """Process events up to ``t_us``."""
-        while self._events and self._events[0][0] <= t_us + 1e-9:
-            when, phase, _, call = heapq.heappop(self._events)
+        """Complete the calls that finish by ``t_us`` and move the clock."""
+        in_flight = self._in_flight
+        while in_flight and in_flight[0][0] <= t_us + 1e-9:
+            when, _, call = heapq.heappop(in_flight)
             if when > self.now_us:
                 self.now_us = when
-            if phase == 0:
-                self._servers_busy -= 1
-                if self._waiting:
-                    self._try_start()
-            else:
-                self._outstanding -= 1
-                self._completed.append(call)
+            self._completed.append(call)
         self.now_us = max(self.now_us, t_us)
 
     def drain(self) -> None:

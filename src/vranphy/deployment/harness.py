@@ -2,17 +2,18 @@
 
 Drives the DDDSU traffic of N gNB instances against one shared emulated
 coding device, entirely in virtual time. Each instance submits one encode
-call per prepared downlink slot and one decode call per uplink slot, and
-the device serves every instance's calls from its one FIFO server pool;
-no queue index enters the timing. Downlink encodes are prepared one slot
-ahead; uplink decodes follow the front stages of their slot, so encode
-and decode service windows overlap inside uplink slots and sharing shows
-up as occasional occupancy spikes rather than a median shift. Per-slot
-coding times, deadline accounting, delivered goodput and instance-failure
-events land in a metrics bundle that serializes deterministically. Slot
-totals are derived, not stored: the deadline check and the bundle's
-``ul_total``/``dl_total`` summaries both apply ``highphy.slot_timing`` to
-the coding samples.
+call per prepared downlink slot and one decode call per uplink slot; the
+device serves every instance's calls from its one FIFO server pool and
+fixes each call's start and completion as it is submitted, and at each
+slot's end the harness accounts the calls completed by then. Downlink
+encodes are prepared one slot ahead; uplink decodes follow the front
+stages of their slot, so encode and decode service windows overlap inside
+uplink slots and sharing shows up as occasional occupancy spikes rather
+than a median shift. Per-slot coding times, deadline accounting,
+delivered goodput and instance-failure events land in a metrics bundle
+that serializes deterministically. Slot totals are derived, not stored:
+the deadline check and the bundle's ``ul_total``/``dl_total`` summaries
+both apply ``highphy.slot_timing`` to the coding samples.
 
 Each instance owns one uniform stream, drawn a block at a time
 (``emulated.block_draws``) and consumed in order: per slot its DL then its
@@ -247,6 +248,11 @@ def _make_devices(config: DeploymentConfig, n: int):
     return devices, devices
 
 
+# the kind of each slot of one TDD period, checked once
+_SLOT_KINDS = tuple(tdd_slot_kind(k, TDD_PATTERN)
+                    for k in range(len(TDD_PATTERN)))
+
+
 def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     """Drive the configured instances for the configured slot count."""
     # the instances must fit the profile's cores (CapacityError otherwise)
@@ -257,6 +263,12 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     shapes = traffic_shapes(config.traffic)
     uniforms = [block_draws(np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(i,))).random) for i in range(n)]
+    ul, dl = shapes["ul"], shapes["dl"]
+    ul_tbs, ul_error = ul.tbs, config.traffic.ul_error_rate
+    dl_tbs, dl_error = dl.tbs, config.traffic.dl_error_rate
+    # (op, generation, n_tb, n_cb, kbits) of each direction's one call
+    ul_call = ("decode", "per_slot", 1, ul.n_cbs, ul.kbits)
+    dl_call = ("encode", "per_slot", 1, dl.n_cbs, dl.kbits)
 
     duration = config.duration_slots
     ul_streak = [0] * n
@@ -265,11 +277,11 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         """(arrival_us, instance, direction, traffic_slot) for one slot."""
         out = []
         t0 = slot * TTI_US
-        uplink = tdd_slot_kind(slot, TDD_PATTERN) == "U"
+        uplink = _SLOT_KINDS[slot % len(_SLOT_KINDS)] == "U"
         # encode prepared ahead for the D slot this one points at
         target = slot + ENCODE_LOOKAHEAD_SLOTS
         encode_ahead = target < duration and \
-            tdd_slot_kind(target, TDD_PATTERN) == "D"
+            _SLOT_KINDS[target % len(_SLOT_KINDS)] == "D"
         for i in range(n):
             if metrics[i].failed:
                 continue
@@ -287,9 +299,8 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         elapsed = call.elapsed_us
         if direction == "ul":
             m.ul_decode_us.append(elapsed)
-            ok = next(uniforms[instance]) >= config.traffic.ul_error_rate
-            if ok:
-                m.delivered_ul_bits += shapes["ul"].tbs
+            if next(uniforms[instance]) >= ul_error:
+                m.delivered_ul_bits += ul_tbs
             _, met = slot_timing(UL_SLOT_US, elapsed)
             if not met:
                 m.ul_deadline_misses += 1
@@ -302,22 +313,19 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
                 ul_streak[instance] = 0
         else:
             m.dl_encode_us.append(elapsed)
-            ok = next(uniforms[instance]) >= config.traffic.dl_error_rate
-            if ok:
-                m.delivered_dl_bits += shapes["dl"].tbs
+            if next(uniforms[instance]) >= dl_error:
+                m.delivered_dl_bits += dl_tbs
             _, met = slot_timing(DL_SLOT_US, elapsed)
             if not met:
                 m.dl_deadline_misses += 1
 
-    # (op, generation, n_tb, n_cb, kbits) of each direction's one call
-    call_shapes = {d: ("decode" if d == "ul" else "encode", "per_slot", 1,
-                       s.n_cbs, s.kbits) for d, s in shapes.items()}
     calls_in_flight: dict[tuple[str, int], tuple[int, str, int]] = {}
     for slot in range(duration):
         wave = sorted(schedule(slot))
         for arrival, instance, direction, target in wave:
             dev = devices[instance]
-            call = dev.submit(arrival, *call_shapes[direction])
+            call = dev.submit(arrival,
+                              *(ul_call if direction == "ul" else dl_call))
             calls_in_flight[(dev.device_id, call.seq)] = (instance,
                                                           direction, target)
         horizon = (slot + 1) * TTI_US
@@ -348,13 +356,9 @@ def expected_slot_counts(duration_slots: int) -> dict[str, int]:
     The first downlink slot has no lookahead window to be prepared in, so
     the encoded-slot count can be one short of the raw D-slot count.
     """
-    d_encoded = sum(
-        1 for k in range(duration_slots)
-        if tdd_slot_kind(k, TDD_PATTERN) == "D"
-        and k - ENCODE_LOOKAHEAD_SLOTS >= 0)
-    u = sum(1 for k in range(duration_slots)
-            if tdd_slot_kind(k, TDD_PATTERN) == "U")
-    return {"dl_encoded": d_encoded, "ul": u}
+    kinds = [_SLOT_KINDS[k % len(_SLOT_KINDS)] for k in range(duration_slots)]
+    return {"dl_encoded": kinds[ENCODE_LOOKAHEAD_SLOTS:].count("D"),
+            "ul": kinds.count("U")}
 
 
 def expected_goodput_mbps(config: DeploymentConfig) -> dict[str, float]:

@@ -1,13 +1,21 @@
 """``tools/bench_pairs.summary`` on hand-made runs; nothing is benchmarked."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_bench_pairs()
 
 LOWER = {"name": "ms_per_op", "unit": "ms", "better": "lower"}
 HIGHER = {"name": "ops_per_s", "unit": "1/s", "better": "higher"}
@@ -54,3 +62,11 @@ def test_a_single_run_is_its_own_quartiles():
         assert out[tree] == {"median": value, "p90": value, "q1": value,
                              "q3": value}
     assert out["change_won"] == 1
+
+
+def test_importing_bench_pairs_leaves_the_import_path_alone(monkeypatch):
+    monkeypatch.delitem(sys.modules, "measure", raising=False)
+    path = list(sys.path)
+    _load_bench_pairs()
+    assert sys.path == path
+    assert "measure" not in sys.modules

@@ -1,12 +1,15 @@
+import heapq
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
 from vranphy.backends import emulated
-from vranphy.backends.emulated import (DRAW_BLOCK, OCCUPANCY_FRACTION,
+from vranphy.backends.emulated import (DEFAULT_SPIKE, DRAW_BLOCK,
+                                       OCCUPANCY_FRACTION, CallRecord,
                                        block_draws)
-from vranphy.backends.model import calibrate_per_generation
+from vranphy.backends.model import JitterSpec, calibrate_per_generation
 from vranphy.deployment.harness import SUBMIT_JITTER_US
 from vranphy.errors import InvalidConfigError
 
@@ -18,10 +21,12 @@ def test_full_pool_grants_waiting_calls_in_submission_order(t2_quiet):
     calls = [dev.submit(100.0, "decode", "per_slot", 1, 20 - i,
                         0.5 * (20 - i)) for i in range(10)]
     assert [c.start_us for c in calls[:8]] == [100.0] * 8
-    assert calls[8].start_us is None and calls[9].start_us is None
     releases = sorted(c.start_us + OCCUPANCY_FRACTION * c.base_us
                       for c in calls[:8])
     assert releases[0] < releases[1]
+    # a waiting call's start is known when it is submitted
+    assert calls[8].start_us == releases[0]
+    assert calls[9].start_us == releases[1]
     dev.drain()
     assert calls[8].start_us == releases[0]
     assert calls[9].start_us == releases[1]
@@ -106,3 +111,141 @@ def test_block_draws_are_the_scalar_draws(seed):
     block = block_draws(np.random.default_rng(seed).standard_normal)
     assert list(itertools.islice(block, n)) == \
         [scalar.standard_normal() for _ in range(n)]
+
+
+@pytest.mark.parametrize("servers", [0, -1, 2.0, True, None],
+                         ids=["zero", "negative", "float", "bool", "none"])
+def test_device_rejects_a_server_count_that_is_not_a_positive_int(
+        t2_quiet, servers):
+    with pytest.raises(InvalidConfigError):
+        emulated.EmulatedDevice(device_id="bad",
+                                capabilities=t2_quiet.capabilities,
+                                models=t2_quiet.models,
+                                parallel_servers=servers)
+
+
+class _ReplayPool:
+    """The event-replay engine the heap engine replaced, as a reference:
+    each granted call pushes a server release (phase 0) and a completion
+    (phase 1); events pop in (time, phase, seq) order and a release grants
+    the oldest waiting call at the clock."""
+
+    def __init__(self, device):
+        self.device = device
+        self.normals = np.random.default_rng(device.seed)
+        self.seq = itertools.count()
+        self.now_us = 0.0
+        self.events = []
+        self.waiting = deque()
+        self.completed = []
+        self.outstanding = 0
+        self.busy = 0
+
+    def submit(self, arrival_us, *shape):
+        self.advance_to(arrival_us)
+        call = CallRecord(*shape, arrival_us,
+                          self.device.base_service_us(*shape), 0.0, None,
+                          None, next(self.seq))
+        spike = self.device.spike
+        if spike.enabled and \
+                self.outstanding + 1 > self.device.parallel_servers:
+            call.spike_us = float(spike.scale_us * np.exp(
+                spike.sigma * self.normals.standard_normal()))
+        self.waiting.append(call)
+        self.outstanding += 1
+        self.try_start()
+        return call
+
+    def try_start(self):
+        while self.waiting and self.busy < self.device.parallel_servers:
+            call = self.waiting.popleft()
+            call.start_us = self.now_us
+            call.completion_us = call.start_us + (call.base_us
+                                                  + call.spike_us)
+            release = min(call.start_us + OCCUPANCY_FRACTION * call.base_us,
+                          call.completion_us)
+            self.busy += 1
+            heapq.heappush(self.events, (release, 0, call.seq, call))
+            heapq.heappush(self.events,
+                           (call.completion_us, 1, call.seq, call))
+
+    def advance_to(self, t_us):
+        while self.events and self.events[0][0] <= t_us + 1e-9:
+            when, phase, _, call = heapq.heappop(self.events)
+            self.now_us = max(self.now_us, when)
+            if phase == 0:
+                self.busy -= 1
+                self.try_start()
+            else:
+                self.outstanding -= 1
+                self.completed.append(call)
+        self.now_us = max(self.now_us, t_us)
+
+    def pop_completed(self):
+        done, self.completed = self.completed, []
+        return done
+
+
+_DL = ("encode", "per_slot", 1, 129, 1081.512)
+_UL = ("decode", "per_slot", 1, 36, 303.24)
+_EMPTY = ("decode", "per_slot", 0, 0, 0.0)   # zero base time
+
+
+@pytest.mark.parametrize("servers", [1, 2, 8])
+@pytest.mark.parametrize("spiked", [False, True], ids=["quiet", "spikes"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_heap_grants_match_the_event_replay_engine(servers, spiked, seed):
+    """Per call start, completion and spike, and the order of every
+    ``pop_completed``, equal the event-replay engine's on seeded streams
+    with bursts of equal arrivals that fill the pool, zero-time calls, and
+    arrivals placed exactly at a release."""
+    t2 = emulated.make_emulated_t2()
+    dev = emulated.EmulatedDevice(
+        device_id="t2", capabilities=t2.capabilities, models=t2.models,
+        parallel_servers=servers,
+        spike=DEFAULT_SPIKE if spiked else JitterSpec(), seed=seed)
+    ref = _ReplayPool(dev)
+    rng = np.random.default_rng(100 + seed)
+    new_calls, ref_calls = [], []
+    t = 0.0
+    for slot in range(300):
+        for _ in range(int(rng.integers(1, 2 * servers + 3))):
+            roll = rng.random()
+            if roll < 0.3:
+                pass                              # equal to the last arrival
+            elif roll < 0.5:                      # exactly at a release
+                later = [c.start_us + OCCUPANCY_FRACTION * c.base_us
+                         for c in new_calls[-3 * servers:]]
+                later = [r for r in later if r >= t]
+                t = min(later) if later else t
+            else:
+                t += float(rng.exponential(40.0))
+            shape = (_DL, _UL, _EMPTY)[int(rng.choice(3, p=[.45, .45, .1]))]
+            new_calls.append(dev.submit(t, *shape))
+            ref_calls.append(ref.submit(t, *shape))
+        if slot % 3 == 0:
+            t += float(rng.exponential(200.0))
+            dev.advance_to(t)
+            ref.advance_to(t)
+        assert [c.seq for c in dev.pop_completed()] == \
+            [c.seq for c in ref.pop_completed()]
+    dev.drain()
+    ref.advance_to(float("inf"))
+    assert [c.seq for c in dev.pop_completed()] == \
+        [c.seq for c in ref.pop_completed()]
+    assert [(c.start_us, c.completion_us, c.spike_us) for c in new_calls] \
+        == [(c.start_us, c.completion_us, c.spike_us) for c in ref_calls]
+    waited = sum(c.start_us > c.arrival_us for c in new_calls)
+    assert waited > 0
+    assert (sum(c.spike_us > 0 for c in new_calls) > 0) == spiked
+
+
+def test_a_server_free_just_after_the_arrival_counts_as_free_at_it(t2_quiet):
+    t2 = t2_quiet
+    dev = emulated.EmulatedDevice(device_id="t2",
+                                  capabilities=t2.capabilities,
+                                  models=t2.models, parallel_servers=1)
+    first = dev.submit(0.0, *_UL)
+    release = OCCUPANCY_FRACTION * first.base_us
+    second = dev.submit(release - 0.5e-9, *_UL)
+    assert second.start_us == second.arrival_us < release

@@ -26,6 +26,7 @@ and each tree's median of both, so that effects of heap layout show.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -38,8 +39,19 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from measure import nearest_rank  # noqa: E402
+
+
+def _load_measure():
+    """perfbench's ``measure`` under a private name, leaving ``sys.path``
+    and the top-level ``measure`` name alone."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_pairs_measure", ROOT / "perfbench" / "measure.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+nearest_rank = _load_measure().nearest_rank
 
 
 def _git(*args: str) -> str:
