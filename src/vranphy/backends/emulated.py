@@ -7,7 +7,10 @@ each arrives at an idle device, is granted at once and never meets the
 contention tail. The virtual-time event engine is the deployment
 harness's: ``submit`` adds one call at an explicit arrival time,
 ``advance_to`` moves the clock and ``pop_completed`` collects finished
-calls.
+calls. A call's ``tag`` is the submitter's own data, as a bbdev op's
+``opaque_data``: ``submit`` stores it on the call's ``CallRecord`` and
+``pop_completed`` hands it back unchanged, so a submitter needs no record
+of its own to tell which of its calls has completed.
 
 The device is one FIFO pool of ``parallel_servers`` servers: calls wait in
 submission order, which is arrival order since arrivals never decrease,
@@ -76,17 +79,13 @@ def block_draws(draw):
 
 @dataclass(slots=True)
 class CallRecord:
-    direction: str
-    generation: str
-    n_tb: float
-    n_cb: int
-    kbits: float
     arrival_us: float
     base_us: float
     spike_us: float
     start_us: float
     completion_us: float
     seq: int
+    tag: object   # the submitter's, handed back unchanged
 
     @property
     def elapsed_us(self) -> float:
@@ -142,7 +141,8 @@ class EmulatedDevice:
 
     # -- event engine ------------------------------------------------------
     def submit(self, arrival_us: float, direction: str, generation: str,
-               n_tb: float, n_cb: int, kbits: float) -> CallRecord:
+               n_tb: float, n_cb: int, kbits: float,
+               tag: object = None) -> CallRecord:
         """Add one call at the given virtual arrival time and grant it."""
         if not arrival_us >= self.now_us - 1e-9:   # NaN fails too
             raise InvalidConfigError("arrivals must be non-decreasing")
@@ -159,9 +159,8 @@ class EmulatedDevice:
         free_us = self._free[0]
         start = self.now_us if free_us <= arrival_us + 1e-9 else free_us
         completion = start + (base_us + spike_us)
-        call = CallRecord(direction, generation, n_tb, n_cb, kbits,
-                          arrival_us, base_us, spike_us, start, completion,
-                          next(self._seq))
+        call = CallRecord(arrival_us, base_us, spike_us, start, completion,
+                          next(self._seq), tag)
         heapq.heapreplace(self._free, min(
             start + OCCUPANCY_FRACTION * base_us, completion))
         heapq.heappush(self._in_flight, (completion, call.seq, call))

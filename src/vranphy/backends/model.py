@@ -35,11 +35,22 @@ DIRECTIONS = ("decode", "encode")
 ENCODE_CB_BATCH = 8   # legacy encoder interface: 8 segments per call
 
 
+def _check_non_negative(spec, names) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidConfigError(
+                f"{name} must be finite and >= 0, not {value!r}")
+
+
 @dataclass(frozen=True)
 class JitterSpec:
     """Lognormal contention spike added to a call (see EmulatedDevice)."""
     scale_us: float = 0.0     # median of the added tail delay
     sigma: float = 0.0
+
+    def __post_init__(self):
+        _check_non_negative(self, ("scale_us", "sigma"))
 
     @property
     def enabled(self) -> bool:
@@ -55,10 +66,8 @@ class ServiceTimeModel:
     max_rel_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("fixed_per_call_us", "per_tb_us", "per_cb_us",
-                     "per_kbit_us"):
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be >= 0")
+        _check_non_negative(self, ("fixed_per_call_us", "per_tb_us",
+                                   "per_cb_us", "per_kbit_us"))
 
     def call_time_us(self, n_tb: float, n_cb: float, kbits: float) -> float:
         if n_cb == 0 and n_tb == 0 and kbits == 0:

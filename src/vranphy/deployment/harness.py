@@ -5,11 +5,12 @@ coding device, entirely in virtual time. Each instance submits one encode
 call per prepared downlink slot and one decode call per uplink slot; the
 device serves every instance's calls from its one FIFO server pool and
 fixes each call's start and completion as it is submitted, and at each
-slot's end the harness accounts the calls completed by then. Downlink
-encodes are prepared one slot ahead; uplink decodes follow the front
-stages of their slot, so encode and decode service windows overlap inside
-uplink slots and sharing shows up as occasional occupancy spikes rather
-than a median shift. Per-slot coding times, deadline accounting,
+slot's end the harness accounts the calls completed by then, each by the
+``(instance, direction, slot)`` tag it was submitted with (``emulated``
+states the tag rule). Downlink encodes are prepared one slot ahead; uplink
+decodes follow the front stages of their slot, so encode and decode
+service windows overlap inside uplink slots and sharing shows up as
+occasional occupancy spikes rather than a median shift. Per-slot coding times, deadline accounting,
 delivered goodput and instance-failure events land in a metrics bundle
 that serializes deterministically. Slot totals are derived, not stored:
 the deadline check and the bundle's ``ul_total``/``dl_total`` summaries
@@ -30,11 +31,12 @@ import numpy as np
 
 from ..backends.emulated import block_draws, make_emulated
 from ..errors import InvalidConfigError
-from ..highphy import (DL_SLOT_US, TDD_PATTERN, TTI_US, UL_SLOT_US,
-                       slot_timing, tdd_slot_kind)
+from ..highphy import (DL_SLOT_US, SYMBOLS_PER_SLOT, TDD_PATTERN, TTI_US,
+                       UL_SLOT_US, slot_timing, tdd_slot_kind)
 from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import compute_tbs, mcs_params
 from ..nr.segmentation import segment_tb
+from ..slot_coding import MAX_PRBS
 from .topology import default_core_plan, topology_for
 
 ENCODE_LOOKAHEAD_SLOTS = 1
@@ -87,6 +89,9 @@ class PhyTestTraffic:
         for name in ("dl_error_rate", "ul_error_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:   # NaN fails too
                 raise InvalidConfigError(f"traffic.{name} must be in [0, 1]")
+        for name, top in (("prbs", MAX_PRBS), ("symbols", SYMBOLS_PER_SLOT)):
+            if not 1 <= getattr(self, name) <= top:
+                raise InvalidConfigError(f"traffic.{name} must be in 1..{top}")
 
 
 @dataclass(frozen=True)
@@ -294,7 +299,8 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
                 out.append((t0 + UL_PREP_OFFSET_US + jitter, i, "ul", slot))
         return out
 
-    def account(call, instance: int, direction: str, slot: int) -> None:
+    def account(call) -> None:
+        instance, direction, slot = call.tag
         m = metrics[instance]
         elapsed = call.elapsed_us
         if direction == "ul":
@@ -319,33 +325,24 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
             if not met:
                 m.dl_deadline_misses += 1
 
-    calls_in_flight: dict[tuple[str, int], tuple[int, str, int]] = {}
     for slot in range(duration):
         wave = sorted(schedule(slot))
         for arrival, instance, direction, target in wave:
-            dev = devices[instance]
-            call = dev.submit(arrival,
-                              *(ul_call if direction == "ul" else dl_call))
-            calls_in_flight[(dev.device_id, call.seq)] = (instance,
-                                                          direction, target)
+            devices[instance].submit(
+                arrival, *(ul_call if direction == "ul" else dl_call),
+                tag=(instance, direction, target))
         horizon = (slot + 1) * TTI_US
         for dev in unique_devices:
             dev.advance_to(horizon)
             for call in dev.pop_completed():
-                inst, direction, target = calls_in_flight.pop(
-                    (dev.device_id, call.seq))
-                account(call, inst, direction, target)
+                account(call)
         for i in range(n):
             if not metrics[i].failed:
                 metrics[i].slots_processed += 1
     for dev in unique_devices:
         dev.drain()
         for call in dev.pop_completed():
-            inst, direction, target = calls_in_flight.pop(
-                (dev.device_id, call.seq))
-            account(call, inst, direction, target)
-    if calls_in_flight:
-        raise InvalidConfigError("unaccounted coding calls after drain")
+            account(call)
     return MetricsBundle(config=config, instances=metrics,
                          virtual_time_us=duration * TTI_US)
 

@@ -101,6 +101,8 @@ def test_malformed_samples_are_a_usage_error(text, capsys, tmp_path):
     {"traffic": {"ul_error_rate": 1.5}},
     {"traffic": {"dl_error_rate": float("nan")}},
     {"traffic": {"prbs": "273"}}, {"traffic": []}, [], 1.5,
+    # more than the 273-PRB grid or the 14 symbols of a slot
+    {"traffic": {"prbs": 300}}, {"traffic": {"symbols": 20}},
 ], ids=str)
 def test_malformed_deploy_config_is_a_usage_error(doc, capsys, tmp_path):
     if isinstance(doc, dict):

@@ -89,6 +89,22 @@ def test_run_length_must_be_positive(slots):
         DeploymentConfig(duration_slots=slots)
 
 
+@pytest.mark.parametrize("traffic", [
+    {"prbs": 300}, {"prbs": 274}, {"prbs": 0},
+    {"symbols": 20}, {"symbols": 15}, {"symbols": 0},
+], ids=str)
+def test_traffic_the_cell_cannot_carry_is_rejected(traffic):
+    with pytest.raises(InvalidConfigError):
+        harness.PhyTestTraffic(**traffic)
+
+
+def test_traffic_may_fill_the_grid_and_the_slot():
+    traffic = harness.PhyTestTraffic(prbs=273, symbols=14)
+    shapes = harness.traffic_shapes(traffic)
+    assert shapes["dl"].tbs > harness.traffic_shapes(
+        harness.PhyTestTraffic())["dl"].tbs
+
+
 def test_from_dict_leaves_the_callers_dict_alone():
     doc = {"n_instances": 2, "duration_slots": 10,
            "traffic": {"ul_error_rate": 0.1}}

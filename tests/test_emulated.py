@@ -143,9 +143,8 @@ class _ReplayPool:
 
     def submit(self, arrival_us, *shape):
         self.advance_to(arrival_us)
-        call = CallRecord(*shape, arrival_us,
-                          self.device.base_service_us(*shape), 0.0, None,
-                          None, next(self.seq))
+        call = CallRecord(arrival_us, self.device.base_service_us(*shape),
+                          0.0, None, None, next(self.seq), None)
         spike = self.device.spike
         if spike.enabled and \
                 self.outstanding + 1 > self.device.parallel_servers:
@@ -249,3 +248,35 @@ def test_a_server_free_just_after_the_arrival_counts_as_free_at_it(t2_quiet):
     release = OCCUPANCY_FRACTION * first.base_us
     second = dev.submit(release - 0.5e-9, *_UL)
     assert second.start_us == second.arrival_us < release
+
+
+def test_every_completed_call_carries_its_own_submits_tag():
+    """Instances sharing one device tag their calls; every record that
+    ``pop_completed`` hands out, before and after ``drain``, is the one its
+    ``submit`` returned and carries that submit's tag, unchanged."""
+    dev = emulated.make_emulated_t2(seed=4)
+    rng = np.random.default_rng(7)
+    submitted = {}
+    popped = []
+    t = 0.0
+    for slot in range(200):
+        for instance in range(7):
+            t += float(rng.exponential(15.0))
+            direction = "ul" if rng.random() < 0.5 else "dl"
+            tag = (instance, direction, slot)
+            call = dev.submit(t, *(_UL if direction == "ul" else _DL),
+                              tag=tag)
+            assert call.tag is tag
+            submitted[call.seq] = (call, tag)
+        dev.advance_to(t)
+        popped += dev.pop_completed()
+    assert popped and len(popped) < len(submitted)
+    untagged = dev.submit(t, *_UL)
+    submitted[untagged.seq] = (untagged, None)
+    dev.drain()
+    popped += dev.pop_completed()
+    assert sorted(c.seq for c in popped) == sorted(submitted)
+    for call in popped:
+        record, tag = submitted[call.seq]
+        assert call is record and call.tag is tag
+    assert sum(c.spike_us > 0 for c in popped) > 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vranphy.backends.model import (ENCODE_CB_BATCH, BenchConfig,
-                                    ServiceTimeModel, _nnls, call_groups,
+                                    JitterSpec, ServiceTimeModel, _nnls, call_groups,
                                     call_shapes, calibrate_model,
                                     calibrate_per_generation, calls_for)
 from vranphy.errors import CalibrationError, InvalidConfigError
@@ -106,6 +106,26 @@ def test_an_observation_out_of_range_is_rejected(n_tb, us):
     obs[2] = ("per_tb", n_tb, us)
     with pytest.raises(CalibrationError):
         calibrate_model(obs)
+
+
+@pytest.mark.parametrize("scale_us, sigma", [
+    (20.0, float("nan")), (float("inf"), 1.0), (float("nan"), 1.0),
+    (20.0, float("inf")), (-1.0, 1.0), (20.0, -0.5),
+])
+def test_a_spike_parameter_that_is_not_finite_and_non_negative_is_rejected(
+        scale_us, sigma):
+    with pytest.raises(InvalidConfigError):
+        JitterSpec(scale_us, sigma)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("position", range(4))
+def test_a_model_coefficient_that_is_not_finite_and_non_negative_is_rejected(
+        bad, position):
+    coefficients = [0.0, 0.0, 0.0, 1.0]
+    coefficients[position] = bad
+    with pytest.raises(InvalidConfigError):
+        ServiceTimeModel(*coefficients)
 
 
 def test_a_direction_other_than_encode_or_decode_is_rejected():
