@@ -10,9 +10,9 @@ slot's end the harness accounts the calls completed by then, each by the
 states the tag rule). Downlink encodes are prepared one slot ahead; uplink
 decodes follow the front stages of their slot, so encode and decode
 service windows overlap inside uplink slots and sharing shows up as
-occasional occupancy spikes rather than a median shift. Per-slot coding times, deadline accounting,
-delivered goodput and instance-failure events land in a metrics bundle
-that serializes deterministically. Slot totals are derived, not stored:
+occasional occupancy spikes rather than a median shift. Per-slot coding
+times, deadline accounting, delivered goodput and instance-failure events
+land in a metrics bundle that serializes deterministically. Slot totals are derived, not stored:
 the deadline check and the bundle's ``ul_total``/``dl_total`` summaries
 both apply ``highphy.slot_timing`` to the coding samples.
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vranphy.backends.model import (ENCODE_CB_BATCH, BenchConfig,
-                                    JitterSpec, ServiceTimeModel, _nnls, call_groups,
-                                    call_shapes, calibrate_model,
+                                    JitterSpec, ServiceTimeModel, _nnls,
+                                    call_groups, call_shapes,
+                                    calibrate_model,
                                     calibrate_per_generation, calls_for)
 from vranphy.errors import CalibrationError, InvalidConfigError
 
