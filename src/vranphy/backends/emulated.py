@@ -1,16 +1,19 @@
 """Emulated coding accelerators with calibrated timing and contention.
 
-A device has two paths. ``process(ops)``, the contract every backend
-shares, is the synchronous base-time path: it codes each op's payload and
-reports the op's base service time. Its ops run one after another, so
-each arrives at an idle device, is granted at once and never meets the
-contention tail. The virtual-time event engine is the deployment
-harness's: ``submit`` adds one call at an explicit arrival time,
-``advance_to`` moves the clock and ``pop_completed`` collects finished
-calls. A call's ``tag`` is the submitter's own data, as a bbdev op's
-``opaque_data``: ``submit`` stores it on the call's ``CallRecord`` and
-``pop_completed`` hands it back unchanged, so a submitter needs no record
-of its own to tell which of its calls has completed.
+A device has two paths, and both price a call from its ``CallShape``
+(made by ``model.call_shapes``), which ``base_service_us`` takes whole.
+``process(ops)``, the contract every backend shares, is the synchronous
+base-time path: it codes each op's payload and reports the base service
+time of its shape. Its ops run one after another, so each arrives at an
+idle device, is granted at once and never meets the contention tail. The
+virtual-time event engine is the deployment harness's: ``submit`` adds one
+call at an explicit, finite arrival time, ``advance_to`` moves the clock,
+``drain`` completes every call in flight and leaves the clock at the last
+completion, and ``pop_completed`` collects finished calls. A call's
+``tag`` is the submitter's own data, as a bbdev op's ``opaque_data``:
+``submit`` stores it on the call's ``CallRecord`` and ``pop_completed``
+hands it back unchanged, so a submitter needs no record of its own to tell
+which of its calls has completed.
 
 The device is one FIFO pool of ``parallel_servers`` servers: calls wait in
 submission order, which is arrival order since arrivals never decrease,
@@ -47,8 +50,8 @@ consumed one per spiked call in submission order and drawn ``DRAW_BLOCK``
 values at a time (``block_draws``, which the deployment harness uses for
 its instances' streams too). A block holds exactly the values the same
 number of scalar calls would return, so the draw order alone fixes the
-outputs. Each call shape's base time is computed, and the shape checked,
-the first time the device sees it; ``submit`` reuses it after that.
+outputs. A (direction, shape) is checked and priced the first time the
+device sees it; ``submit`` reuses that base time after that.
 """
 from __future__ import annotations
 
@@ -61,8 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidConfigError
-from ..lpu import (Completion, CodingOpDescriptor, LpuCapabilities,
-                   QueueAllocator, discover, validate_ops)
+from ..lpu import (CallShape, Completion, CodingOpDescriptor,
+                   LpuCapabilities, QueueAllocator, discover, validate_ops)
 from .model import JitterSpec, ServiceTimeModel, calibrate_per_generation
 from .software import execute_descriptor
 
@@ -112,7 +115,7 @@ class EmulatedDevice:
                                         self.capabilities.num_queues)
         self._normals = block_draws(
             np.random.default_rng(self.seed).standard_normal)
-        self._base_us: dict[tuple, float] = {}   # call shape -> base time
+        self._base_us: dict[tuple, float] = {}   # (direction, shape) -> us
         self._seq = itertools.count()
         self.now_us = 0.0
         self._free = [0.0] * servers   # heap: when each server is next free
@@ -128,28 +131,28 @@ class EmulatedDevice:
             raise InvalidConfigError(
                 f"{self.device_id}: no model for {direction}/{generation}")
 
-    def base_service_us(self, direction: str, generation: str, n_tb: float,
-                        n_cb: int, kbits: float) -> float:
+    def base_service_us(self, direction: str, shape: CallShape) -> float:
+        _, n_tb, n_cb, kbits = shape
         if not all(math.isfinite(v) and v >= 0 for v in (n_tb, n_cb, kbits)):
             raise InvalidConfigError(
                 f"{self.device_id}: a call's TB count, CB count and kbits "
                 f"must be finite and non-negative, not {(n_tb, n_cb, kbits)}")
         if n_cb == 0:
             return 0.0
-        model = self.service_model(direction, generation)
+        model = self.service_model(direction, shape.generation)
         return model.call_time_us(n_tb, n_cb, kbits)
 
     # -- event engine ------------------------------------------------------
-    def submit(self, arrival_us: float, direction: str, generation: str,
-               n_tb: float, n_cb: int, kbits: float,
+    def submit(self, arrival_us: float, direction: str, shape: CallShape,
                tag: object = None) -> CallRecord:
         """Add one call at the given virtual arrival time and grant it."""
-        if not arrival_us >= self.now_us - 1e-9:   # NaN fails too
-            raise InvalidConfigError("arrivals must be non-decreasing")
-        shape = (direction, generation, n_tb, n_cb, kbits)
-        base_us = self._base_us.get(shape)
+        if not self.now_us - 1e-9 <= arrival_us < math.inf:   # NaN fails too
+            raise InvalidConfigError(
+                "arrivals must be finite and non-decreasing")
+        key = (direction, shape)
+        base_us = self._base_us.get(key)
         if base_us is None:
-            base_us = self._base_us[shape] = self.base_service_us(*shape)
+            base_us = self._base_us[key] = self.base_service_us(*key)
         self.advance_to(arrival_us)
         spike_us = 0.0
         if len(self._in_flight) >= self.parallel_servers and \
@@ -177,7 +180,9 @@ class EmulatedDevice:
         self.now_us = max(self.now_us, t_us)
 
     def drain(self) -> None:
-        self.advance_to(float("inf"))
+        """Complete every call in flight; the clock stops at the last one."""
+        self.advance_to(max(self._in_flight)[0] if self._in_flight
+                        else self.now_us)
 
     def pop_completed(self) -> list[CallRecord]:
         """Hand out the calls completed so far, in (completion_us, seq)
@@ -196,8 +201,7 @@ class EmulatedDevice:
                 f"{self.device_id}: an emulated call needs a shape")
         return [Completion(outputs=execute_descriptor(op),
                            service_time_us=self.base_service_us(
-                               op.kind.value, op.shape.generation,
-                               op.shape.n_tb, op.shape.n_cb, op.shape.kbits))
+                               op.kind.value, op.shape))
                 for op in ops]
 
 

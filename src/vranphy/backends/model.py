@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from ..errors import CalibrationError, InvalidConfigError
 from ..lpu import CallShape
-from ..nr.mcs import compute_tbs, mcs_params
-from ..nr.segmentation import segment_tb
+from ..nr.pipeline import tb_geometry
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
 DIRECTIONS = ("decode", "encode")
@@ -92,14 +93,10 @@ class BenchConfig:
 
     def tb_shapes(self, n_tb: int) -> list[tuple[int, int]]:
         """Per-TB (tbs_bits, num_cbs) for the slot split n_tb ways."""
-        qm, rate = mcs_params(self.mcs_index, self.mcs_table)
-        shapes = []
-        for prbs in self.prb_split(n_tb):
-            tbs = compute_tbs(prbs, self.symbols, self.layers,
-                              self.mcs_index, self.mcs_table, self.overhead)
-            plan = segment_tb(tbs, rate)
-            shapes.append((tbs, plan.num_cbs))
-        return shapes
+        plans = [tb_geometry(prbs, self.symbols, self.layers, self.mcs_index,
+                             self.mcs_table, self.overhead)[0]
+                 for prbs in self.prb_split(n_tb)]
+        return [(plan.payload_bits, plan.num_cbs) for plan in plans]
 
     def slot_shape(self, n_tb: int) -> tuple[int, float]:
         """(total CBs, total kbits) of the benchmark slot."""
@@ -134,17 +131,21 @@ def call_shapes(generation: str, direction: str,
                 ) -> list[tuple[list[int], CallShape]]:
     """Each call of one slot: the TB index of each of its CBs, and its shape.
 
-    ``tb_shapes`` holds (bits, CB count) per TB: the CBs to code and the
-    bits they carry, each CB an equal share. The TBs that make a call are
+    This is the one place a call's shape is made. ``tb_shapes`` holds
+    (bits, CB count) per TB: the CBs to code and the bits they carry. A
+    call that carries k of a TB's c CBs carries ``bits * k / c`` of that
+    TB's bits, summed over its TBs in TB order, so a call of whole TBs
+    carries exactly their bits / 1000 kbits. The TBs that make a call are
     spread evenly over the calls.
     """
     groups = call_groups(generation, direction, [c for _, c in tb_shapes])
     coded_tbs = sum(c > 0 for _, c in tb_shapes)
     out = []
     for tbs in groups:
-        kbits = sum(tb_shapes[t][0] / tb_shapes[t][1] / 1000.0 for t in tbs)
+        bits = sum(tb_shapes[t][0] * k / tb_shapes[t][1]
+                   for t, k in Counter(tbs).items())
         out.append((tbs, CallShape(generation, coded_tbs / len(groups),
-                                   len(tbs), kbits)))
+                                   len(tbs), bits / 1000.0)))
     return out
 
 
@@ -241,15 +242,21 @@ def calibrate_model(observations, direction: str = "decode",
         max_rel_residual=float(resid.max()))
 
 
-def load_reference_observations() -> list[tuple[str, str, int, float]]:
-    """(direction, generation, n_tb, mean_us) rows bundled with the package."""
-    ref = resources.files("vranphy.backends").joinpath(
-        "data/fig1_ep_rfsoc.csv")
+def load_reference_observations(path=None
+                                ) -> list[tuple[str, str, int, float]]:
+    """(direction, generation, n_tb, mean_us) rows of a CSV file: ``path``,
+    or the measurements bundled with the package when it is None."""
+    source = resources.files("vranphy.backends").joinpath(
+        "data/fig1_ep_rfsoc.csv") if path is None else Path(path)
     out = []
-    with ref.open() as f:
+    with source.open() as f:
         for row in csv.DictReader(f):
-            out.append((row["direction"], row["generation"],
-                        int(row["n_tb"]), float(row["mean_us"])))
+            try:
+                out.append((row["direction"], row["generation"],
+                            int(row["n_tb"]), float(row["mean_us"])))
+            except (KeyError, TypeError, ValueError):
+                raise InvalidConfigError(
+                    f"{source}: not an observation: {row}") from None
     return out
 
 

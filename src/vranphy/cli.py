@@ -104,22 +104,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    import csv as _csv
-    from .backends.model import calibrate_per_generation
+    from .backends.model import (calibrate_per_generation,
+                                 load_reference_observations)
 
-    observations = None
-    if args.csv:
-        observations = []
-        with open(args.csv) as f:
-            for row in _csv.DictReader(f):
-                try:
-                    observations.append((row["direction"],
-                                         row["generation"], int(row["n_tb"]),
-                                         float(row["mean_us"])))
-                except (KeyError, TypeError, ValueError):
-                    raise InvalidConfigError(
-                        f"{args.csv}: not an observation: {row}") from None
-    models = calibrate_per_generation(observations)
+    models = calibrate_per_generation(
+        load_reference_observations(args.csv or None))
     doc = {f"{d}/{g}": {
         "fixed_per_call_us": m.fixed_per_call_us,
         "per_tb_us": m.per_tb_us,

@@ -6,14 +6,14 @@ from .topology import (CORES_PER_INSTANCE, CoreTopology, InstancePlan,
 from .harness import (DEFAULT_TARGETS, DeploymentConfig, InstanceMetrics,
                       MetricsBundle, PhyTestTraffic, check_throughput,
                       expected_goodput_mbps, expected_slot_counts,
-                      run_deployment, traffic_shapes)
+                      run_deployment)
 
 __all__ = [
     "CoreTopology", "InstancePlan", "TOPOLOGY_PROFILES",
     "CORES_PER_INSTANCE", "default_core_plan", "plan_from_block",
     "topology_for",
     "DeploymentConfig", "PhyTestTraffic", "InstanceMetrics", "MetricsBundle",
-    "run_deployment", "check_throughput", "traffic_shapes",
+    "run_deployment", "check_throughput",
     "expected_goodput_mbps", "expected_slot_counts",
     "DEFAULT_TARGETS",
 ]

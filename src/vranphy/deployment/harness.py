@@ -2,17 +2,18 @@
 
 Drives the DDDSU traffic of N gNB instances against one shared emulated
 coding device, entirely in virtual time. Each instance submits one encode
-call per prepared downlink slot and one decode call per uplink slot; the
+call per prepared downlink slot and one decode call per uplink slot, the
+one per-slot call ``model.call_shapes`` makes of the link's TB; the
 device serves every instance's calls from its one FIFO server pool and
 fixes each call's start and completion as it is submitted, and at each
-slot's end the harness accounts the calls completed by then, each by the
-``(instance, direction, slot)`` tag it was submitted with (``emulated``
-states the tag rule). Downlink encodes are prepared one slot ahead; uplink
-decodes follow the front stages of their slot, so encode and decode
-service windows overlap inside uplink slots and sharing shows up as
-occasional occupancy spikes rather than a median shift. Per-slot coding
-times, deadline accounting, delivered goodput and instance-failure events
-land in a metrics bundle that serializes deterministically. Slot totals are derived, not stored:
+slot's end the harness accounts the calls completed by then, each by its
+``(instance, direction, slot)`` tag (``emulated`` states the tag rule).
+Downlink encodes are prepared one slot ahead; uplink decodes follow the
+front stages of their slot, so encode and decode service windows overlap
+inside uplink slots and sharing shows up as occasional occupancy spikes
+rather than a median shift. Per-slot coding times, deadline accounting,
+delivered goodput and instance-failure events land in a metrics bundle
+that serializes deterministically. Slot totals are derived, not stored:
 the deadline check and the bundle's ``ul_total``/``dl_total`` summaries
 both apply ``highphy.slot_timing`` to the coding samples.
 
@@ -30,12 +31,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..backends.emulated import block_draws, make_emulated
+from ..backends.model import call_shapes
 from ..errors import InvalidConfigError
 from ..highphy import (DL_SLOT_US, SYMBOLS_PER_SLOT, TDD_PATTERN, TTI_US,
                        UL_SLOT_US, slot_timing, tdd_slot_kind)
 from ..metrics import LatencyDistribution, summarize
-from ..nr.mcs import compute_tbs, mcs_params
-from ..nr.segmentation import segment_tb
+from ..nr.pipeline import tb_geometry
+from ..nr.segmentation import SegmentationPlan
 from ..slot_coding import MAX_PRBS
 from .topology import default_core_plan, topology_for
 
@@ -92,6 +94,15 @@ class PhyTestTraffic:
         for name, top in (("prbs", MAX_PRBS), ("symbols", SYMBOLS_PER_SLOT)):
             if not 1 <= getattr(self, name) <= top:
                 raise InvalidConfigError(f"traffic.{name} must be in 1..{top}")
+
+    def plans(self) -> dict[str, SegmentationPlan]:
+        """Segmentation plan of the DL and UL transport block; its
+        ``payload_bits`` is the TBS."""
+        return {link: tb_geometry(self.prbs, self.symbols, layers, mcs, table,
+                                  self.overhead)[0]
+                for link, layers, mcs, table in (
+                    ("dl", self.dl_layers, self.dl_mcs, self.dl_table),
+                    ("ul", self.ul_layers, self.ul_mcs, self.ul_table))}
 
 
 @dataclass(frozen=True)
@@ -219,30 +230,6 @@ class MetricsBundle:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _TrafficShape:
-    tbs: int
-    n_cbs: int
-
-    @property
-    def kbits(self) -> float:
-        return self.tbs / 1000.0
-
-
-def traffic_shapes(traffic: PhyTestTraffic) -> dict[str, _TrafficShape]:
-    """(TBS, segment count) of the DL and UL phy-test transport blocks."""
-    out = {}
-    for direction, layers, mcs, table in (
-            ("dl", traffic.dl_layers, traffic.dl_mcs, traffic.dl_table),
-            ("ul", traffic.ul_layers, traffic.ul_mcs, traffic.ul_table)):
-        qm, rate = mcs_params(mcs, table)
-        tbs = compute_tbs(traffic.prbs, traffic.symbols, layers, mcs, table,
-                          traffic.overhead)
-        plan = segment_tb(tbs, rate)
-        out[direction] = _TrafficShape(tbs=tbs, n_cbs=plan.num_cbs)
-    return out
-
-
 def _make_devices(config: DeploymentConfig, n: int):
     name = config.backend_name
     if config.profile in _SHARED_DEVICE_PROFILES:
@@ -265,15 +252,17 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     n = config.n_instances
     devices, unique_devices = _make_devices(config, n)
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]
-    shapes = traffic_shapes(config.traffic)
+    plans = config.traffic.plans()
     uniforms = [block_draws(np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(i,))).random) for i in range(n)]
-    ul, dl = shapes["ul"], shapes["dl"]
-    ul_tbs, ul_error = ul.tbs, config.traffic.ul_error_rate
-    dl_tbs, dl_error = dl.tbs, config.traffic.dl_error_rate
-    # (op, generation, n_tb, n_cb, kbits) of each direction's one call
-    ul_call = ("decode", "per_slot", 1, ul.n_cbs, ul.kbits)
-    dl_call = ("encode", "per_slot", 1, dl.n_cbs, dl.kbits)
+    ul_tbs, ul_error = plans["ul"].payload_bits, config.traffic.ul_error_rate
+    dl_tbs, dl_error = plans["dl"].payload_bits, config.traffic.dl_error_rate
+    # (direction, shape) of each link's one per-slot call
+    [(_, ul_shape)] = call_shapes("per_slot", "decode",
+                                  [(ul_tbs, plans["ul"].num_cbs)])
+    [(_, dl_shape)] = call_shapes("per_slot", "encode",
+                                  [(dl_tbs, plans["dl"].num_cbs)])
+    ul_call, dl_call = ("decode", ul_shape), ("encode", dl_shape)
 
     duration = config.duration_slots
     ul_streak = [0] * n
@@ -360,11 +349,11 @@ def expected_slot_counts(duration_slots: int) -> dict[str, int]:
 
 def expected_goodput_mbps(config: DeploymentConfig) -> dict[str, float]:
     """Exact noiseless goodput from the TBS arithmetic."""
-    shapes = traffic_shapes(config.traffic)
+    plans = config.traffic.plans()
     counts = expected_slot_counts(config.duration_slots)
     seconds = config.duration_slots * TTI_US / 1e6
-    return {"dl": shapes["dl"].tbs * counts["dl_encoded"] / seconds / 1e6,
-            "ul": shapes["ul"].tbs * counts["ul"] / seconds / 1e6}
+    return {link: plans[link].payload_bits * counts[key] / seconds / 1e6
+            for link, key in (("dl", "dl_encoded"), ("ul", "ul"))}
 
 
 def check_throughput(bundle: MetricsBundle,

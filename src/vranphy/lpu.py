@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import (CapabilityMismatchError, InvalidConfigError,
                      ResourceExhaustedError)
@@ -94,9 +94,8 @@ def route_interface(caps: LpuCapabilities, num_cbs_in_tb: int) -> Granularity:
         f"{caps.name}: no permitted interface for {num_cbs_in_tb} CBs")
 
 
-@dataclass(frozen=True)
-class CallShape:
-    """Timing shape of one coding-library call."""
+class CallShape(NamedTuple):
+    """Timing shape of one coding-library call (``model.call_shapes``)."""
     generation: str
     n_tb: float        # the slot's TBs spread evenly over its calls
     n_cb: int

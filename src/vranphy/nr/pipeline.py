@@ -26,9 +26,22 @@ from .crc import crc_check
 from .encoder import ldpc_encode
 from .ratematch import RateMatchParams, rate_match, selection_positions
 from .decoder import DecodeResult, ldpc_decode
-from .segmentation import SegmentationPlan, assemble_payload, split_payload
+from .mcs import compute_tbs, mcs_params, resource_elements
+from .segmentation import (SegmentationPlan, assemble_payload, segment_tb,
+                           split_payload)
 from .softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs, \
     rate_recover_and_combine
+
+
+def tb_geometry(prbs: int, symbols: int, layers: int, mcs_index: int,
+                mcs_table: str = "T1", overhead: int = 0
+                ) -> tuple[SegmentationPlan, int, int]:
+    """(plan, G, Qm) of one transport block: its segmentation plan, whose
+    ``payload_bits`` is the TBS, its scheduled bits and modulation order."""
+    qm, rate = mcs_params(mcs_index, mcs_table)
+    tbs = compute_tbs(prbs, symbols, layers, mcs_index, mcs_table, overhead)
+    g = resource_elements(prbs, symbols, overhead) * qm * layers
+    return segment_tb(tbs, rate), g, qm
 
 
 def e_splits(num_cbs: int, total_bits: int, qm: int, layers: int

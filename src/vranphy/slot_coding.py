@@ -21,9 +21,9 @@ from .errors import (BackendUnavailableError, HarqBufferMissingError,
 from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
                   OpKind, QueueHandle, route_interface)
 from .nr.decoder import DecodeResult
-from .nr.mcs import compute_tbs, mcs_params, resource_elements
-from .nr.pipeline import assemble_decoded, cb_params, encode_cb
-from .nr.segmentation import SegmentationPlan, segment_tb, split_payload
+from .nr.mcs import compute_tbs
+from .nr.pipeline import assemble_decoded, cb_params, encode_cb, tb_geometry
+from .nr.segmentation import SegmentationPlan, split_payload
 from .nr.softbuffer import (SoftBuffer, new_soft_buffer, noiseless_llrs,
                             received_llrs)
 
@@ -180,7 +180,6 @@ class _TbWork:
     """Per-TB precomputed coding state shared by every generation."""
     job: TransportBlockJob
     plan: SegmentationPlan
-    tbs: int
     items: list[tuple]           # execute_descriptor items of the CBs to code
     granularity: Granularity
     process: HarqProcess | None = None    # decode only
@@ -188,12 +187,9 @@ class _TbWork:
 
 def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                 caps, kind: OpKind, harq: HarqPool | None) -> _TbWork:
-    qm, rate = mcs_params(job.mcs_index, job.mcs_table)
-    tbs = compute_tbs(job.prb_share, request.symbols, job.layers,
-                      job.mcs_index, job.mcs_table, request.overhead)
-    plan = segment_tb(tbs, rate)
-    g_total = resource_elements(job.prb_share, request.symbols,
-                                request.overhead) * qm * job.layers
+    plan, g_total, qm = tb_geometry(job.prb_share, request.symbols,
+                                    job.layers, job.mcs_index, job.mcs_table,
+                                    request.overhead)
     params = cb_params(plan, g_total, qm, job.layers, job.rv)
     granularity = route_interface(caps, plan.num_cbs)
     process = None
@@ -224,8 +220,8 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                 received_llrs(llrs, rm)     # checked, not combined
             else:
                 items.append((llrs, plan, rm, process.buffers[idx]))
-    return _TbWork(job=job, plan=plan, tbs=tbs, items=items,
-                   granularity=granularity, process=process)
+    return _TbWork(job=job, plan=plan, items=items, granularity=granularity,
+                   process=process)
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
@@ -234,7 +230,7 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
     """Each call's (tb_index, item) batch and timing shape."""
     items = [iter(w.items) for w in works]
     calls = call_shapes(generation.value, kind.value, [
-        (w.tbs * len(w.items) / w.plan.num_cbs, len(w.items))
+        (w.plan.payload_bits * len(w.items) / w.plan.num_cbs, len(w.items))
         for w in works])
     return [([(t, next(items[t])) for t in tbs], shape)
             for tbs, shape in calls]
@@ -327,9 +323,8 @@ def run_interface_bench(device, directions=("decode", "encode"),
                     "direction": direction,
                     "generation": gen.value,
                     "n_tb": int(n_tb),
-                    "mean_us": sum(device.base_service_us(
-                        direction, s.generation, s.n_tb, s.n_cb, s.kbits)
-                        for _, s in calls),
+                    "mean_us": sum(device.base_service_us(direction, s)
+                                   for _, s in calls),
                     "calls_made": len(calls),
                 })
     return rows

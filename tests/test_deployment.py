@@ -1,13 +1,14 @@
 import pytest
 
 from vranphy.backends import emulated
-from vranphy.backends.model import JitterSpec
+from vranphy.backends.model import JitterSpec, call_shapes
 from vranphy.deployment import (DeploymentConfig, expected_goodput_mbps,
                                 expected_slot_counts, run_deployment)
 from vranphy.deployment import harness
 from vranphy.errors import InvalidConfigError
 from vranphy.highphy import TDD_PATTERN, tdd_slot_kind
 from vranphy.metrics import summarize
+from vranphy.nr import compute_tbs, mcs_params, segment_tb
 
 
 @pytest.mark.parametrize("profile", ["ep_rfsoc", "hpp"])
@@ -28,6 +29,38 @@ def test_zero_error_rate_delivers_expected_goodput(profile):
     for m in bundle.instances:
         assert not m.failed
         assert bundle.goodput_mbps(m.instance_id) == expected
+
+
+@pytest.mark.parametrize("profile", ["ep_rfsoc", "hpp"])
+def test_deployment_submits_the_calls_call_shapes_gives(profile,
+                                                        monkeypatch):
+    """Every call a deployment submits is the one per-slot call that
+    ``call_shapes`` makes of its link's phy-test TB."""
+    submitted = []
+    real = emulated.EmulatedDevice.submit
+
+    def recorded(self, arrival_us, direction, shape, tag=None):
+        submitted.append((direction, shape))
+        return real(self, arrival_us, direction, shape, tag)
+
+    monkeypatch.setattr(emulated.EmulatedDevice, "submit", recorded)
+    config = DeploymentConfig(profile=profile, n_instances=3,
+                              duration_slots=40, seed=3)
+    run_deployment(config)
+    t = config.traffic
+    expected = set()
+    for direction, layers, mcs, table in (
+            ("encode", t.dl_layers, t.dl_mcs, t.dl_table),
+            ("decode", t.ul_layers, t.ul_mcs, t.ul_table)):
+        tbs = compute_tbs(t.prbs, t.symbols, layers, mcs, table, t.overhead)
+        tb = (tbs, segment_tb(tbs, mcs_params(mcs, table)[1]).num_cbs)
+        expected |= {(direction, shape) for _, shape in
+                     call_shapes("per_slot", direction, [tb])}
+    assert len(expected) == 2
+    assert set(submitted) == expected
+    counts = expected_slot_counts(config.duration_slots)
+    assert len(submitted) == config.n_instances * (counts["ul"]
+                                                   + counts["dl_encoded"])
 
 
 def test_every_call_is_accounted_once():
@@ -100,9 +133,9 @@ def test_traffic_the_cell_cannot_carry_is_rejected(traffic):
 
 def test_traffic_may_fill_the_grid_and_the_slot():
     traffic = harness.PhyTestTraffic(prbs=273, symbols=14)
-    shapes = harness.traffic_shapes(traffic)
-    assert shapes["dl"].tbs > harness.traffic_shapes(
-        harness.PhyTestTraffic())["dl"].tbs
+    plans = traffic.plans()
+    assert plans["dl"].payload_bits > \
+        harness.PhyTestTraffic().plans()["dl"].payload_bits
 
 
 def test_from_dict_leaves_the_callers_dict_alone():

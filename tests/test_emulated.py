@@ -12,14 +12,16 @@ from vranphy.backends.emulated import (DEFAULT_SPIKE, DRAW_BLOCK,
 from vranphy.backends.model import JitterSpec, calibrate_per_generation
 from vranphy.deployment.harness import SUBMIT_JITTER_US
 from vranphy.errors import InvalidConfigError
+from vranphy.lpu import CallShape
 
 
 def test_full_pool_grants_waiting_calls_in_submission_order(t2_quiet):
     dev = t2_quiet
     assert dev.parallel_servers == 8
     # later calls are shorter, so servers free up in reverse order
-    calls = [dev.submit(100.0, "decode", "per_slot", 1, 20 - i,
-                        0.5 * (20 - i)) for i in range(10)]
+    calls = [dev.submit(100.0, "decode", CallShape("per_slot", 1, 20 - i,
+                                                   0.5 * (20 - i)))
+             for i in range(10)]
     assert [c.start_us for c in calls[:8]] == [100.0] * 8
     releases = sorted(c.start_us + OCCUPANCY_FRACTION * c.base_us
                       for c in calls[:8])
@@ -64,17 +66,17 @@ def test_bundled_calibration_is_fitted_once_per_process(monkeypatch):
 def test_submit_rejects_a_malformed_call(t2_quiet, arrival, shape):
     dev = t2_quiet
     with pytest.raises(InvalidConfigError):
-        dev.submit(arrival, "decode", "per_slot", *shape)
+        dev.submit(arrival, "decode", CallShape("per_slot", *shape))
     # a rejected call leaves the device as it was
-    call = dev.submit(100.0, "decode", "per_slot", 1, 20, 10.0)
+    call = dev.submit(100.0, "decode", CallShape("per_slot", 1, 20, 10.0))
     assert call.seq == 0 and call.start_us == 100.0
     assert call.base_us > 0
 
 
 def test_submit_rejects_an_arrival_before_the_clock(t2_quiet):
-    t2_quiet.submit(100.0, "decode", "per_slot", 1, 20, 10.0)
+    t2_quiet.submit(100.0, "decode", CallShape("per_slot", 1, 20, 10.0))
     with pytest.raises(InvalidConfigError):
-        t2_quiet.submit(50.0, "decode", "per_slot", 1, 20, 10.0)
+        t2_quiet.submit(50.0, "decode", CallShape("per_slot", 1, 20, 10.0))
 
 
 def test_submit_prices_each_call_shape_once(t2_quiet, monkeypatch):
@@ -87,8 +89,8 @@ def test_submit_prices_each_call_shape_once(t2_quiet, monkeypatch):
         return real(*shape)
 
     monkeypatch.setattr(dev, "base_service_us", counted)
-    dl = ("encode", "per_slot", 1, 129, 1081.512)
-    ul = ("decode", "per_slot", 1, 36, 303.24)
+    dl = ("encode", CallShape("per_slot", 1, 129, 1081.512))
+    ul = ("decode", CallShape("per_slot", 1, 36, 303.24))
     calls = [dev.submit(100.0 * k, *(dl if k % 2 else ul))
              for k in range(6)]
     assert priced == [ul, dl]
@@ -185,9 +187,9 @@ class _ReplayPool:
         return done
 
 
-_DL = ("encode", "per_slot", 1, 129, 1081.512)
-_UL = ("decode", "per_slot", 1, 36, 303.24)
-_EMPTY = ("decode", "per_slot", 0, 0, 0.0)   # zero base time
+_DL = ("encode", CallShape("per_slot", 1, 129, 1081.512))
+_UL = ("decode", CallShape("per_slot", 1, 36, 303.24))
+_EMPTY = ("decode", CallShape("per_slot", 0, 0, 0.0))   # zero base time
 
 
 @pytest.mark.parametrize("servers", [1, 2, 8])
@@ -280,3 +282,22 @@ def test_every_completed_call_carries_its_own_submits_tag():
         record, tag = submitted[call.seq]
         assert call is record and call.tag is tag
     assert sum(c.spike_us > 0 for c in popped) > 0
+
+
+def test_a_drained_device_takes_later_calls(t2_quiet):
+    """Draining completes every call in flight and leaves the clock at the
+    last completion, so a later arrival is still accepted."""
+    dev = t2_quiet
+    first = dev.submit(10.0, *_UL)
+    dev.drain()
+    assert dev.pop_completed() == [first]
+    assert dev.now_us == first.completion_us
+    second = dev.submit(2000.0, *_UL)
+    assert second.start_us == 2000.0
+
+
+def test_submit_rejects_an_infinite_arrival(t2_quiet):
+    with pytest.raises(InvalidConfigError):
+        t2_quiet.submit(float("inf"), *_UL)
+    call = t2_quiet.submit(100.0, *_UL)
+    assert call.seq == 0 and call.start_us == 100.0

@@ -7,7 +7,8 @@ from vranphy.backends.model import (ENCODE_CB_BATCH, BenchConfig,
                                     JitterSpec, ServiceTimeModel, _nnls,
                                     call_groups, call_shapes,
                                     calibrate_model,
-                                    calibrate_per_generation, calls_for)
+                                    calibrate_per_generation, calls_for,
+                                    load_reference_observations)
 from vranphy.errors import CalibrationError, InvalidConfigError
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
@@ -161,3 +162,26 @@ def test_nnls_meets_the_kkt_conditions(m, n, data):
 def test_nnls_puts_the_weight_on_the_last_of_equal_columns(a, b, expected):
     x = _nnls(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     np.testing.assert_allclose(x, expected, atol=1e-12)
+
+
+def test_a_call_of_whole_tbs_carries_exactly_their_bits():
+    """A call that carries k of a TB's c CBs carries bits * k / c of its
+    bits, so a call of the whole TB carries exactly bits / 1000 kbits."""
+    [(_, shape)] = call_shapes("per_slot", "decode", [(303240, 36)])
+    assert shape.kbits == 303.24
+
+
+def test_observations_are_read_from_a_given_csv(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("direction,generation,n_tb,mean_us\n"
+                    "decode,per_tb,2,150.5\n")
+    assert load_reference_observations(good) == [
+        ("decode", "per_tb", 2, 150.5)]
+    assert load_reference_observations(str(good)) == [
+        ("decode", "per_tb", 2, 150.5)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("direction,generation,n_tb,mean_us\n"
+                   "decode,per_tb,two,150.5\n")
+    with pytest.raises(InvalidConfigError, match="not an observation"):
+        load_reference_observations(bad)
+    assert len(load_reference_observations()) > 4

@@ -263,8 +263,7 @@ def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
             calls = call_shapes(gen.value, kind.value, shapes)
             assert res.calls_made == len(calls)
             assert res.total_elapsed_us == sum(
-                device.base_service_us(kind.value, s.generation, s.n_tb,
-                                       s.n_cb, s.kbits) for _, s in calls)
+                device.base_service_us(kind.value, s) for _, s in calls)
 
 
 @pytest.mark.parametrize("value", [0.5, 256])
@@ -341,8 +340,7 @@ def test_retransmission_decodes_only_the_cbs_that_failed(
                         [(full.payload.size * 2 / num_cbs, 2)])
     assert again.calls_made == len(calls)
     assert again.total_elapsed_us == pytest.approx(sum(
-        t2_quiet.base_service_us("decode", s.generation, s.n_tb, s.n_cb,
-                                 s.kbits) for _, s in calls))
+        t2_quiet.base_service_us("decode", s) for _, s in calls))
 
     last = _decode(handle, harq, _ul_job(full, new_data=False),
                    generation=generation)
