@@ -132,14 +132,14 @@ class EmulatedDevice:
                 f"{self.device_id}: no model for {direction}/{generation}")
 
     def base_service_us(self, direction: str, shape: CallShape) -> float:
-        _, n_tb, n_cb, kbits = shape
+        generation, n_tb, n_cb, kbits = shape
         if not all(math.isfinite(v) and v >= 0 for v in (n_tb, n_cb, kbits)):
             raise InvalidConfigError(
                 f"{self.device_id}: a call's TB count, CB count and kbits "
                 f"must be finite and non-negative, not {(n_tb, n_cb, kbits)}")
         if n_cb == 0:
             return 0.0
-        model = self.service_model(direction, shape.generation)
+        model = self.service_model(direction, generation)
         return model.call_time_us(n_tb, n_cb, kbits)
 
     # -- event engine ------------------------------------------------------

@@ -61,8 +61,9 @@ def test_bundled_calibration_is_fitted_once_per_process(monkeypatch):
     (100.0, (-1, 20, -303.0)),
     (100.0, (1, -2, 10.0)),
     (100.0, (float("inf"), 20, 10.0)),
+    (float("inf"), (1, 20, 10.0)),
 ], ids=["nan-arrival", "nan-kbits", "negative-tb-and-kbits",
-        "negative-cbs", "infinite-tbs"])
+        "negative-cbs", "infinite-tbs", "infinite-arrival"])
 def test_submit_rejects_a_malformed_call(t2_quiet, arrival, shape):
     dev = t2_quiet
     with pytest.raises(InvalidConfigError):
@@ -294,10 +295,3 @@ def test_a_drained_device_takes_later_calls(t2_quiet):
     assert dev.now_us == first.completion_us
     second = dev.submit(2000.0, *_UL)
     assert second.start_us == 2000.0
-
-
-def test_submit_rejects_an_infinite_arrival(t2_quiet):
-    with pytest.raises(InvalidConfigError):
-        t2_quiet.submit(float("inf"), *_UL)
-    call = t2_quiet.submit(100.0, *_UL)
-    assert call.seq == 0 and call.start_us == 100.0
