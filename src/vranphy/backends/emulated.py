@@ -7,8 +7,8 @@ base-time path: it codes each op's payload and reports the base service
 time of its shape. Its ops run one after another, so each arrives at an
 idle device, is granted at once and never meets the contention tail. The
 virtual-time event engine is the deployment harness's: ``submit`` adds one
-call at an explicit, finite arrival time, ``advance_to`` moves the clock,
-``drain`` completes every call in flight and leaves the clock at the last
+call at an explicit, finite arrival time, ``advance_to`` moves the clock
+to a finite time, ``drain`` completes every call in flight and leaves the clock at the last
 completion, and ``pop_completed`` collects finished calls. A call's
 ``tag`` is the submitter's own data, as a bbdev op's ``opaque_data``:
 ``submit`` stores it on the call's ``CallRecord`` and ``pop_completed``
@@ -171,13 +171,16 @@ class EmulatedDevice:
 
     def advance_to(self, t_us: float) -> None:
         """Complete the calls that finish by ``t_us`` and move the clock."""
+        if not t_us < math.inf:             # NaN fails too
+            raise InvalidConfigError(f"advance_to({t_us}): time not finite")
         in_flight = self._in_flight
         while in_flight and in_flight[0][0] <= t_us + 1e-9:
             when, _, call = heapq.heappop(in_flight)
             if when > self.now_us:
                 self.now_us = when
             self._completed.append(call)
-        self.now_us = max(self.now_us, t_us)
+        if t_us > self.now_us:
+            self.now_us = t_us
 
     def drain(self) -> None:
         """Complete every call in flight; the clock stops at the last one."""

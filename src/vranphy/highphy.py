@@ -128,6 +128,14 @@ class ResourceGrid:
         if not np.isfinite(self.data).all():
             raise InvalidConfigError("grid holds non-finite values")
 
+    @classmethod
+    def _written(cls, data: np.ndarray) -> ResourceGrid:
+        """A grid around a complex128 (streams, symbols, subcarriers)
+        array the program has just written from checked inputs: no scan."""
+        grid = object.__new__(cls)
+        grid.data = data
+        return grid
+
     @property
     def streams(self) -> int:
         return self.data.shape[0]
@@ -143,7 +151,9 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
     """Per-port combination out[p] = sum_l w[p, l] * in[l], mapped onto the
     port grid; written into ``out`` (a complex128 array of the port grid's
     shape) when given. ``out`` may hold ``layers`` itself: each OFDM
-    symbol is precoded from a copy of that symbol's layers."""
+    symbol is precoded from a copy of that symbol's layers. Non-finite
+    weights are rejected before anything is written, and the port grid
+    built from them and the finite layer grid is not scanned again."""
     if mode is not PrecodeMode.VECTOR:
         raise InvalidConfigError(f"unknown mode {mode!r}")
     w = np.asarray(weights, dtype=np.complex128)
@@ -151,6 +161,8 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise InvalidConfigError(
             f"weights {w.shape} do not match {x.shape[0]} layers")
+    if not np.isfinite(w).all():
+        raise InvalidConfigError("weights hold non-finite values")
     shape = (w.shape[0], *x.shape[1:])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
@@ -168,7 +180,7 @@ def precode_and_map(layers: ResourceGrid, weights: np.ndarray,
             for l in nonzero:
                 np.multiply(w[p, l], symbol[l], out=term)
                 acc += term
-    return ResourceGrid(out)
+    return ResourceGrid._written(out)
 
 
 class _DlSlotBuffers:

@@ -2,9 +2,10 @@
 
 The two base graphs ship as versioned text files (one line per entry:
 row, column, one shift per lifting-set index) guarded by a sha256 header.
-A lifted structure for a concrete (graph, Z) pair precomputes the gather
-and group-reduction indices that the encoder and decoder run on; the
-decoder asks for one restricted to the check rows a transmission reached.
+A lifted structure for a concrete (graph, Z) pair holds its edges, which
+the encoder reads, and precomputes the gather and group-reduction indices
+that the decoder runs on; the decoder asks for one restricted to the
+check rows a transmission reached.
 
 Lifting semantics: an entry with shift ``s`` stands for a Z x Z identity
 rolled by ``s``; check-local position ``i`` of that block connects to

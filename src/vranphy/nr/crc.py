@@ -14,6 +14,8 @@ messages is such a block. A flat payload is zero-padded at the front to
 whole rows of ``ROW_BITS`` (leading zeros leave the remainder unchanged),
 and the row remainders are folded pairwise, hi * x^W + lo, in log2(rows)
 more products, so the table of x^k mod g never grows past the widest row.
+The matrix of each fold level squares the previous level's; it is built
+once per (kind, level) and cached read-only.
 Products run on bits packed 64 to a word: AND with the matrix's packed
 columns, XOR-reduce, parity.
 """
@@ -108,6 +110,20 @@ def _row_matrix(kind: str, width: int) -> np.ndarray:
     return _pack_rows(_power_bits(kind, crc_length(kind), width).T)
 
 
+@lru_cache(maxsize=None)
+def _fold_matrix(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (len, len) matrix that multiplies a remainder by x^w, w =
+    ROW_BITS * 2^level (row i holds x^(w + len - 1 - i) mod g), and its
+    packed columns."""
+    if level == 0:
+        shift = _power_bits(kind, ROW_BITS, crc_length(kind))
+    else:
+        shift = _gf2_product(*_fold_matrix(kind, level - 1))
+    packed = _pack_rows(shift.T)
+    shift.flags.writeable = packed.flags.writeable = False
+    return shift, packed
+
+
 def crc_compute(payload, kind: str) -> np.ndarray:
     """Checksum bits of ``payload`` (0/1 values): one (len,) checksum of a
     flat sequence, or an (n, len) array of the checksums of each row of an
@@ -124,14 +140,13 @@ def crc_compute(payload, kind: str) -> np.ndarray:
     padded[padded.size - bits.size:] = bits
     rem = _gf2_product(padded.reshape(n_rows, ROW_BITS),
                        _row_matrix(kind, ROW_BITS))
-    # fold adjacent rows as hi * x^w + lo, doubling the row width w; row i
-    # of ``shift`` is x^w times the remainder's bit i, x^(w + len - 1 - i)
-    shift = _power_bits(kind, ROW_BITS, length)
-    while rem.shape[0] > 1:
+    level = 0
+    while rem.shape[0] > 1:     # fold adjacent rows as hi * x^w + lo
         if rem.shape[0] % 2:
             rem = np.vstack([np.zeros((1, length), dtype=np.uint8), rem])
-        rem = _gf2_product(rem[0::2], _pack_rows(shift.T)) ^ rem[1::2]
-        shift = _gf2_product(shift, _pack_rows(shift.T))
+        rem = _gf2_product(rem[0::2], _fold_matrix(kind, level)[1]) \
+            ^ rem[1::2]
+        level += 1
     return rem[0] if n_rows else np.zeros(length, dtype=np.uint8)
 
 

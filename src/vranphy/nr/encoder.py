@@ -1,17 +1,17 @@
 """Systematic LDPC encoding of a batch of code blocks that share one
-(base graph, Z), on the lifted quasi-cyclic structure.
+(base graph, Z), by circulant shifts on the lifted quasi-cyclic structure.
 
-Each row's parity over the columns it reads is, for every block at once,
-one gather through the lifted variable index and one XOR reduction. The
-four core parity blocks follow from the core rows' syndromes through the
-double-diagonal form of the core submatrix (Richardson & Urbanke, IEEE
-Trans. IT 47(2), 2001): summing the four core rows isolates the first.
-Extension row r >= 4 owns identity column kb + r and reads only
-information and core parity columns besides it, so each extension column
-is solved alone, and only the columns the caller reads are (rate matching
-reads the span its redundancy version selects). Output is the lifted
-codeword, information part (filler included) first; the 2Z-head puncture
-is applied later by rate matching.
+One rule solves every row (Z. Li et al., IEEE Trans. Commun. 54(1), 2006):
+its parity is the XOR of its edges, and edge (column c, shift s) adds
+block c rotated by s, the slice [s, s + Z) of block c written twice into
+a reused (n, 2Z) scratch, copied once per column for every row reading it.
+A run over the information columns gives the core rows' syndromes, which
+the double-diagonal core submatrix turns into core parity (Richardson &
+Urbanke, IEEE Trans. IT 47(2), 2001). Extension row r >= 4 owns column
+kb + r and reads only information and core columns besides it, so a run
+over the core columns completes it; only the extension columns the caller
+reads are solved. Output is the lifted codeword, information part (filler
+included) first; rate matching later punctures its 2Z head.
 """
 from __future__ import annotations
 
@@ -20,43 +20,43 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import InvalidConfigError, UnsupportedConfigError
+from ..errors import InvalidConfigError
 from .basegraph import CORE_PARITY_BLOCKS, lifted
 
 
 class _EncodePlan:
-    """The edges each row reads (a core row's information edges, an
-    extension row's edges but its own identity column) and the core anchor
-    shifts of one (base graph, Z). Columns ascend within a lifted row, so
-    a row's read edges are a prefix of its edges."""
+    """The core anchor shifts of one (base graph, Z) and the schedule of
+    each set of extension rows solved, all small Python objects, so a plan
+    built mid-slot pins no heap memory that the slot's arrays freed."""
 
     def __init__(self, bg: int, z: int):
         st = lifted(bg, z)
         self.bg, self.z, self.kb = bg, z, st.kb
         self.k, self.n_full, self.n_rows = st.k, st.n_full, st.n_rows
-        core = st.rows < CORE_PARITY_BLOCKS
-        anchors = core & (st.cols == st.kb)
-        shift_a = st.shifts[anchors & np.isin(st.rows, (0, 3))]
-        shift_b = st.shifts[anchors & np.isin(st.rows, (1, 2))]
-        if shift_a.size == 0 or shift_b.size == 0:
-            raise UnsupportedConfigError(
-                "core parity anchors missing from table")
-        self.shift_a, self.shift_b = int(shift_a[0]), int(shift_b[0])
-        reads = st.cols < np.where(core, st.kb, st.kb + CORE_PARITY_BLOCKS)
-        ends = st.row_starts + np.bincount(st.rows[reads],
-                                           minlength=st.n_rows)
-        self.var_index = st.var_index
-        self.row_edges = list(zip(st.row_starts.tolist(), ends.tolist()))
+        at = (st.cols == st.kb).nonzero()[0]
+        shift = dict(zip(st.rows[at].tolist(), st.shifts[at].tolist()))
+        self.shift_a, self.shift_b = shift[0], shift[1 if bg == 1 else 2]
+
+    @lru_cache(maxsize=32)
+    def schedule(self, ext_rows: tuple[int, ...]):
+        """(column, ((accumulator, shift), ...)) of each information, then
+        core, column that the core rows (accumulators 0-3) and ``ext_rows``
+        (4 + j for ext_rows[j]) read besides the parity they solve."""
+        st, kb = lifted(self.bg, self.z), self.kb
+        place = {r: i for i, r in enumerate((*range(CORE_PARITY_BLOCKS),
+                                             *ext_rows))}
+        by_col: dict[int, list] = {}
+        for r, c, s in zip(*(a.tolist() for a in (st.rows, st.cols,
+                                                  st.shifts))):
+            solved = c >= kb if r < CORE_PARITY_BLOCKS else c == kb + r
+            if r in place and not solved:
+                by_col.setdefault(c, []).append((place[r], s))
+        cols = [(c, tuple(e)) for c, e in sorted(by_col.items())]
+        n_info = sum(c < kb for c, _ in cols)
+        return cols[:n_info], cols[n_info:]
 
 
-@lru_cache(maxsize=8)
-def _plan(bg: int, z: int) -> _EncodePlan:
-    return _EncodePlan(bg, z)
-
-
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """Shifted identity on each row: (P_s v)[i] = v[(i + s) mod z]."""
-    return np.roll(v, -s, axis=-1)
+_plan = lru_cache(maxsize=8)(_EncodePlan)
 
 
 def ldpc_encode(bits, base_graph: int, lifting_size: int,
@@ -74,41 +74,41 @@ def ldpc_encode(bits, base_graph: int, lifting_size: int,
         raise InvalidConfigError(
             f"code block shape {info.shape} is not (K,) or (n, K) with "
             f"K={plan.k}")
-    first_ext = plan.kb + CORE_PARITY_BLOCKS
-    cols = range(first_ext, plan.kb + plan.n_rows) if read_cols is None \
-        else sorted(c for c in set(read_cols) if c >= first_ext)
-    codeword = _encode(plan, info.reshape(-1, plan.k), cols)
+    rows = range(CORE_PARITY_BLOCKS, plan.n_rows) if read_cols is None \
+        else sorted({r for r in (int(c) - plan.kb for c in read_cols)
+                     if r >= CORE_PARITY_BLOCKS})
+    codeword = _encode(plan, info.reshape(-1, plan.k), tuple(rows))
     return codeword.reshape(info.shape[:-1] + (plan.n_full,))
 
 
 def _encode(plan: _EncodePlan, info: np.ndarray,
-            ext_cols: Iterable[int]) -> np.ndarray:
-    z, kb = plan.z, plan.kb
+            ext_rows: tuple[int, ...]) -> np.ndarray:
+    n, z, kb = info.shape[0], plan.z, plan.kb
+    on_info, on_core = plan.schedule(ext_rows)
+    s = np.zeros((CORE_PARITY_BLOCKS + len(ext_rows), n, z), dtype=np.uint8)
+    doubled = np.empty((n, 2 * z), dtype=np.uint8)
 
-    def row_parity(bits: np.ndarray, row: int) -> np.ndarray:
-        """(n, z) XOR of the values row ``row``'s edges read."""
-        lo, hi = plan.row_edges[row]
-        gathered = bits[:, plan.var_index[lo:hi].ravel()]
-        return np.bitwise_xor.reduce(
-            gathered.reshape(bits.shape[0], -1, z), axis=1)
+    def add_circulants(blocks: np.ndarray, columns) -> None:
+        for c, edges in columns:
+            np.copyto(doubled.reshape(n, 2, z), blocks[:, c, None])
+            for i, shift in edges:
+                s[i] ^= doubled[:, shift:shift + z]
 
-    codeword = np.zeros((info.shape[0], plan.n_full), dtype=np.uint8)
-    codeword[:, : plan.k] = info
-    s = [row_parity(info, r) for r in range(CORE_PARITY_BLOCKS)]
-    p1 = np.roll(s[0] ^ s[1] ^ s[2] ^ s[3], plan.shift_b,
-                 axis=-1)                       # invert the P_b circulant
-    pa_p1 = _shift(p1, plan.shift_a)
+    add_circulants(info.reshape(n, kb, z), on_info)
+    # summing the core rows isolates p1; invert its P_b circulant
+    p1 = np.roll(s[0] ^ s[1] ^ s[2] ^ s[3], plan.shift_b, axis=-1)
+    pa_p1 = np.roll(p1, -plan.shift_a, axis=-1)  # (P_a v)[i] = v[i + a]
     p2 = s[0] ^ pa_p1
-    if plan.bg == 1:
-        # rows: [P_a I . .] [P_b I I .] [. . I I] [P_a . . I]
-        p3 = s[1] ^ _shift(p1, plan.shift_b) ^ p2
-    else:
-        # rows: [P_a I . .] [. I I .] [P_b . I I] [P_a . . I]
+    if plan.bg == 1:    # rows: [P_a I . .] [P_b I I .] [. . I I] [P_a . . I]
+        p3 = s[1] ^ np.roll(p1, -plan.shift_b, axis=-1) ^ p2
+    else:               # rows: [P_a I . .] [. I I .] [P_b . I I] [P_a . . I]
         p3 = s[1] ^ p2
     p4 = s[3] ^ pa_p1
-    for i, p in enumerate((p1, p2, p3, p4)):
-        codeword[:, (kb + i) * z:(kb + i + 1) * z] = p
-    # extension column c is solved by row c - kb from the head alone
-    for c in ext_cols:
-        codeword[:, c * z:(c + 1) * z] = row_parity(codeword, c - kb)
+    codeword = np.zeros((n, plan.n_full), dtype=np.uint8)
+    codeword[:, : plan.k] = info
+    blocks = codeword.reshape(n, -1, z)
+    blocks[:, kb:kb + CORE_PARITY_BLOCKS] = np.stack((p1, p2, p3, p4), 1)
+    add_circulants(blocks, on_core)
+    for r, parity in zip(ext_rows, s[CORE_PARITY_BLOCKS:]):
+        blocks[:, kb + r] = parity
     return codeword

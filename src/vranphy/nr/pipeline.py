@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -66,6 +67,17 @@ def cb_params(plan: SegmentationPlan, total_bits: int, qm: int, layers: int,
             for e in e_splits(plan.num_cbs, total_bits, qm, layers)]
 
 
+@lru_cache(maxsize=32)
+def _read_columns(plan: SegmentationPlan,
+                  params: frozenset[RateMatchParams]) -> tuple[int, ...]:
+    """The codeword column blocks rate matching reads under any of
+    ``params``, as a tuple: immutable, and a small Python object, so it
+    pins none of the heap memory a slot's arrays use."""
+    read = np.unique(np.concatenate([
+        selection_positions(plan, p) // plan.lifting_size for p in params]))
+    return tuple((read + PUNCTURED_BLOCKS).tolist())
+
+
 def encode_cb(bits, plan: SegmentationPlan,
               params: Sequence[RateMatchParams]) -> list[np.ndarray]:
     """E transmitted bits of each of n K-bit code blocks that share
@@ -75,11 +87,8 @@ def encode_cb(bits, plan: SegmentationPlan,
     if bits.ndim != 2 or bits.shape[0] != len(params):
         raise InvalidConfigError(
             f"code blocks {bits.shape} do not match {len(params)} params")
-    z = plan.lifting_size
-    read = np.unique(np.concatenate(
-        [selection_positions(plan, p) // z for p in set(params)]))
-    codewords = ldpc_encode(bits, plan.base_graph, z,
-                            read + PUNCTURED_BLOCKS)
+    codewords = ldpc_encode(bits, plan.base_graph, plan.lifting_size,
+                            _read_columns(plan, frozenset(params)))
     streams: list[np.ndarray] = []
     for param, run in groupby(params):
         first = len(streams)

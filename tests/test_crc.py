@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vranphy.errors import InvalidConfigError
 from vranphy.nr import crc_check, crc_compute, crc_length
-from vranphy.nr.crc import ROW_BITS
+from vranphy.nr.crc import ROW_BITS, _fold_matrix
 
 POLYS = {"CRC24A": (0x864CFB, 24), "CRC24B": (0x800063, 24),
          "CRC16": (0x1021, 16)}
@@ -103,3 +103,16 @@ def test_unknown_kind_rejected():
 
 def test_short_block_fails_check():
     assert not crc_check(np.zeros(10, dtype=np.uint8), "CRC24A")
+
+
+def test_fold_matrices_are_cached_read_only(rng):
+    """A flat payload of five rows folds over three levels; each level's
+    matrix is built once, kept read-only, and gives the same checksum."""
+    bits = rng.integers(0, 2, 5 * ROW_BITS - 7, dtype=np.uint8)
+    first = crc_compute(bits, "CRC24A")
+    for level in range(3):
+        shift, packed = _fold_matrix("CRC24A", level)
+        assert _fold_matrix("CRC24A", level)[1] is packed
+        assert not shift.flags.writeable and not packed.flags.writeable
+    np.testing.assert_array_equal(crc_compute(bits, "CRC24A"), first)
+    np.testing.assert_array_equal(first, crc_long_division(bits, "CRC24A"))

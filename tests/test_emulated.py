@@ -285,6 +285,22 @@ def test_every_completed_call_carries_its_own_submits_tag():
     assert sum(c.spike_us > 0 for c in popped) > 0
 
 
+@pytest.mark.parametrize("t_us", [float("inf"), float("nan")],
+                         ids=["infinite", "nan"])
+def test_advance_to_rejects_a_time_that_is_not_finite(t2_quiet, t_us):
+    """An infinite time would leave the clock at inf, so every later
+    arrival would be rejected; a NaN one would be ignored unseen."""
+    dev = t2_quiet
+    call = dev.submit(10.0, *_UL)
+    with pytest.raises(InvalidConfigError):
+        dev.advance_to(t_us)
+    # a rejected time leaves the device as it was
+    assert dev.now_us == 10.0 and dev.pop_completed() == []
+    dev.advance_to(call.completion_us)
+    assert dev.pop_completed() == [call]
+    assert dev.submit(2000.0, *_UL).start_us == 2000.0
+
+
 def test_a_drained_device_takes_later_calls(t2_quiet):
     """Draining completes every call in flight and leaves the clock at the
     last completion, so a later arrival is still accepted."""

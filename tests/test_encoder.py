@@ -3,8 +3,10 @@ import pytest
 
 from vranphy.errors import DataFileError, InvalidConfigError, \
     UnsupportedConfigError
-from vranphy.nr import (cb_params, encode_cb, ldpc_encode, lifted,
-                        lifting_sizes, segment_tb, split_payload)
+from vranphy.nr import (RateMatchParams, buffer_length, cb_params, encode_cb,
+                        ldpc_encode, lifted, lifting_sizes, segment_tb,
+                        selection_positions, split_payload)
+from vranphy.nr import pipeline, ratematch
 from vranphy.nr.basegraph import base_graph, parse_table_text
 
 
@@ -124,16 +126,43 @@ def test_batch_encode_equals_each_block_alone(bg, z, rng):
         np.testing.assert_array_equal(row, ldpc_encode(bits, bg, z))
 
 
-@pytest.mark.parametrize("read", [range(0, 26), range(30, 68),
-                                  (0, 27, 40, 41, 67)])
+def _rv_read(bg: int, rv: int):
+    """(bg, 384, the codeword column blocks that rate matching reads for
+    E = 12 000 under ``rv``) for a one-CB TB coded with Z = 384."""
+    plan = segment_tb(8000, 0.7) if bg == 1 else segment_tb(3824, 0.5)
+    assert (plan.base_graph, plan.lifting_size) == (bg, 384)
+    params = RateMatchParams(e=12_000, rv=rv, qm=2,
+                             ncb=buffer_length(bg, 384))
+    read = np.unique(selection_positions(plan, params) // 384) + 2
+    return pytest.param((bg, 384, read), id=f"bg{bg}-z384-rv{rv}")
+
+
+@pytest.mark.parametrize("read", [
+    (1, 16, range(0, 26)), (1, 16, range(30, 68)),
+    (1, 16, (0, 27, 40, 41, 67)),
+    *(_rv_read(bg, rv) for bg in (1, 2) for rv in (2, 3))])
 def test_restricted_encode_is_exact_on_the_columns_read(read, rng):
-    z = 16
-    info = rng.integers(0, 2, (3, 22 * z), dtype=np.uint8)
-    full = ldpc_encode(info, 1, z).reshape(3, -1, z)
-    part = ldpc_encode(info, 1, z, read).reshape(3, -1, z)
-    cols = sorted(set(read) | set(range(26)))   # core is always solved
+    bg, z, read = read
+    kb = 22 if bg == 1 else 10
+    info = rng.integers(0, 2, (3, kb * z), dtype=np.uint8)
+    full = ldpc_encode(info, bg, z).reshape(3, -1, z)
+    part = ldpc_encode(info, bg, z, read).reshape(3, -1, z)
+    cols = sorted(set(read) | set(range(kb + 4)))   # core is always solved
+    assert len(cols) < full.shape[1]
     np.testing.assert_array_equal(part[:, cols], full[:, cols])
     assert not np.delete(part, cols, axis=1).any()
+
+
+@pytest.mark.parametrize("bg", [1, 2])
+def test_batched_full_codewords_satisfy_every_check_row(bg, rng):
+    """Every extension row is solved for every block of a batch."""
+    z = 384
+    info = rng.integers(0, 2, (5, (22 if bg == 1 else 10) * z),
+                        dtype=np.uint8)
+    codewords = ldpc_encode(info, bg, z)
+    assert codewords.shape == (5, lifted(bg, z).n_full)
+    for cw in codewords:
+        assert lifted(bg, z).syndrome_ok(cw)
 
 
 @pytest.mark.parametrize("rv", [0, 2])
@@ -150,3 +179,29 @@ def test_batched_encode_cb_equals_batches_of_one(rv, rng):
         one = encode_cb(bits[i:i + 1], plan, params[i:i + 1])
         assert len(one) == 1
         np.testing.assert_array_equal(stream, one[0])
+
+
+def test_a_repeated_encode_reuses_its_read_columns_and_index(monkeypatch,
+                                                            rng):
+    """The read-column set and the rate-match index are kept per (plan,
+    parameters), so encoding the same shape again selects nothing."""
+    plan = segment_tb(30_000, 0.6)
+    params = cb_params(plan, 6 * (4000 * plan.num_cbs + 1), 2, 3, 1)
+    bits = split_payload(rng.integers(0, 2, plan.payload_bits,
+                                      dtype=np.uint8), plan)
+    first = encode_cb(bits, plan, params)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return selection_positions(*args)
+
+    monkeypatch.setattr(pipeline, "selection_positions", counted)
+    monkeypatch.setattr(ratematch, "selection_positions", counted)
+    again = encode_cb(bits, plan, params)
+    assert calls == []
+    for a, b in zip(first, again, strict=True):
+        np.testing.assert_array_equal(a, b)
+    read = pipeline._read_columns(plan, frozenset(params))
+    assert isinstance(read, tuple)     # immutable as well as shared
+    assert pipeline._read_columns(plan, frozenset(params)) is read

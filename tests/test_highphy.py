@@ -128,6 +128,20 @@ def test_precoding_in_place_matches_a_separate_output(rng):
     assert out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_precoding_rejects_non_finite_weights(bad):
+    """Weights are checked on entry; the port grid precoded from them and
+    a finite layer grid is not scanned again."""
+    grid = ResourceGrid(np.ones((2, SYMBOLS_PER_SLOT, SUBCARRIERS_PER_PRB)))
+    w = np.eye(3, 2, dtype=np.complex128)
+    w[2, 1] = bad
+    out = np.zeros((3, SYMBOLS_PER_SLOT, SUBCARRIERS_PER_PRB), complex)
+    with pytest.raises(InvalidConfigError):
+        precode_and_map(grid, w, out=out)
+    assert not out.any()        # rejected before anything is written
+
+
 def test_grid_rejects_non_finite_values():
     with pytest.raises(InvalidConfigError):
         ResourceGrid(np.full((1, 1, 1), np.nan))
