@@ -3,9 +3,8 @@
 The circular buffer is the lifted codeword minus its punctured 2Z head.
 Selection starts at the redundancy-version offset, skips filler positions
 and wraps; the selected stream is then block-interleaved with Qm rows.
-The selected positions, and the codeword index rate matching gathers
-through, depend only on the segmentation plan and the rate-match
-parameters, so each is computed once per distinct pair.
+The selected positions depend only on the segmentation plan and the
+rate-match parameters, so they are computed once per distinct pair.
 """
 from __future__ import annotations
 
@@ -102,17 +101,6 @@ def deinterleave(received: np.ndarray, qm: int) -> np.ndarray:
     return f.reshape(f.size // qm, qm).T.reshape(-1)
 
 
-@lru_cache(maxsize=32)
-def _match_index(plan: SegmentationPlan, params: RateMatchParams
-                 ) -> np.ndarray:
-    """Codeword positions of the E transmitted bits, read-only: the
-    interleaved selection picks the interleaved stream in one gather."""
-    index = PUNCTURED_BLOCKS * plan.lifting_size + interleave(
-        selection_positions(plan, params), params.qm)
-    index.flags.writeable = False
-    return index
-
-
 def rate_match(codeword: np.ndarray, plan: SegmentationPlan,
                params: RateMatchParams) -> np.ndarray:
     """E transmitted bits of a full lifted codeword, or an (n, E) array of
@@ -123,4 +111,6 @@ def rate_match(codeword: np.ndarray, plan: SegmentationPlan,
     if cw.shape[-1] != expected:
         raise InvalidConfigError(
             f"codeword length {cw.shape[-1]} != {expected}")
-    return cw.take(_match_index(plan, params), axis=-1)
+    # interleaving the positions picks the interleaved stream in one gather
+    read = interleave(selection_positions(plan, params), params.qm)
+    return cw.take(PUNCTURED_BLOCKS * z + read, axis=-1)

@@ -6,7 +6,7 @@ from vranphy.errors import DataFileError, InvalidConfigError, \
 from vranphy.nr import (RateMatchParams, buffer_length, cb_params, encode_cb,
                         ldpc_encode, lifted, lifting_sizes, segment_tb,
                         selection_positions, split_payload)
-from vranphy.nr import pipeline, ratematch
+from vranphy.nr import pipeline
 from vranphy.nr.basegraph import base_graph, parse_table_text
 
 
@@ -181,10 +181,9 @@ def test_batched_encode_cb_equals_batches_of_one(rv, rng):
         np.testing.assert_array_equal(stream, one[0])
 
 
-def test_a_repeated_encode_reuses_its_read_columns_and_index(monkeypatch,
-                                                            rng):
-    """The read-column set and the rate-match index are kept per (plan,
-    parameters), so encoding the same shape again selects nothing."""
+def test_a_repeated_encode_reuses_its_read_columns(monkeypatch, rng):
+    """The columns rate matching reads are kept per (plan, parameters), so
+    encoding the same shape again selects only to rate-match."""
     plan = segment_tb(30_000, 0.6)
     params = cb_params(plan, 6 * (4000 * plan.num_cbs + 1), 2, 3, 1)
     bits = split_payload(rng.integers(0, 2, plan.payload_bits,
@@ -197,7 +196,6 @@ def test_a_repeated_encode_reuses_its_read_columns_and_index(monkeypatch,
         return selection_positions(*args)
 
     monkeypatch.setattr(pipeline, "selection_positions", counted)
-    monkeypatch.setattr(ratematch, "selection_positions", counted)
     again = encode_cb(bits, plan, params)
     assert calls == []
     for a, b in zip(first, again, strict=True):

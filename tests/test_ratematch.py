@@ -5,7 +5,7 @@ from vranphy.errors import InvalidConfigError
 from vranphy.nr import (RateMatchParams, buffer_length,
                         interleave, k0_offset, ldpc_encode, rate_match,
                         segment_tb, selection_positions)
-from vranphy.nr.ratematch import _match_index, deinterleave, filler_range
+from vranphy.nr.ratematch import deinterleave, filler_range
 
 
 def k0_oracle(bg, z, rv, ncb):
@@ -156,19 +156,14 @@ def test_selection_is_memoised_and_read_only():
 
 
 def test_rate_match_returns_a_fresh_writable_stream(rng):
-    """The gather index is kept read-only; each call's stream is a new
-    array that the caller may write."""
+    """The selection it gathers through is shared and read-only; each
+    call's stream is a new array that the caller may write."""
     plan = segment_tb(300, 0.5)
     params = RateMatchParams(e=600, rv=2, qm=2,
                              ncb=buffer_length(plan.base_graph,
                                                plan.lifting_size))
     cw = ldpc_encode(rng.integers(0, 2, plan.k, dtype=np.uint8),
                      plan.base_graph, plan.lifting_size)
-    index = _match_index(plan, params)
-    assert _match_index(plan, params) is index
-    assert not index.flags.writeable
-    with pytest.raises(ValueError):
-        index[0] = 0
     first, second = (rate_match(cw, plan, params) for _ in range(2))
     assert first.flags.writeable and not np.shares_memory(first, second)
     first ^= 1
