@@ -131,8 +131,8 @@ def test_precoding_in_place_matches_a_separate_output(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
                          ids=["nan", "inf", "imaginary-inf"])
 def test_precoding_rejects_non_finite_weights(bad):
-    """Weights are checked on entry; the port grid precoded from them and
-    a finite layer grid is not scanned again."""
+    """Weights are checked on entry, before anything is written, since
+    the port grid precoded from them is not scanned afterwards."""
     grid = ResourceGrid(np.ones((2, SYMBOLS_PER_SLOT, SUBCARRIERS_PER_PRB)))
     w = np.eye(3, 2, dtype=np.complex128)
     w[2, 1] = bad
