@@ -8,12 +8,12 @@ time of its shape. Its ops run one after another, so each arrives at an
 idle device, is granted at once and never meets the contention tail. The
 virtual-time event engine is the deployment harness's: ``submit`` adds one
 call at an explicit, finite arrival time, ``advance_to`` moves the clock
-to a finite time, ``drain`` completes every call in flight and leaves the clock at the last
-completion, and ``pop_completed`` collects finished calls. A call's
-``tag`` is the submitter's own data, as a bbdev op's ``opaque_data``:
-``submit`` stores it on the call's ``CallRecord`` and ``pop_completed``
-hands it back unchanged, so a submitter needs no record of its own to tell
-which of its calls has completed.
+to a finite time, ``drain`` completes every call in flight and leaves the
+clock at the last completion, and ``pop_completed`` collects finished
+calls. A call's ``tag`` is the submitter's own data, as a bbdev op's
+``opaque_data``: ``submit`` stores it on the call's ``CallRecord`` and
+``pop_completed`` hands it back unchanged, so a submitter needs no record
+of its own to tell which of its calls has completed.
 
 The device is one FIFO pool of ``parallel_servers`` servers: calls wait in
 submission order, which is arrival order since arrivals never decrease,
