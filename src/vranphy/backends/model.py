@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import CalibrationError, InvalidConfigError
 from ..lpu import CallShape
+from ..nr.mcs import MAX_PRBS
 from ..nr.pipeline import tb_geometry
 
 GENERATIONS = ("per_cb", "per_tb", "per_slot")
@@ -80,7 +81,7 @@ class ServiceTimeModel:
 @dataclass(frozen=True)
 class BenchConfig:
     """Geometry of the interface benchmark: a full slot equally shared."""
-    prbs: int = 273
+    prbs: int = MAX_PRBS
     symbols: int = 12
     overhead: int = 0
     layers: int = 1

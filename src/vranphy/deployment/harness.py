@@ -1,6 +1,6 @@
 """Multi-instance deployment harness.
 
-Drives the DDDSU traffic of N gNB instances against one shared emulated
+Drives the TDD traffic of N gNB instances against one shared emulated
 coding device, entirely in virtual time. Each instance submits one encode
 call per prepared downlink slot and one decode call per uplink slot, the
 one per-slot call ``model.call_shapes`` makes of the link's TB; the
@@ -33,12 +33,12 @@ import numpy as np
 from ..backends.emulated import block_draws, make_emulated
 from ..backends.model import call_shapes
 from ..errors import InvalidConfigError
-from ..highphy import (DL_SLOT_US, SYMBOLS_PER_SLOT, TDD_PATTERN, TTI_US,
-                       UL_SLOT_US, slot_timing, tdd_slot_kind)
+from ..highphy import (DL_SLOT_US, TTI_US, UL_SLOT_US, slot_timing,
+                       tdd_slot_kind)
 from ..metrics import LatencyDistribution, summarize
+from ..nr.mcs import MAX_PRBS, check_allocation
 from ..nr.pipeline import tb_geometry
 from ..nr.segmentation import SegmentationPlan
-from ..slot_coding import MAX_PRBS
 from .topology import default_core_plan, topology_for
 
 ENCODE_LOOKAHEAD_SLOTS = 1
@@ -78,7 +78,7 @@ class PhyTestTraffic:
     ul_layers: int = 2
     ul_mcs: int = 16
     ul_table: str = "T2"
-    prbs: int = 273
+    prbs: int = MAX_PRBS
     symbols: int = 12
     overhead: int = 12
     dl_error_rate: float = 0.0
@@ -91,9 +91,7 @@ class PhyTestTraffic:
         for name in ("dl_error_rate", "ul_error_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:   # NaN fails too
                 raise InvalidConfigError(f"traffic.{name} must be in [0, 1]")
-        for name, top in (("prbs", MAX_PRBS), ("symbols", SYMBOLS_PER_SLOT)):
-            if not 1 <= getattr(self, name) <= top:
-                raise InvalidConfigError(f"traffic.{name} must be in 1..{top}")
+        check_allocation(self.prbs, self.symbols, self.overhead)
 
     def plans(self) -> dict[str, SegmentationPlan]:
         """Segmentation plan of the DL and UL transport block; its
@@ -240,11 +238,6 @@ def _make_devices(config: DeploymentConfig, n: int):
     return devices, devices
 
 
-# the kind of each slot of one TDD period, checked once
-_SLOT_KINDS = tuple(tdd_slot_kind(k, TDD_PATTERN)
-                    for k in range(len(TDD_PATTERN)))
-
-
 def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     """Drive the configured instances for the configured slot count."""
     # the instances must fit the profile's cores (CapacityError otherwise)
@@ -271,11 +264,10 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
         """(arrival_us, instance, direction, traffic_slot) for one slot."""
         out = []
         t0 = slot * TTI_US
-        uplink = _SLOT_KINDS[slot % len(_SLOT_KINDS)] == "U"
+        uplink = tdd_slot_kind(slot) == "U"
         # encode prepared ahead for the D slot this one points at
         target = slot + ENCODE_LOOKAHEAD_SLOTS
-        encode_ahead = target < duration and \
-            _SLOT_KINDS[target % len(_SLOT_KINDS)] == "D"
+        encode_ahead = target < duration and tdd_slot_kind(target) == "D"
         for i in range(n):
             if metrics[i].failed:
                 continue
@@ -342,7 +334,7 @@ def expected_slot_counts(duration_slots: int) -> dict[str, int]:
     The first downlink slot has no lookahead window to be prepared in, so
     the encoded-slot count can be one short of the raw D-slot count.
     """
-    kinds = [_SLOT_KINDS[k % len(_SLOT_KINDS)] for k in range(duration_slots)]
+    kinds = [tdd_slot_kind(k) for k in range(duration_slots)]
     return {"dl_encoded": kinds[ENCODE_LOOKAHEAD_SLOTS:].count("D"),
             "ul": kinds.count("U")}
 

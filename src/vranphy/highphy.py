@@ -1,6 +1,13 @@
 """Slot-level High-PHY pipelines: cell timing constants, TDD slot typing,
 the DL bit-to-grid chain, vectorized precoding, and the slot-timing rule.
 
+The TDD pattern is stated here once, as ``TDD_PATTERN``, and
+``tdd_slot_kind`` is the one slot-kind rule: the slot runners, the
+deployment harness and its expected slot counts all read it. The grid
+constants and the bounds rule of an allocation live in ``nr.mcs``. A
+slot's jobs are admitted against the cell by one rule for both directions:
+their PRB shares must fit ``cfg.prbs``.
+
 The slot-timing rule is stated once, by ``slot_timing``: a slot's total is
 its direction's synthetic cost of the non-coding stages plus its coding
 time, and it meets its deadline when that total stays within the
@@ -46,14 +53,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidConfigError
-from .nr.mcs import mcs_params
+from .nr.mcs import (MAX_PRBS, SUBCARRIERS_PER_PRB, SYMBOLS_PER_SLOT,
+                     check_allocation, mcs_params)
 from .nr.modulation import (layer_map, modulate, scramble, scrambling_init,
                             symbol_indices)
-from .slot_coding import (MAX_PRBS, HarqPool, SlotCodingRequest,
-                          SlotCodingResult, decode_slot, encode_slot)
+from .slot_coding import (HarqPool, SlotCodingRequest, SlotCodingResult,
+                          decode_slot, encode_slot)
 
-SYMBOLS_PER_SLOT = 14
-SUBCARRIERS_PER_PRB = 12
 TTI_US = 500.0               # numerology 1
 TDD_PATTERN = "DDDSU"
 
@@ -77,21 +83,13 @@ def slot_timing(slot_us: tuple[float, float], coding_us: float
 
 @dataclass(frozen=True)
 class CellConfig:
-    prbs: int = 273
+    prbs: int = MAX_PRBS
     tx_antennas: int = 4
-    tdd_pattern: str = TDD_PATTERN
     symbols: int = 12            # data symbols available to a TB
     overhead: int = 0
 
     def __post_init__(self):
-        check_tdd_pattern(self.tdd_pattern)
-        if not 1 <= self.prbs <= MAX_PRBS:
-            raise InvalidConfigError(f"prbs must be in 1..{MAX_PRBS}")
-        if not 1 <= self.symbols <= SYMBOLS_PER_SLOT:
-            raise InvalidConfigError(
-                f"symbols must be in 1..{SYMBOLS_PER_SLOT}")
-        if self.overhead < 0:
-            raise InvalidConfigError("overhead must be >= 0")
+        check_allocation(self.prbs, self.symbols, self.overhead)
         if self.tx_antennas < 1:
             raise InvalidConfigError("tx_antennas must be >= 1")
 
@@ -100,19 +98,25 @@ class CellConfig:
         return SUBCARRIERS_PER_PRB * self.prbs
 
 
-def check_tdd_pattern(pattern: str) -> None:
-    """Reject an empty pattern or a slot kind other than D, S and U."""
-    if not pattern:
-        raise InvalidConfigError("empty TDD pattern")
-    for ch in pattern:
-        if ch not in "DSU":
-            raise InvalidConfigError(f"invalid TDD pattern character {ch!r}")
+def tdd_slot_kind(slot_index: int) -> str:
+    """Slot kind (D, S or U) of a slot under the repeating ``TDD_PATTERN``."""
+    return TDD_PATTERN[slot_index % len(TDD_PATTERN)]
 
 
-def tdd_slot_kind(slot_index: int, pattern: str) -> str:
-    """Slot kind (D, S or U) from the repeating TDD pattern."""
-    check_tdd_pattern(pattern)
-    return pattern[slot_index % len(pattern)]
+def _admit(cfg: CellConfig, jobs: list, slot_id: int, link: str,
+           kinds: str) -> tuple[str, SlotCodingRequest]:
+    """The kind of slot ``slot_id`` and the coding request of its jobs. The
+    slot must be one of ``kinds`` to carry ``link``, and the jobs' PRB
+    shares must fit the cell."""
+    kind = tdd_slot_kind(slot_id)
+    if kind not in kinds:
+        raise InvalidConfigError(
+            f"slot {slot_id} is {kind}, not a {link} slot")
+    if sum(j.prb_share for j in jobs) > cfg.prbs:
+        raise InvalidConfigError(
+            f"PRB shares exceed the cell's {cfg.prbs} PRBs")
+    return kind, SlotCodingRequest(jobs=jobs, symbols=cfg.symbols,
+                                   overhead=cfg.overhead)
 
 
 @dataclass
@@ -135,10 +139,6 @@ class ResourceGrid:
         grid = object.__new__(cls)
         grid.data = data
         return grid
-
-    @property
-    def streams(self) -> int:
-        return self.data.shape[0]
 
 
 class PrecodeMode(Enum):
@@ -273,21 +273,14 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
     """Encode one downlink slot, map what it encoded onto the layer grid
     (the rule is in the module docstring) and precode that grid onto the
     cell's ``tx_antennas`` ports."""
-    kind = tdd_slot_kind(slot_id, cfg.tdd_pattern)
-    if kind not in ("D", "S"):
-        raise InvalidConfigError(f"slot {slot_id} is {kind}, not a DL slot")
     jobs = list(jobs)
+    kind, request = _admit(cfg, jobs, slot_id, "DL", "DS")
     for job in jobs:
         if job.layers > cfg.tx_antennas:
             raise InvalidConfigError(
                 f"job ue={job.ue_id}: {job.layers} layers exceed "
                 f"{cfg.tx_antennas} antennas")
         scrambling_init(job.ue_id)      # an RNTI has 16 bits
-    if sum(j.prb_share for j in jobs) > cfg.prbs:
-        raise InvalidConfigError(
-            f"PRB shares exceed the cell's {cfg.prbs} PRBs")
-    request = SlotCodingRequest(jobs=jobs, symbols=cfg.symbols,
-                                overhead=cfg.overhead)
     coding = encode_slot(request, executor)
     n_layers = max(j.layers for j in jobs)
     if weights is None:
@@ -309,11 +302,7 @@ def run_ul_slot(cfg: CellConfig, jobs, executor,
                 slot_id: int = 4) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
     """Front stages, rate recovery and decoding of one uplink slot."""
-    kind = tdd_slot_kind(slot_id, cfg.tdd_pattern)
-    if kind != "U":
-        raise InvalidConfigError(f"slot {slot_id} is {kind}, not a UL slot")
-    request = SlotCodingRequest(jobs=list(jobs), symbols=cfg.symbols,
-                                overhead=cfg.overhead)
+    kind, request = _admit(cfg, list(jobs), slot_id, "UL", "U")
     coding = decode_slot(request, executor, harq)
     rec = SlotTimingRecord(slot_id, kind,
                            *slot_timing(UL_SLOT_US, coding.total_elapsed_us))

@@ -14,8 +14,7 @@ from .softbuffer import (SoftBuffer, awgn_llrs, new_soft_buffer,
                          noiseless_llrs, rate_recover_and_combine)
 from .decoder import DecodeResult, ldpc_decode
 from .pipeline import (EncodedTb, TbDecodeOutcome, cb_params, decode_cb,
-                       decode_tb, e_splits, encode_cb, encode_tb,
-                       loopback_tb)
+                       decode_tb, e_splits, encode_cb, encode_tb)
 
 __all__ = [
     "crc_compute", "crc_check", "crc_length",
@@ -31,5 +30,5 @@ __all__ = [
     "awgn_llrs", "rate_recover_and_combine",
     "DecodeResult", "ldpc_decode",
     "EncodedTb", "TbDecodeOutcome", "encode_tb", "decode_tb", "e_splits",
-    "cb_params", "encode_cb", "decode_cb", "loopback_tb",
+    "cb_params", "encode_cb", "decode_cb",
 ]

@@ -1,4 +1,11 @@
-"""MCS tables and transport-block size determination.
+"""The NR resource grid, MCS tables and transport-block size determination.
+
+The grid (TS 38.211 4.4) is stated here once: a PRB is
+``SUBCARRIERS_PER_PRB`` subcarriers wide, a slot has ``SYMBOLS_PER_SLOT``
+OFDM symbols and a carrier at most ``MAX_PRBS`` PRBs. ``check_allocation``
+is the one bounds rule for an allocation of PRBs, symbols and per-PRB
+overhead; the cell, the deployment's traffic and ``resource_elements`` all
+apply it. The TDD pattern and the slot-kind rule live in ``highphy``.
 
 ``compute_tbs`` follows the shared-channel TBS procedure: resource-element
 counting per PRB (capped at 156), intermediate information size
@@ -11,6 +18,10 @@ from fractions import Fraction
 from math import ceil, floor
 
 from ..errors import InvalidConfigError
+
+SUBCARRIERS_PER_PRB = 12
+SYMBOLS_PER_SLOT = 14
+MAX_PRBS = 273
 
 # (modulation order Qm, code rate numerator; rate = num / 1024)
 # 64QAM table
@@ -56,23 +67,28 @@ def mcs_params(mcs_index: int, mcs_table: str) -> tuple[int, Fraction]:
     return qm, Fraction(num, 1024)
 
 
-def resource_elements(prbs: int, symbols: int, overhead: int = 0) -> int:
-    """Allocated REs: min(156, 12*symbols - overhead) per PRB."""
-    if prbs < 1:
-        raise InvalidConfigError("prbs must be >= 1")
+def check_allocation(prbs: int, symbols: int, overhead: int = 0) -> None:
+    """Reject an allocation outside the grid: prbs in 1..MAX_PRBS, symbols
+    in 1..SYMBOLS_PER_SLOT, overhead >= 0 and at least one RE per PRB."""
+    if not 1 <= prbs <= MAX_PRBS:
+        raise InvalidConfigError(f"prbs must be in 1..{MAX_PRBS}")
+    if not 1 <= symbols <= SYMBOLS_PER_SLOT:
+        raise InvalidConfigError(f"symbols must be in 1..{SYMBOLS_PER_SLOT}")
     if overhead < 0:
         raise InvalidConfigError("overhead must be >= 0")
-    per_prb = 12 * symbols - overhead
-    if per_prb <= 0:
+    if SUBCARRIERS_PER_PRB * symbols <= overhead:
         raise InvalidConfigError("overhead exceeds symbol budget")
-    return min(156, per_prb) * prbs
+
+
+def resource_elements(prbs: int, symbols: int, overhead: int = 0) -> int:
+    """Allocated REs: min(156, 12*symbols - overhead) per PRB."""
+    check_allocation(prbs, symbols, overhead)
+    return min(156, SUBCARRIERS_PER_PRB * symbols - overhead) * prbs
 
 
 def compute_tbs(prbs: int, symbols: int, layers: int, mcs_index: int,
                 mcs_table: str = "T1", overhead: int = 0) -> int:
     """Transport-block size in bits for the given allocation."""
-    if prbs < 1:
-        raise InvalidConfigError("prbs must be >= 1")
     if not 1 <= layers <= 4:
         raise InvalidConfigError("layers must be in 1..4")
     qm, rate = mcs_params(mcs_index, mcs_table)

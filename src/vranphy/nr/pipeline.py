@@ -30,8 +30,7 @@ from .decoder import DecodeResult, ldpc_decode
 from .mcs import compute_tbs, mcs_params, resource_elements
 from .segmentation import (SegmentationPlan, assemble_payload, segment_tb,
                            split_payload)
-from .softbuffer import SoftBuffer, new_soft_buffer, noiseless_llrs, \
-    rate_recover_and_combine
+from .softbuffer import SoftBuffer, new_soft_buffer, rate_recover_and_combine
 
 
 def tb_geometry(prbs: int, symbols: int, layers: int, mcs_index: int,
@@ -61,10 +60,13 @@ def cb_params(plan: SegmentationPlan, total_bits: int, qm: int, layers: int,
               rv: int = 0) -> list[RateMatchParams]:
     """Rate-match parameters of each code block of one transport block:
     its share of the ``total_bits`` (G) split, the full circular buffer and
-    the redundancy version."""
+    the redundancy version. The blocks take at most two distinct E
+    values, so each distinct parameter set is built once and shared."""
     ncb = buffer_length(plan.base_graph, plan.lifting_size)
-    return [RateMatchParams(e=e, rv=rv, qm=qm, ncb=ncb)
-            for e in e_splits(plan.num_cbs, total_bits, qm, layers)]
+    splits = e_splits(plan.num_cbs, total_bits, qm, layers)
+    shared = {e: RateMatchParams(e=e, rv=rv, qm=qm, ncb=ncb)
+              for e in set(splits)}
+    return [shared[e] for e in splits]
 
 
 @lru_cache(maxsize=32)
@@ -126,10 +128,6 @@ class TbDecodeOutcome:
     cb_crc_ok: list[bool]
     iterations: list[int]
 
-    @property
-    def all_ok(self) -> bool:
-        return self.tb_crc_ok and all(self.cb_crc_ok)
-
 
 def decode_tb(llr_streams: list[np.ndarray], plan: SegmentationPlan,
               params: list[RateMatchParams],
@@ -161,10 +159,3 @@ def assemble_decoded(results: list[DecodeResult], plan: SegmentationPlan
                              or crc_check(tb, plan.tb_crc_kind))
     return tb[: plan.payload_bits], tb_ok, blocks
 
-
-def loopback_tb(payload, plan: SegmentationPlan, total_bits: int, qm: int,
-                layers: int, rv: int = 0) -> TbDecodeOutcome:
-    """Noiseless encode -> exact-LLR mapping -> decode round trip."""
-    enc = encode_tb(payload, plan, total_bits, qm, layers, rv)
-    llrs = [noiseless_llrs(s) for s in enc.streams]
-    return decode_tb(llrs, plan, enc.params)

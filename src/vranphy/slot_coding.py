@@ -21,13 +21,11 @@ from .errors import (BackendUnavailableError, HarqBufferMissingError,
 from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
                   OpKind, QueueHandle, route_interface)
 from .nr.decoder import DecodeResult
-from .nr.mcs import compute_tbs
+from .nr.mcs import MAX_PRBS
 from .nr.pipeline import assemble_decoded, cb_params, encode_cb, tb_geometry
 from .nr.segmentation import SegmentationPlan, split_payload
 from .nr.softbuffer import (SoftBuffer, new_soft_buffer, noiseless_llrs,
                             received_llrs)
-
-MAX_PRBS = 273
 
 
 class InterfaceGeneration(Enum):
@@ -66,19 +64,13 @@ class SlotCodingRequest:
     overhead: int = 0
 
     def validate(self) -> None:
+        """Checks on the slot as a whole; each job's own checks run as its
+        coding state is prepared (``_prepare_tb``)."""
         if not self.jobs:
             raise InvalidConfigError("a processed slot needs at least one job")
         if sum(j.prb_share for j in self.jobs) > MAX_PRBS:
             raise InvalidConfigError(
                 f"PRB shares exceed the {MAX_PRBS}-PRB grid")
-        for job in self.jobs:
-            expected = compute_tbs(job.prb_share, self.symbols, job.layers,
-                                   job.mcs_index, job.mcs_table,
-                                   self.overhead)
-            if job.payload is not None and job.payload.size != expected:
-                raise InvalidConfigError(
-                    f"job ue={job.ue_id}: payload {job.payload.size} != "
-                    f"TBS {expected}")
 
 
 @dataclass
@@ -187,41 +179,55 @@ class _TbWork:
 
 def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
                 caps, kind: OpKind, harq: HarqPool | None) -> _TbWork:
+    """A job's coding state with every input checked: its payload, and on
+    a decode its stream count, its LLRs and the HARQ process a
+    retransmission resumes. No HARQ state changes here: a decode's items
+    are (llrs, plan, params) until ``_start_decode`` gives them buffers."""
     plan, g_total, qm = tb_geometry(job.prb_share, request.symbols,
                                     job.layers, job.mcs_index, job.mcs_table,
                                     request.overhead)
+    if job.payload is not None and job.payload.size != plan.payload_bits:
+        raise InvalidConfigError(
+            f"job ue={job.ue_id}: payload {job.payload.size} != "
+            f"TBS {plan.payload_bits}")
     params = cb_params(plan, g_total, qm, job.layers, job.rv)
     granularity = route_interface(caps, plan.num_cbs)
-    process = None
     if kind is OpKind.ENCODE:
-        cbs = split_payload(job.payload, plan)
-        items = [(bits, plan, rm) for bits, rm in zip(cbs, params)]
-    else:
-        streams = job.llr_streams
-        if streams is None:
-            if job.payload is None:
-                raise InvalidConfigError(
-                    "UL job needs llr_streams or a loopback payload")
-            streams = [noiseless_llrs(s) for s in encode_cb(
-                split_payload(job.payload, plan), plan, params)]
-        if len(streams) != plan.num_cbs:
-            raise InvalidConfigError("llr stream count != segment count")
-        if job.new_data:
-            process = HarqProcess.fresh(plan) if harq is None \
-                else harq.start(job.ue_id, job.harq_pid, plan)
-        elif harq is None:
+        items = [(bits, plan, rm)
+                 for bits, rm in zip(split_payload(job.payload, plan), params)]
+        return _TbWork(job=job, plan=plan, items=items,
+                       granularity=granularity)
+    streams = job.llr_streams
+    if streams is None:
+        if job.payload is None:
+            raise InvalidConfigError(
+                "UL job needs llr_streams or a loopback payload")
+        streams = [noiseless_llrs(s) for s in encode_cb(
+            split_payload(job.payload, plan), plan, params)]
+    if len(streams) != plan.num_cbs:
+        raise InvalidConfigError("llr stream count != segment count")
+    items = [(received_llrs(llrs, rm), plan, rm)
+             for llrs, rm in zip(streams, params)]
+    process = None
+    if not job.new_data:
+        if harq is None:
             raise HarqBufferMissingError(
                 f"ue={job.ue_id}: combining needs a HARQ pool")
-        else:
-            process = harq.resume(job.ue_id, job.harq_pid, plan)
-        items = []
-        for idx, (llrs, rm) in enumerate(zip(streams, params)):
-            if idx in process.passed:
-                received_llrs(llrs, rm)     # checked, not combined
-            else:
-                items.append((llrs, plan, rm, process.buffers[idx]))
+        process = harq.resume(job.ue_id, job.harq_pid, plan)
     return _TbWork(job=job, plan=plan, items=items, granularity=granularity,
                    process=process)
+
+
+def _start_decode(work: _TbWork, harq: HarqPool | None) -> None:
+    """Start new data's HARQ process, then keep the items of the CBs the
+    process has no passed result for, each with its soft buffer."""
+    job = work.job
+    if job.new_data:
+        work.process = HarqProcess.fresh(work.plan) if harq is None \
+            else harq.start(job.ue_id, job.harq_pid, work.plan)
+    passed, buffers = work.process.passed, work.process.buffers
+    work.items = [(*item, buffers[idx]) for idx, item in enumerate(work.items)
+                  if idx not in passed]
 
 
 def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
@@ -280,6 +286,9 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
         raise BackendUnavailableError("executor handle has no device")
     works = [_prepare_tb(job, request, device.capabilities, kind, harq)
              for job in request.jobs]
+    if kind is OpKind.DECODE:
+        for w in works:
+            _start_decode(w, harq)
     calls = _group_calls(works, request.interface_generation, kind)
     outputs_per_tb, elapsed_us = _run_calls(device, kind, works, calls,
                                             harq)

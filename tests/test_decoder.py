@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_cb,
-                        encode_tb, ldpc_decode, lifted, loopback_tb,
-                        mcs_params, new_soft_buffer, noiseless_llrs,
+                        encode_tb, ldpc_decode, lifted, mcs_params,
+                        new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb, split_payload)
 from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS
@@ -18,11 +18,18 @@ def _full_buffer_e(plan):
     return 2 * ((ncb - plan.filler_per_cb) // 2)
 
 
+def _loopback(payload, plan):
+    """Noiseless encode -> exact-LLR mapping -> decode round trip."""
+    enc = encode_tb(payload, plan, _full_buffer_e(plan), qm=2, layers=1)
+    return decode_tb([noiseless_llrs(s) for s in enc.streams], plan,
+                     enc.params)
+
+
 def test_noiseless_round_trip_is_nearly_instant(rng):
     plan = segment_tb(300, 0.5)
     payload = rng.integers(0, 2, 300).astype(np.uint8)
-    out = loopback_tb(payload, plan, _full_buffer_e(plan), qm=2, layers=1)
-    assert out.all_ok
+    out = _loopback(payload, plan)
+    assert out.tb_crc_ok and all(out.cb_crc_ok)
     np.testing.assert_array_equal(out.payload, payload)
     assert all(it <= 2 for it in out.iterations)
 
@@ -79,7 +86,7 @@ def test_punctured_head_recovered_from_parity(rng):
     # must reconstruct them exactly
     plan = segment_tb(300, 0.5)
     payload = rng.integers(0, 2, 300).astype(np.uint8)
-    out = loopback_tb(payload, plan, _full_buffer_e(plan), qm=2, layers=1)
+    out = _loopback(payload, plan)
     head = out.payload[: 2 * plan.lifting_size]
     np.testing.assert_array_equal(head, payload[: 2 * plan.lifting_size])
 
@@ -119,7 +126,7 @@ def test_corrupted_code_block_fails_its_crc_and_the_tb(rng):
     out = decode_tb([noiseless_llrs(s) for s in enc.streams], plan,
                     enc.params)
     assert out.cb_crc_ok == [True, False]
-    assert not out.tb_crc_ok and not out.all_ok
+    assert not out.tb_crc_ok
     pos = plan.segment_data_bits + 5    # the flipped bit in the payload
     assert out.payload[pos] != payload[pos]
 
@@ -150,7 +157,7 @@ def test_single_block_tb_crc_is_computed_once(rng, monkeypatch):
 
     monkeypatch.setattr(crc, "crc_compute", counted)
     out = decode_tb(llrs, plan, enc.params)
-    assert out.all_ok
+    assert out.tb_crc_ok and all(out.cb_crc_ok)
     np.testing.assert_array_equal(out.payload, payload)
     assert calls == [plan.tb_crc_kind]
 

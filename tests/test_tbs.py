@@ -79,10 +79,9 @@ def test_monotone_in_prbs():
 def test_resource_elements_cap():
     assert resource_elements(2, 14, 0) == 156 * 2
     assert resource_elements(2, 12, 0) == 144 * 2
-    with pytest.raises(InvalidConfigError):
-        resource_elements(0, 12)
-    with pytest.raises(InvalidConfigError):
-        resource_elements(1, 1, 24)
+    for args in ((0, 12), (274, 12), (1, 0), (1, 15), (1, 1, 24)):
+        with pytest.raises(InvalidConfigError):
+            resource_elements(*args)
 
 
 def test_negative_overhead_rejected():
