@@ -149,10 +149,9 @@ class QueueAllocator:
 
 
 def validate_harq_placement(caps: LpuCapabilities,
-                            op: CodingOpDescriptor) -> None:
+                            location: BufferLocation | None) -> None:
     """Reject device-side HARQ buffers on devices without internal memory."""
-    if op.harq_location is BufferLocation.DEVICE \
-            and not caps.internal_harq_memory:
+    if location is BufferLocation.DEVICE and not caps.internal_harq_memory:
         raise CapabilityMismatchError(
             f"{caps.name}: device-side HARQ buffer on a host-memory device")
 
@@ -173,4 +172,4 @@ def validate_ops(caps: LpuCapabilities, ops: list[CodingOpDescriptor]
         if op.payload is None:
             raise InvalidConfigError("a coding op needs a payload")
         validate_granularity(caps, op)
-        validate_harq_placement(caps, op)
+        validate_harq_placement(caps, op.harq_location)

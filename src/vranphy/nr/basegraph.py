@@ -5,7 +5,9 @@ row, column, one shift per lifting-set index) guarded by a sha256 header.
 A lifted structure for a concrete (graph, Z) pair holds its edges, which
 the encoder reads, and precomputes the gather and group-reduction indices
 that the decoder runs on; the decoder asks for one restricted to the
-check rows a transmission reached.
+check rows a transmission reached. A word passes the syndrome when each
+kept row's XOR over its edges' hard bits is zero at all Z positions; the
+test stops at the first row where it is not.
 
 Lifting semantics: an entry with shift ``s`` stands for a Z x Z identity
 rolled by ``s``; check-local position ``i`` of that block connects to
@@ -147,24 +149,18 @@ class LiftedStructure:
     """
 
     def __init__(self, bg: int, z: int, rows: tuple[int, ...] | None = None):
-        if z not in _set_index_map():
-            raise UnsupportedConfigError(f"lifting size {z} not supported")
+        iset = set_index(z)     # rejects an unsupported Z
         g = base_graph(bg)
-        self.bg = bg
-        self.z = z
         self.kb = g.kb
         self.n_rows = g.n_rows
-        self.n_cols = g.n_cols
         self.k = g.kb * z
         self.n_full = g.n_cols * z
-        iset = set_index(z)
         order = np.lexsort((g.cols, g.rows))
         if rows is not None:
             order = order[np.isin(g.rows[order], rows)]
         self.rows = g.rows[order]
         self.cols = g.cols[order]
         self.shifts = np.mod(g.shifts[order, iset], z)
-        self.n_edges = self.rows.size
         # row groups (edges are row-major sorted); reduceat over
         # row_starts yields one entry per kept row, and row_degree expands
         # it back to one entry per edge
@@ -177,17 +173,12 @@ class LiftedStructure:
         self.var_index += self.cols[:, None] * z
         self.row_blocks = tuple(np.split(self.var_index, self.row_starts[1:]))
 
-    def gather(self, flat_vars: np.ndarray) -> np.ndarray:
-        """Check-local view (n_edges, z) of a flat variable vector."""
-        return flat_vars.take(self.var_index)
-
-    def check_parity(self, hard_bits: np.ndarray) -> np.ndarray:
-        """Per-check parity (kept rows, z) of a full hard-decision vector."""
-        local = self.gather(hard_bits.astype(np.uint8))
-        return np.bitwise_xor.reduceat(local, self.row_starts, axis=0)
-
     def syndrome_ok(self, hard_bits: np.ndarray) -> bool:
-        return not self.check_parity(hard_bits).any()
+        """Whether ``hard_bits`` (0/1 or bool) pass the kept checks."""
+        for index in self.row_blocks:
+            if np.bitwise_xor.reduce(hard_bits.take(index), axis=0).any():
+                return False
+        return True
 
 
 @lru_cache(maxsize=32)

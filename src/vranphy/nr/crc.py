@@ -36,6 +36,9 @@ _POLYS = {
 # row width a flat payload is folded over: the largest code block, so the
 # CRC of a block is one row and needs no fold
 ROW_BITS = 8448
+# rows a GF(2) product ANDs and reduces at once: 0.4 MB at 8448 bits and 24
+# columns, where the whole (129, 24, 133)-word AND took 3.3 MB
+_PRODUCT_ROWS = 16
 
 _POWER_CACHE: dict[str, np.ndarray] = {}
 
@@ -97,7 +100,11 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 def _gf2_product(a: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     """a @ b over GF(2) for an (n, K) 0/1 array ``a`` and a (K, L) 0/1
     matrix given as its packed columns ``_pack_rows(b.T)``: (n, L) bits."""
-    words = np.bitwise_xor.reduce(_pack_rows(a)[:, None, :] & b_cols, axis=2)
+    packed = _pack_rows(a)
+    words = np.empty((packed.shape[0], b_cols.shape[0]), dtype=np.uint64)
+    for lo in range(0, packed.shape[0], _PRODUCT_ROWS):
+        np.bitwise_xor.reduce(packed[lo:lo + _PRODUCT_ROWS, None, :] & b_cols,
+                              axis=2, out=words[lo:lo + _PRODUCT_ROWS])
     for shift in (32, 16, 8, 4, 2, 1):
         words ^= words >> np.uint64(shift)
     return (words & np.uint64(1)).astype(np.uint8)

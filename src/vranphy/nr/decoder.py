@@ -6,14 +6,18 @@ row reads its edges' variable totals through its ``(degree, Z)`` block of
 the lifted variable index and takes away the messages it sent on the last
 pass. Each edge then gets the smallest magnitude among the row's other
 edges (the second smallest at the one edge holding a unique smallest),
-scaled by the normalisation, clamped, and signed by the sign parity of
-the other edges. The row writes ``v + message`` back before the next row
-reads it, so a layer already sees the updates of the rows before it, and
-the schedule converges in fewer iterations than flooding (Hocevar, "A
-reduced complexity decoder architecture via layered decoding of LDPC
-codes", SiPS 2004, reports about half). One pass over the kept rows is one
-iteration, and the decoder exits after any pass that leaves the word
-solved.
+scaled by the normalisation, clamped, and signed by the XOR of the other
+edges' float32 sign bits. (That bit reads -0.0 as negative where ``v < 0``
+does not, which moves no value: a zero is its row's smallest magnitude, so
+every other edge's message is +-0, and its own message leaves its bit
+out.) The row writes ``v + message`` back before the next row reads it, so
+a layer already sees the updates of the rows before it, and the schedule
+converges in fewer iterations than flooding (Hocevar, "A reduced
+complexity decoder architecture via layered decoding of LDPC codes", SiPS
+2004, reports about half). One pass over the kept rows is one iteration,
+and the decoder exits after any pass that leaves the word solved: every
+information position decided and the kept rows' syndrome zero, tested row
+by row up to the first failing row.
 
 Each extension row r >= 4 of BG1/BG2 owns one degree-1 parity column,
 kb + r. When every channel LLR of that column is zero (rate matching never
@@ -54,6 +58,7 @@ _CERTAIN_LLR = float(1 << 19)
 _MAX_PEEL_PASSES = 16
 # masks the smallest magnitudes out of a row's second-minimum search
 _ABOVE_ANY = np.finfo(np.float32).max
+_SIGN = np.uint32(1 << 31)
 
 
 @dataclass(frozen=True)
@@ -162,19 +167,15 @@ def _row_messages(v: np.ndarray, out: np.ndarray) -> None:
     """One row's new check-to-variable messages, written into ``out``,
     from its ``(degree, Z)`` variable-to-check values ``v``."""
     mag = np.abs(v, out=out)
-    m1 = mag.min(axis=0)
-    at_m1 = mag == m1
+    m = np.empty((2, v.shape[1]), dtype=np.float32)
+    np.minimum.reduce(mag, axis=0, out=m[0])
+    at_m1 = mag == m[0]
     # smallest magnitude above m1; it is sent only where m1 is unique, so
     # on a tie every edge gets m1
-    m2 = np.maximum(mag, at_m1 * _ABOVE_ANY).min(axis=0)
+    np.minimum.reduce(np.maximum(mag, at_m1 * _ABOVE_ANY), 0, out=m[1])
     at_m1 &= np.add.reduce(at_m1, axis=0, dtype=np.uint8) == 1
-    m1 = np.minimum(NORMALIZATION * m1, _MSG_CLAMP)
-    m2 = np.minimum(NORMALIZATION * m2, _MSG_CLAMP)
-    np.maximum(m1, np.multiply(at_m1, m2, out=out), out=out)
-    # edge sign = parity of the other edges' signs; flipping the sign bit
-    # of a non-negative float negates it exactly
-    flip = v < 0
-    flip ^= np.logical_xor.reduce(flip, axis=0)
-    sign_bits = out.view(np.uint32)
-    np.bitwise_xor(sign_bits, np.left_shift(flip, 31, dtype=np.uint32),
-                   out=sign_bits)
+    np.minimum(m * NORMALIZATION, _MSG_CLAMP, out=m)
+    np.maximum(m[0], np.multiply(at_m1, m[1], out=out), out=out)
+    # edge sign = parity of the other edges' sign bits
+    bits, out_bits = v.view(np.uint32), out.view(np.uint32)
+    out_bits |= (bits ^ np.bitwise_xor.reduce(bits, axis=0)) & _SIGN

@@ -19,7 +19,8 @@ from .backends.model import BenchConfig, call_shapes
 from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
 from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
-                  OpKind, QueueHandle, route_interface)
+                  OpKind, QueueHandle, route_interface,
+                  validate_harq_placement)
 from .nr.decoder import DecodeResult
 from .nr.mcs import MAX_PRBS
 from .nr.pipeline import assemble_decoded, cb_params, encode_cb, tb_geometry
@@ -244,10 +245,9 @@ def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
 
 def _run_calls(device, kind: OpKind, works: list[_TbWork],
                calls: list[tuple[list[tuple[int, tuple]], CallShape]],
-               harq: HarqPool | None) -> tuple[list[list], float]:
+               location: BufferLocation | None) -> tuple[list[list], float]:
     """Execute call batches; returns per-TB outputs (one per CB) and the
     calls' summed time."""
-    location = None if harq is None else harq.location
     ops = []
     for batch, shape in calls:
         gran = Granularity.TB if all(
@@ -284,6 +284,8 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
     device = executor.device
     if device is None:
         raise BackendUnavailableError("executor handle has no device")
+    location = None if harq is None else harq.location
+    validate_harq_placement(device.capabilities, location)
     works = [_prepare_tb(job, request, device.capabilities, kind, harq)
              for job in request.jobs]
     if kind is OpKind.DECODE:
@@ -291,7 +293,7 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
             _start_decode(w, harq)
     calls = _group_calls(works, request.interface_generation, kind)
     outputs_per_tb, elapsed_us = _run_calls(device, kind, works, calls,
-                                            harq)
+                                            location)
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)

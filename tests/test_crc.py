@@ -90,6 +90,18 @@ def test_each_row_of_a_block_is_its_own_message(rows, width, seed, kind):
                                       crc_long_division(row, kind))
 
 
+@pytest.mark.parametrize("rows", [15, 16, 17, 33])
+def test_block_rows_match_oracle_across_product_chunks(rows):
+    """A block's rows are multiplied a chunk at a time; every row keeps
+    its own checksum whichever chunk it falls in."""
+    block = np.random.default_rng(rows).integers(0, 2, (rows, 100),
+                                                 dtype=np.uint8)
+    out = crc_compute(block, "CRC24B")
+    for row, checksum in zip(block, out):
+        np.testing.assert_array_equal(checksum,
+                                      crc_long_division(row, "CRC24B"))
+
+
 def test_empty_payload_checksum_is_zero():
     assert not crc_compute(np.array([], dtype=np.uint8), "CRC16").any()
 

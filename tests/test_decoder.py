@@ -131,6 +131,69 @@ def test_corrupted_code_block_fails_its_crc_and_the_tb(rng):
     assert out.payload[pos] != payload[pos]
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.7, 0.9])
+@pytest.mark.parametrize("erased", [0.0, 0.3])
+def test_negative_zeros_decode_as_positive_zeros(sigma, erased, rng):
+    """A soft buffer whose zeros are -0.0 decodes to the same result as
+    with +0.0: rv 0 over two thirds of the buffer, with a share of its
+    LLRs erased, leaves zeros in rows that run, and noise makes the
+    decoder iterate."""
+    plan = segment_tb(300, 0.5)
+    e = 2 * (buffer_length(plan.base_graph, plan.lifting_size) // 3)
+    payload = rng.integers(0, 2, 300).astype(np.uint8)
+    enc = encode_tb(payload, plan, e, qm=2, layers=1)
+    llrs = noiseless_llrs(enc.streams[0]) if sigma == 0.0 else awgn_llrs(
+        enc.streams[0], sigma, rng)
+    llrs[rng.random(llrs.size) < erased] = 0.0
+    buf = rate_recover_and_combine(llrs, plan, enc.params[0],
+                                   new_soft_buffer(plan))
+    negative = new_soft_buffer(plan)
+    negative.llrs[:] = np.where(buf.llrs == 0, np.float32(-0.0), buf.llrs)
+    assert np.signbit(negative.llrs[negative.llrs == 0]).all()
+    plus, minus = ldpc_decode(buf, plan), ldpc_decode(negative, plan)
+    np.testing.assert_array_equal(minus.info_bits, plus.info_bits)
+    assert (minus.crc_ok, minus.iterations_used, minus.parity_ok) == \
+        (plus.crc_ok, plus.iterations_used, plus.parity_ok)
+
+
+def _reference_messages(v):
+    """Per-edge min-sum rule: the smallest magnitude among the other
+    edges, normalised and clamped, signed by the parity of the other
+    edges' signs (a zero counts as positive)."""
+    out = np.empty_like(v)
+    for j in range(v.shape[0]):
+        others = np.delete(v, j, axis=0)
+        mag = np.minimum(np.float32(decoder.NORMALIZATION)
+                         * np.abs(others).min(axis=0),
+                         np.float32(decoder._MSG_CLAMP))
+        negative = np.logical_xor.reduce(others < 0, axis=0)
+        out[j] = np.where(negative, np.float32(-1), np.float32(1)) * mag
+    return out
+
+
+@pytest.mark.parametrize("degree", [3, 8, 19])
+def test_row_messages_match_the_per_edge_rule(degree):
+    """Random blocks with ties at the smallest magnitude, exact zeros and
+    magnitudes past the clamp; compared bit for bit, zeros' signs too."""
+    r = np.random.default_rng(degree)
+    z = 64
+    for _ in range(20):
+        v = r.normal(0.0, 4.0, (degree, z)).astype(np.float32)
+        v[r.random(v.shape) < 0.1] = 0.0
+        v[r.random(v.shape) < r.choice([0.05, 0.9])] *= np.float32(2.0 ** 26)
+        # two edges (one when the draws agree) at the column's smallest
+        # magnitude, each with a random sign
+        m1 = np.abs(v).min(axis=0)
+        for row in r.integers(0, degree, (2, z)):
+            v[row, np.arange(z)] = m1 * r.choice([-1, 1], z)
+        v += np.float32(0.0)              # the decoder holds no -0.0
+        assert ((np.abs(v) == m1).sum(axis=0) > 1).any()
+        out = np.empty_like(v)
+        decoder._row_messages(v, out)
+        np.testing.assert_array_equal(out.view(np.uint32),
+                                      _reference_messages(v).view(np.uint32))
+
+
 def _reference_decode(buf, plan):
     """The decoder's own loop on the full lifted graph: every row runs."""
     channel = decoder._channel(buf, plan)

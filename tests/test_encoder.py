@@ -7,7 +7,7 @@ from vranphy.nr import (RateMatchParams, buffer_length, cb_params, encode_cb,
                         ldpc_encode, lifted, lifting_sizes, segment_tb,
                         selection_positions, split_payload)
 from vranphy.nr import pipeline
-from vranphy.nr.basegraph import base_graph, parse_table_text
+from vranphy.nr.basegraph import base_graph, parse_table_text, set_index
 
 
 def dense_parity_matrix(bg, z):
@@ -88,6 +88,63 @@ def test_syndrome_zero_across_sizes(rng):
         info = rng.integers(0, 2, 22 * z).astype(np.uint8)
         cw = ldpc_encode(info, 1, z)
         assert st.syndrome_ok(cw), z
+
+
+def _word_failing_first_at(h, j):
+    """A word that satisfies every check of ``h[:j]`` and fails one of
+    ``h[j]``: a GF(2) null-space vector of the earlier rows."""
+    a = h[:j].reshape(-1, h.shape[-1]).copy()
+    pivots = []
+    for col in range(a.shape[1]):
+        hits = np.flatnonzero(a[len(pivots):, col])
+        if hits.size == 0:
+            continue
+        r = len(pivots)
+        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
+        others = np.flatnonzero(a[:, col])
+        a[others[others != r]] ^= a[r]
+        pivots.append(col)
+        if r + 1 == a.shape[0]:
+            break
+    for free in sorted(set(range(a.shape[1])) - set(pivots)):
+        word = np.zeros(a.shape[1], dtype=np.uint8)
+        word[free] = 1
+        word[pivots] = a[: len(pivots), free]
+        if (h[j] @ word % 2).any():
+            return word
+    raise AssertionError(f"row block {j} is implied by the rows before it")
+
+
+@pytest.mark.parametrize("bg,z", [(1, 2), (1, 5), (2, 3), (2, 6)])
+@pytest.mark.parametrize("rows", [None, (0, 1, 2, 3, 6, 11)],
+                         ids=["all", "restricted"])
+def test_syndrome_rule_matches_the_dense_parity_matrix(bg, z, rows, rng):
+    """``syndrome_ok`` against H built from the base-graph entries: true
+    on codewords, false after any one flip in a kept row's columns, false
+    on a word whose first failing row is any given kept row (so every
+    row's early exit is reached), and equal to ``H x = 0`` on random
+    words."""
+    g = base_graph(bg)
+    kept = list(range(g.n_rows)) if rows is None else list(rows)
+    h = np.zeros((g.n_rows, z, g.n_cols * z), dtype=np.uint8)
+    i = np.arange(z)
+    for r, c, s in zip(g.rows, g.cols, g.shifts[:, set_index(z)] % z):
+        h[r, i, c * z + (i + s) % z] = 1
+    h = h[kept]
+    st = lifted(bg, z, rows)
+    cw = ldpc_encode(rng.integers(0, 2, g.kb * z, dtype=np.uint8), bg, z)
+    assert st.syndrome_ok(cw) and st.syndrome_ok(cw == 1)
+    first_failing = set()
+    for col in np.flatnonzero(h.any(axis=(0, 1))):
+        word = cw.copy()
+        word[col] ^= 1
+        assert not st.syndrome_ok(word), col
+        first_failing.add(np.flatnonzero(h[:, :, col].any(axis=1))[0])
+    for j in sorted(set(range(len(kept))) - first_failing):
+        assert not st.syndrome_ok(cw ^ _word_failing_first_at(h, j)), j
+    for _ in range(40):
+        word = cw ^ (rng.random(cw.size) < rng.choice([0.002, 0.5]))
+        assert st.syndrome_ok(word) == (not (h @ word % 2).any())
 
 
 def test_unsupported_lifting_size_rejected():

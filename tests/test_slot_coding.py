@@ -453,3 +453,15 @@ def test_rejected_slot_keeps_the_processes_it_would_start(rng, t2_quiet):
     with pytest.raises(InvalidConfigError):
         _decode(handle, harq, _ul_job(one), doubled)
     assert harq.resume(one.ue_id, one.harq_pid, plan) is earlier
+
+
+def test_rejected_harq_placement_starts_no_process(rng):
+    """A device-side HARQ pool on the host-memory software backend rejects
+    new data before the pool starts the job's process."""
+    job = _dl_job(rng, prbs=15, mcs=5)
+    harq = HarqPool(location=BufferLocation.DEVICE)
+    with pytest.raises(CapabilityMismatchError):
+        _decode(_handle(SoftwareBackend()), harq, _ul_job(job))
+    plan = segment_tb(job.payload.size, mcs_params(5, "T1")[1])
+    with pytest.raises(HarqBufferMissingError):
+        harq.resume(job.ue_id, job.harq_pid, plan)
