@@ -36,8 +36,8 @@ _POLYS = {
 # row width a flat payload is folded over: the largest code block, so the
 # CRC of a block is one row and needs no fold
 ROW_BITS = 8448
-# rows a GF(2) product ANDs and reduces at once: 0.4 MB at 8448 bits and 24
-# columns, where the whole (129, 24, 133)-word AND took 3.3 MB
+# rows a GF(2) product ANDs and reduces at once, which bounds its transient
+# (0.4 MB at 8448 bits and 24 columns)
 _PRODUCT_ROWS = 16
 
 _POWER_CACHE: dict[str, np.ndarray] = {}

@@ -172,7 +172,7 @@ def _row_messages(v: np.ndarray, out: np.ndarray) -> None:
     at_m1 = mag == m[0]
     # smallest magnitude above m1; it is sent only where m1 is unique, so
     # on a tie every edge gets m1
-    np.minimum.reduce(np.maximum(mag, at_m1 * _ABOVE_ANY), 0, out=m[1])
+    np.minimum.reduce(np.maximum(mag, at_m1 * _ABOVE_ANY), axis=0, out=m[1])
     at_m1 &= np.add.reduce(at_m1, axis=0, dtype=np.uint8) == 1
     np.minimum(m * NORMALIZATION, _MSG_CLAMP, out=m)
     np.maximum(m[0], np.multiply(at_m1, m[1], out=out), out=out)

@@ -108,7 +108,8 @@ def _decode_op(plan, rng, location=None):
 def test_enqueue_validates_harq_token_placement(rng):
     plan = segment_tb(300, 0.5)
     op = _decode_op(plan, rng, location=BufferLocation.DEVICE)
-    validate_harq_placement(discover("t2"), op.harq_location)  # fine
+    # internal memory: fine
+    validate_harq_placement(discover("t2"), op.harq_location)
     with pytest.raises(CapabilityMismatchError):
         validate_harq_placement(discover("vran_boost"), op.harq_location)
     with pytest.raises(CapabilityMismatchError):
