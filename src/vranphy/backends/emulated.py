@@ -52,6 +52,9 @@ its instances' streams too). A block holds exactly the values the same
 number of scalar calls would return, so the draw order alone fixes the
 outputs. A (direction, shape) is checked and priced the first time the
 device sees it; ``submit`` reuses that base time after that.
+
+Each shipped device is one ``DEVICE_PROFILES`` entry, which
+``make_emulated`` builds by name.
 """
 from __future__ import annotations
 
@@ -66,7 +69,8 @@ import numpy as np
 from ..errors import InvalidConfigError
 from ..lpu import (CallShape, Completion, CodingOpDescriptor,
                    LpuCapabilities, QueueAllocator, discover, validate_ops)
-from .model import JitterSpec, ServiceTimeModel, calibrate_per_generation
+from .model import (DIRECTIONS, GENERATIONS, JitterSpec, ServiceTimeModel,
+                    calibrate_per_generation)
 from .software import execute_descriptor
 
 OCCUPANCY_FRACTION = 0.25   # share of a call's base latency a server is held
@@ -214,78 +218,62 @@ class EmulatedDevice:
 DEFAULT_SPIKE = JitterSpec(scale_us=20.0, sigma=1.5)
 
 
+@dataclass(frozen=True)
+class DeviceProfile:
+    """A shipped device: its ``lpu`` capability profile, server count and
+    default spike; whether a deployment's instances share one device or
+    each get their own; and its flat per-kbit (decode, encode) service
+    rates, or ``None`` for the fit of the bundled measurements."""
+    lpu: str
+    servers: int
+    spike: JitterSpec
+    shared: bool
+    per_kbit_us: tuple[float, float] | None = None
+
+
+DEVICE_PROFILES = {
+    # RFSoC: 8 forward-error-correction cores
+    "t2-emulated": DeviceProfile("t2", 8, DEFAULT_SPIKE, shared=True),
+    # in-package accelerator; rates anchored to the observed
+    # single-instance medians of the deployment traffic; the 32 servers
+    # are an assumption (no contention was observed on this part), not a
+    # measured property
+    "vran-boost-emulated": DeviceProfile(
+        "vran_boost", 32, JitterSpec(), shared=True,
+        per_kbit_us=(273.590 / 303.240, 110.658 / 1081.512)),
+    # software coding on a high-performance processor, anchored to
+    # observed single-instance medians; one device per instance, as pool
+    # cores are not shared, so no cross-instance queueing
+    "hpp-sw-emulated": DeviceProfile(
+        "software", 4, JitterSpec(), shared=False,
+        per_kbit_us=(485.961 / 303.240, 101.269 / 1081.512)),
+}
+
+
 @functools.cache
 def _bundled_models() -> dict[tuple[str, str], ServiceTimeModel]:
     """The fit of the bundled interface measurements, once per process."""
     return calibrate_per_generation()
 
 
-def make_emulated_t2(seed: int = 0, spike: JitterSpec | None = None,
-                     device_id: str = "t2-emulated") -> EmulatedDevice:
-    """RFSoC profile: 8 forward-error-correction cores, calibrated on the
-    bundled interface benchmark measurements."""
-    return EmulatedDevice(device_id=device_id, capabilities=discover("t2"),
-                          models=dict(_bundled_models()), parallel_servers=8,
-                          spike=DEFAULT_SPIKE if spike is None else spike,
-                          seed=seed)
-
-
-def _flat_rate_models(dec_per_kbit: float, enc_per_kbit: float
-                      ) -> dict[tuple[str, str], ServiceTimeModel]:
-    out = {}
-    for gen in ("per_cb", "per_tb", "per_slot"):
-        out[("decode", gen)] = ServiceTimeModel(
-            fixed_per_call_us=0.0, per_tb_us=0.0, per_cb_us=0.0,
-            per_kbit_us=dec_per_kbit)
-        out[("encode", gen)] = ServiceTimeModel(
-            fixed_per_call_us=0.0, per_tb_us=0.0, per_cb_us=0.0,
-            per_kbit_us=enc_per_kbit)
-    return out
-
-
-def make_emulated_vran_boost(seed: int = 0, spike: JitterSpec | None = None,
-                                     device_id: str = "vran-boost-emulated"
-                             ) -> EmulatedDevice:
-    """In-package accelerator profile. Throughput anchored to the observed
-    single-instance medians of the deployment traffic; the 32 servers are
-    an assumption (no contention was observed on this part) rather than a
-    measured property."""
-    models = _flat_rate_models(dec_per_kbit=273.590 / 303.240,
-                               enc_per_kbit=110.658 / 1081.512)
-    return EmulatedDevice(device_id=device_id,
-                          capabilities=discover("vran_boost"), models=models,
-                          parallel_servers=32,
-                          spike=JitterSpec() if spike is None else spike,
-                          seed=seed)
-
-
-def make_emulated_hpp_software(seed: int = 0,
-                               spike: JitterSpec | None = None,
-                                         device_id: str = "hpp-sw-emulated"
-                               ) -> EmulatedDevice:
-    """Per-instance software coding on a high-performance processor,
-    anchored to observed single-instance medians. Used one device per
-    instance: pool cores are not shared, so no cross-instance queueing."""
-    models = _flat_rate_models(dec_per_kbit=485.961 / 303.240,
-                               enc_per_kbit=101.269 / 1081.512)
-    return EmulatedDevice(device_id=device_id,
-                          capabilities=discover("software"), models=models,
-                          parallel_servers=4,
-                          spike=JitterSpec() if spike is None else spike,
-                          seed=seed)
-
-
-EMULATED_FACTORIES = {
-    "t2-emulated": make_emulated_t2,
-    "vran-boost-emulated": make_emulated_vran_boost,
-    "hpp-sw-emulated": make_emulated_hpp_software,
-}
-
-
-def make_emulated(name: str, **kw) -> EmulatedDevice:
+def make_emulated(name: str, seed: int = 0, spike: JitterSpec | None = None,
+                  device_id: str | None = None) -> EmulatedDevice:
+    """A fresh device of the ``DEVICE_PROFILES`` entry ``name``."""
     try:
-        factory = EMULATED_FACTORIES[name]
+        profile = DEVICE_PROFILES[name]
     except KeyError:
         raise InvalidConfigError(
             f"unknown emulated backend {name!r}") from None
-    return factory(**kw)
+    if profile.per_kbit_us is None:
+        models = dict(_bundled_models())
+    else:
+        models = {(direction, generation): ServiceTimeModel(
+            fixed_per_call_us=0.0, per_tb_us=0.0, per_cb_us=0.0,
+            per_kbit_us=rate)
+            for direction, rate in zip(DIRECTIONS, profile.per_kbit_us)
+            for generation in GENERATIONS}
+    return EmulatedDevice(
+        device_id=name if device_id is None else device_id,
+        capabilities=discover(profile.lpu), models=models,
+        parallel_servers=profile.servers,
+        spike=profile.spike if spike is None else spike, seed=seed)

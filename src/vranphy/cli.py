@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: ``bench-interfaces`` (interface-generation timing table),
+Subcommands: ``bench-interfaces`` (interface-generation timing table of
+the ``--backend`` device, any ``emulated.DEVICE_PROFILES`` name),
 ``calibrate`` (fit service-time models from a CSV), ``plan`` (emit core
-plans), ``deploy`` (multi-instance run plus report) and
-``report`` (summarize raw microsecond samples). Exit codes: 0 success,
-1 failed deployment targets, 2 usage/config errors.
+plans), ``deploy`` (multi-instance run plus report, on the device the
+server profile names) and ``report`` (summarize raw microsecond samples).
+Exit codes: 0 success, 1 failed deployment targets, 2 usage/config errors.
 """
 from __future__ import annotations
 
@@ -68,11 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, required=True)
 
     d = sub.add_parser("deploy", parents=[shared],
-                       help="run a multi-instance deployment")
+                       help="run a multi-instance deployment on the "
+                            "profile's emulated coding device")
     d.add_argument("--profile", default="ep-rfsoc")
     d.add_argument("--instances", type=int, default=1)
     d.add_argument("--slots", type=int, default=2000)
-    d.add_argument("--backend", default=None)
     d.add_argument("--samples-out", default=None,
                    help="write raw per-slot samples (JSON lines) here")
 
@@ -143,8 +144,8 @@ def _cmd_deploy(args) -> int:
     else:
         config = DeploymentConfig(
             profile=_canonical_profile(args.profile),
-            n_instances=args.instances, backend=args.backend,
-            duration_slots=args.slots, seed=args.seed)
+            n_instances=args.instances, duration_slots=args.slots,
+            seed=args.seed)
     bundle = run_deployment(config)
     verdict = check_throughput(bundle)
     doc = bundle.as_dict()

@@ -1,7 +1,11 @@
 """Multi-instance deployment harness.
 
-Drives the TDD traffic of N gNB instances against one shared emulated
-coding device, entirely in virtual time. Each instance submits one encode
+Drives the TDD traffic of N gNB instances, entirely in virtual time,
+against the emulated coding device their server profile names
+(``topology.TOPOLOGY_PROFILES``): one device the instances share, or one
+per instance where the device's ``emulated.DEVICE_PROFILES`` entry is not
+``shared``. A config cannot choose another device; its ``to_dict`` names
+the profile's as ``"backend"``. Each instance submits one encode
 call per prepared downlink slot and one decode call per uplink slot, the
 one per-slot call ``model.call_shapes`` makes of the link's TB; the
 device serves every instance's calls from its one FIFO server pool and
@@ -30,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ..backends.emulated import block_draws, make_emulated
+from ..backends.emulated import DEVICE_PROFILES, block_draws, make_emulated
 from ..backends.model import call_shapes
 from ..errors import InvalidConfigError
 from ..highphy import (DL_SLOT_US, TTI_US, UL_SLOT_US, slot_timing,
@@ -51,13 +55,6 @@ UL_PREP_OFFSET_US = 320.0
 SUBMIT_JITTER_US = 130.0
 
 DEFAULT_TARGETS = {"dl_mbps": 1200.0, "ul_mbps": 90.0}
-
-_PROFILE_BACKENDS = {
-    "ep_rfsoc": "t2-emulated",
-    "vranp": "vran-boost-emulated",
-    "hpp": "hpp-sw-emulated",
-}
-_SHARED_DEVICE_PROFILES = {"ep_rfsoc", "vranp"}
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -107,7 +104,6 @@ class PhyTestTraffic:
 class DeploymentConfig:
     profile: str = "ep_rfsoc"
     n_instances: int = 1
-    backend: str | None = None
     duration_slots: int = 2000
     seed: int = 0
     traffic: PhyTestTraffic = field(default_factory=PhyTestTraffic)
@@ -116,19 +112,13 @@ class DeploymentConfig:
         for name, kind in (("profile", str), ("n_instances", int),
                            ("duration_slots", int), ("seed", int)):
             _check_type(name, getattr(self, name), kind)
-        if self.backend is not None:
-            _check_type("backend", self.backend, str)
+        topology_for(self.profile)   # an unknown profile fails here
         if self.n_instances < 1:
             raise InvalidConfigError("n_instances must be >= 1")
         if self.duration_slots < 1:
             raise InvalidConfigError("duration_slots must be >= 1")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend or _PROFILE_BACKENDS.get(self.profile,
-                                                     "t2-emulated")
 
     @staticmethod
     def from_dict(doc: dict) -> "DeploymentConfig":
@@ -146,14 +136,21 @@ class DeploymentConfig:
         if unknown:
             raise InvalidConfigError(
                 f"unknown deployment config keys: {sorted(unknown)}")
-        return DeploymentConfig(traffic=PhyTestTraffic(**traffic), **doc)
+        config = DeploymentConfig(traffic=PhyTestTraffic(**traffic), **{
+            k: v for k, v in doc.items() if k != "backend"})
+        # "backend" is written by ``to_dict``: it may only repeat the
+        # profile's own device
+        device = topology_for(config.profile).device
+        if doc.get("backend", device) != device:
+            raise InvalidConfigError(f"backend {doc['backend']!r} is not "
+                                     f"{config.profile}'s device {device!r}")
+        return config
 
     def to_dict(self) -> dict:
-        doc = {"profile": self.profile, "n_instances": self.n_instances,
-               "backend": self.backend_name,
-               "duration_slots": self.duration_slots, "seed": self.seed,
-               "traffic": asdict(self.traffic)}
-        return doc
+        return {"profile": self.profile, "n_instances": self.n_instances,
+                "backend": topology_for(self.profile).device,
+                "duration_slots": self.duration_slots, "seed": self.seed,
+                "traffic": asdict(self.traffic)}
 
 
 @dataclass
@@ -228,22 +225,23 @@ class MetricsBundle:
         return "\n".join(lines) + "\n"
 
 
-def _make_devices(config: DeploymentConfig, n: int):
-    name = config.backend_name
-    if config.profile in _SHARED_DEVICE_PROFILES:
-        device = make_emulated(name, seed=config.seed)
+def _make_devices(name: str, seed: int, n: int):
+    """Each instance's device, and the distinct devices among them."""
+    if DEVICE_PROFILES[name].shared:
+        device = make_emulated(name, seed=seed)
         return [device] * n, [device]
-    devices = [make_emulated(name, seed=config.seed + i,
-                             device_id=f"{name}-{i}") for i in range(n)]
+    devices = [make_emulated(name, seed=seed + i, device_id=f"{name}-{i}")
+               for i in range(n)]
     return devices, devices
 
 
 def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     """Drive the configured instances for the configured slot count."""
-    # the instances must fit the profile's cores (CapacityError otherwise)
-    default_core_plan(topology_for(config.profile), config.n_instances)
+    topology = topology_for(config.profile)
     n = config.n_instances
-    devices, unique_devices = _make_devices(config, n)
+    # the instances must fit the profile's cores (CapacityError otherwise)
+    default_core_plan(topology, n)
+    devices, unique_devices = _make_devices(topology.device, config.seed, n)
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]
     plans = config.traffic.plans()
     uniforms = [block_draws(np.random.default_rng(np.random.SeedSequence(

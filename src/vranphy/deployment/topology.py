@@ -5,7 +5,8 @@ contiguous 8-core blocks, the first block stays with the host OS, and
 each instance gets one whole block. On the EPYC-style profiles a block is
 exactly one 8-core complex (one L3), so no instance crosses a complex or
 die boundary, which would cost gNB performance; on a flat profile, whose
-cores share one L3, a block is any 8 contiguous cores.
+cores share one L3, a block is any 8 contiguous cores. Each profile also
+names the emulated coding device its deployments run on.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ CORES_PER_INSTANCE = 8
 class CoreTopology:
     name: str
     total_cores: int
+    device: str     # an ``emulated.DEVICE_PROFILES`` name
 
     def __post_init__(self):
         if self.total_cores < CORES_PER_INSTANCE:
@@ -28,11 +30,11 @@ class CoreTopology:
 
 TOPOLOGY_PROFILES = {
     # 64 high-performance cores, one 8-core complex per die
-    "hpp": CoreTopology(name="hpp", total_cores=64),
+    "hpp": CoreTopology("hpp", 64, "hpp-sw-emulated"),
     # 64 efficiency cores, two 8-core complexes per die
-    "ep_rfsoc": CoreTopology(name="ep_rfsoc", total_cores=64),
+    "ep_rfsoc": CoreTopology("ep_rfsoc", 64, "t2-emulated"),
     # 32 cores behind a single shared L3: no complex penalty
-    "vranp": CoreTopology(name="vranp", total_cores=32),
+    "vranp": CoreTopology("vranp", 32, "vran-boost-emulated"),
 }
 
 

@@ -71,7 +71,7 @@ def cb_params(plan: SegmentationPlan, total_bits: int, qm: int, layers: int,
 
 @lru_cache(maxsize=32)
 def _read_columns(plan: SegmentationPlan,
-                  params: frozenset[RateMatchParams]) -> tuple[int, ...]:
+                  params: tuple[RateMatchParams, ...]) -> tuple[int, ...]:
     """The codeword column blocks rate matching reads under any of
     ``params``, as a tuple: immutable, and a small Python object, so it
     pins none of the heap memory a slot's arrays use."""
@@ -89,13 +89,15 @@ def encode_cb(bits, plan: SegmentationPlan,
     if bits.ndim != 2 or bits.shape[0] != len(params):
         raise InvalidConfigError(
             f"code blocks {bits.shape} do not match {len(params)} params")
+    # runs of equal parameters, at most two per TB (``cb_params``): the
+    # read set is keyed by their values, not by every block's parameters
+    runs = [(param, len(list(run))) for param, run in groupby(params)]
     codewords = ldpc_encode(bits, plan.base_graph, plan.lifting_size,
-                            _read_columns(plan, frozenset(params)))
+                            _read_columns(plan, tuple(p for p, _ in runs)))
     streams: list[np.ndarray] = []
-    for param, run in groupby(params):
+    for param, count in runs:
         first = len(streams)
-        streams.extend(rate_match(
-            codewords[first:first + len(list(run))], plan, param))
+        streams.extend(rate_match(codewords[first:first + count], plan, param))
     return streams
 
 

@@ -308,9 +308,7 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
 
 
 def run_interface_bench(device, directions=("decode", "encode"),
-                        generations=tuple(InterfaceGeneration),
-                        tb_counts=range(1, 9),
-                        bench_config=None) -> list[dict]:
+                        tb_counts=range(1, 9)) -> list[dict]:
     """Slot coding time per (direction, generation, TB count).
 
     The benchmark slot is a full grid equally shared between the TBs. Its
@@ -323,11 +321,10 @@ def run_interface_bench(device, directions=("decode", "encode"),
             "the interface bench runs on an emulated device")
     if not tb_counts or min(tb_counts) < 1:
         raise InvalidConfigError("the interface bench needs TB counts >= 1")
-    cfg = bench_config or BenchConfig()
-    gens = [InterfaceGeneration(g) for g in generations]
+    cfg = BenchConfig()
     rows = []
     for direction in directions:
-        for gen in gens:
+        for gen in InterfaceGeneration:
             for n_tb in tb_counts:
                 calls = call_shapes(gen.value, direction, cfg.tb_shapes(n_tb))
                 rows.append({

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vranphy.backends.emulated import make_emulated_t2
+from vranphy.backends.emulated import make_emulated
 from vranphy.backends.model import JitterSpec
 
 
@@ -13,4 +13,4 @@ def rng():
 @pytest.fixture
 def t2_quiet():
     """Calibrated emulated T2 without the contention tail."""
-    return make_emulated_t2(spike=JitterSpec())
+    return make_emulated("t2-emulated", spike=JitterSpec())

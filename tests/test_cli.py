@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vranphy.backends import EMULATED_FACTORIES
+from vranphy.backends import DEVICE_PROFILES
 from vranphy.cli import (EXIT_OK, EXIT_TARGETS_FAILED, EXIT_USAGE,
                          cli_main)
 
@@ -53,6 +53,8 @@ def test_deploy_meets_and_misses_targets(capsys):
     ["calibrate", "--csv", "ZERO_N_TB"],
     # a direction other than encode and decode names no model
     ["calibrate", "--csv", "SIDEWAYS"],
+    # a deployment runs on its profile's device: there is no override
+    ["deploy", "--backend", "t2-emulated"],
 ])
 def test_bad_input_exits_with_usage_error(argv, capsys, tmp_path):
     samples = tmp_path / "samples.txt"
@@ -97,6 +99,7 @@ def test_malformed_samples_are_a_usage_error(text, capsys, tmp_path):
 @pytest.mark.parametrize("doc", [
     {"n_instances": "7"}, {"n_instances": True}, {"duration_slots": 2.5},
     {"seed": -1}, {"profile": ["hpp"]},
+    {"profile": "hpp", "backend": "t2-emulated"},
     {"traffic": {"ul_error_rate": "x"}}, {"traffic": {"ul_error_rate": -1}},
     {"traffic": {"ul_error_rate": 1.5}},
     {"traffic": {"dl_error_rate": float("nan")}},
@@ -128,7 +131,7 @@ def test_deploy_config_with_unknown_traffic_key_is_a_usage_error(tmp_path):
     assert cli_main(["--config", str(config), "deploy"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("backend", sorted(EMULATED_FACTORIES))
+@pytest.mark.parametrize("backend", sorted(DEVICE_PROFILES))
 def test_bench_interfaces_runs_on_every_emulated_backend(backend, capsys):
     assert cli_main(["bench-interfaces", "--backend", backend,
                      "--max-tbs", "2"]) == EXIT_OK

@@ -1,9 +1,11 @@
 import pytest
 
 from vranphy.backends import emulated
-from vranphy.backends.model import JitterSpec, call_shapes
-from vranphy.deployment import (DeploymentConfig, expected_goodput_mbps,
-                                expected_slot_counts, run_deployment)
+from vranphy.backends.model import (DIRECTIONS, GENERATIONS, JitterSpec,
+                                    call_shapes)
+from vranphy.deployment import (TOPOLOGY_PROFILES, DeploymentConfig,
+                                expected_goodput_mbps, expected_slot_counts,
+                                run_deployment)
 from vranphy.deployment import harness
 from vranphy.errors import InvalidConfigError
 from vranphy.highphy import tdd_slot_kind
@@ -146,19 +148,48 @@ def test_from_dict_leaves_the_callers_dict_alone():
 
 
 def test_make_emulated_reports_only_unknown_names(monkeypatch):
-    with pytest.raises(InvalidConfigError):
+    """Only a name missing from the table is an unknown backend; an error
+    raised while building a known device reaches the caller as it is."""
+    with pytest.raises(InvalidConfigError, match="unknown emulated backend"):
         emulated.make_emulated("nowhere")
 
-    def broken(**kw):
-        raise KeyError("inside the factory")
+    def broken(name):
+        raise KeyError("inside discover")
 
-    monkeypatch.setitem(emulated.EMULATED_FACTORIES, "broken", broken)
-    with pytest.raises(KeyError, match="inside the factory"):
-        emulated.make_emulated("broken")
+    monkeypatch.setattr(emulated, "discover", broken)
+    with pytest.raises(KeyError, match="inside discover"):
+        emulated.make_emulated("t2-emulated")
 
 
-@pytest.mark.parametrize("name", sorted(emulated.EMULATED_FACTORIES))
+@pytest.mark.parametrize("name", sorted(emulated.DEVICE_PROFILES))
 def test_every_factory_accepts_a_spike(name):
     spike = JitterSpec(scale_us=5.0, sigma=0.5)
     assert emulated.make_emulated(name, spike=spike).spike == spike
     assert not emulated.make_emulated(name, spike=JitterSpec()).spike.enabled
+    default = emulated.DEVICE_PROFILES[name].spike
+    assert emulated.make_emulated(name).spike == default
+
+
+@pytest.mark.parametrize("profile", sorted(TOPOLOGY_PROFILES))
+def test_every_profiles_device_prices_every_call(profile):
+    """A server profile's device has a model for each (direction,
+    generation), so any call ``call_shapes`` makes can be priced."""
+    device = emulated.make_emulated(TOPOLOGY_PROFILES[profile].device)
+    for direction in DIRECTIONS:
+        for generation in GENERATIONS:
+            model = device.service_model(direction, generation)
+            assert model.call_time_us(1, 1, 10.0) > 0
+
+
+def test_an_unknown_profile_fails_at_construction():
+    with pytest.raises(InvalidConfigError, match="nowhere"):
+        DeploymentConfig(profile="nowhere")
+
+
+def test_a_config_may_name_only_its_profiles_device():
+    doc = DeploymentConfig(profile="vranp").to_dict()
+    assert doc["backend"] == "vran-boost-emulated"
+    assert DeploymentConfig.from_dict(doc).to_dict() == doc
+    for other in ("t2-emulated", "nowhere", None):
+        with pytest.raises(InvalidConfigError):
+            DeploymentConfig.from_dict({**doc, "backend": other})

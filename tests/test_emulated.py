@@ -49,8 +49,8 @@ def test_bundled_calibration_is_fitted_once_per_process(monkeypatch):
 
     emulated._bundled_models.cache_clear()
     monkeypatch.setattr(emulated, "calibrate_per_generation", counted)
-    a = emulated.make_emulated_t2()
-    b = emulated.make_emulated_t2(seed=1)
+    a = emulated.make_emulated("t2-emulated")
+    b = emulated.make_emulated("t2-emulated", seed=1)
     assert fits == [()]
     assert a.models == b.models and a.models is not b.models
 
@@ -201,7 +201,7 @@ def test_heap_grants_match_the_event_replay_engine(servers, spiked, seed):
     ``pop_completed``, equal the event-replay engine's on seeded streams
     with bursts of equal arrivals that fill the pool, zero-time calls, and
     arrivals placed exactly at a release."""
-    t2 = emulated.make_emulated_t2()
+    t2 = emulated.make_emulated("t2-emulated")
     dev = emulated.EmulatedDevice(
         device_id="t2", capabilities=t2.capabilities, models=t2.models,
         parallel_servers=servers,
@@ -257,7 +257,7 @@ def test_every_completed_call_carries_its_own_submits_tag():
     """Instances sharing one device tag their calls; every record that
     ``pop_completed`` hands out, before and after ``drain``, is the one its
     ``submit`` returned and carries that submit's tag, unchanged."""
-    dev = emulated.make_emulated_t2(seed=4)
+    dev = emulated.make_emulated("t2-emulated", seed=4)
     rng = np.random.default_rng(7)
     submitted = {}
     popped = []

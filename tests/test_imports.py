@@ -1,7 +1,10 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import vranphy
 
@@ -24,3 +27,13 @@ def test_importing_every_module_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("package", ["vranphy.backends",
+                                     "vranphy.deployment", "vranphy.nr"])
+def test_every_exported_name_resolves(package):
+    """A name left in ``__all__`` after its object is deleted fails only
+    at a star import, which no other test makes."""
+    module = importlib.import_module(package)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    assert len(set(module.__all__)) == len(module.__all__)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vranphy.backends import SoftwareBackend, execute_descriptor
-from vranphy.backends.emulated import make_emulated_t2
+from vranphy.backends.emulated import make_emulated
 from vranphy.backends.model import JitterSpec
 from vranphy.errors import (CapabilityMismatchError, InvalidConfigError,
                             ResourceExhaustedError)
@@ -119,7 +119,7 @@ def test_enqueue_validates_harq_token_placement(rng):
 def _backend(name):
     if name == "software":
         return SoftwareBackend()
-    return make_emulated_t2(spike=JitterSpec())
+    return make_emulated("t2-emulated", spike=JitterSpec())
 
 
 @pytest.mark.parametrize("name", ["software", "t2-emulated"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vranphy import lpu
-from vranphy.backends import (EMULATED_FACTORIES, SoftwareBackend,
+from vranphy.backends import (DEVICE_PROFILES, SoftwareBackend,
                               execute_descriptor)
 from vranphy.backends.emulated import EmulatedDevice, make_emulated
 from vranphy.backends.model import (JitterSpec, ServiceTimeModel,
@@ -244,7 +244,7 @@ def test_descriptors_match_the_tb_pipeline(generation, rng):
         assert [r.iterations_used for r in results] == ref.iterations
 
 
-@pytest.mark.parametrize("backend", sorted(EMULATED_FACTORIES))
+@pytest.mark.parametrize("backend", sorted(DEVICE_PROFILES))
 def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
     """The calls of one slot run one after another, so none waits for a
     server or meets the contention tail, even with the default spikes on:
