@@ -22,15 +22,14 @@ def execute_descriptor(op: CodingOpDescriptor) -> list:
     The payload is a list of per-code-block items:
       encode: (bits, plan, param) -> rate-matched stream
       decode: (llrs, plan, param, buffer) -> DecodeResult
-    Each run of encode items that share a plan is encoded as one batch.
+    Each run of items that share a plan is coded as one batch.
     """
-    if op.kind is OpKind.DECODE:
-        return [decode_cb(*item) for item in op.payload]
-    streams = []
+    code = decode_cb if op.kind is OpKind.DECODE else encode_cb
+    outputs = []
     for plan, run in groupby(op.payload, key=lambda item: item[1]):
-        bits, _, params = zip(*run)
-        streams.extend(encode_cb(bits, plan, params))
-    return streams
+        data, _, *rest = zip(*run)
+        outputs.extend(code(data, plan, *rest))
+    return outputs
 
 
 class SoftwareBackend:

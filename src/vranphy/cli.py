@@ -84,10 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_profile(name: str) -> str:
-    return name.replace("-", "_").lower()
-
-
 def _cmd_bench(args) -> int:
     from .backends.emulated import make_emulated
     from .slot_coding import run_interface_bench
@@ -126,7 +122,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_plan(args) -> int:
     from .deployment import default_core_plan, topology_for
 
-    topology = topology_for(_canonical_profile(args.profile))
+    topology = topology_for(args.profile)
     plans = default_core_plan(topology, args.instances)
     doc = {"profile": topology.name, "instances": [asdict(p) for p in plans]}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -143,7 +139,7 @@ def _cmd_deploy(args) -> int:
         config = DeploymentConfig.from_dict(doc)
     else:
         config = DeploymentConfig(
-            profile=_canonical_profile(args.profile),
+            profile=args.profile,
             n_instances=args.instances, duration_slots=args.slots,
             seed=args.seed)
     bundle = run_deployment(config)

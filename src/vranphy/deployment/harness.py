@@ -43,7 +43,7 @@ from ..metrics import LatencyDistribution, summarize
 from ..nr.mcs import MAX_PRBS, check_allocation
 from ..nr.pipeline import tb_geometry
 from ..nr.segmentation import SegmentationPlan
-from .topology import default_core_plan, topology_for
+from .topology import canonical_profile, default_core_plan, topology_for
 
 ENCODE_LOOKAHEAD_SLOTS = 1
 UL_FAILURE_STREAK = 8
@@ -113,6 +113,7 @@ class DeploymentConfig:
                            ("duration_slots", int), ("seed", int)):
             _check_type(name, getattr(self, name), kind)
         topology_for(self.profile)   # an unknown profile fails here
+        object.__setattr__(self, "profile", canonical_profile(self.profile))
         if self.n_instances < 1:
             raise InvalidConfigError("n_instances must be >= 1")
         if self.duration_slots < 1:

@@ -38,9 +38,15 @@ TOPOLOGY_PROFILES = {
 }
 
 
+def canonical_profile(name: str) -> str:
+    """A profile's key in ``TOPOLOGY_PROFILES`` from any spelling of its
+    name: case and ``-`` against ``_`` do not matter."""
+    return name.replace("-", "_").lower()
+
+
 def topology_for(profile: str) -> CoreTopology:
     try:
-        return TOPOLOGY_PROFILES[profile]
+        return TOPOLOGY_PROFILES[canonical_profile(profile)]
     except KeyError:
         raise InvalidConfigError(f"unknown topology profile {profile!r}")
 

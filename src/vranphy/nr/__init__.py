@@ -12,7 +12,7 @@ from .ratematch import (RateMatchParams, deinterleave, interleave, k0_offset,
                         rate_match, selection_positions)
 from .softbuffer import (SoftBuffer, awgn_llrs, new_soft_buffer,
                          noiseless_llrs, rate_recover_and_combine)
-from .decoder import DecodeResult, ldpc_decode
+from .decoder import DecodeResult, ldpc_decode, ldpc_decode_batch
 from .pipeline import (EncodedTb, TbDecodeOutcome, cb_params, decode_cb,
                        decode_tb, e_splits, encode_cb, encode_tb)
 
@@ -28,7 +28,7 @@ __all__ = [
     "deinterleave", "selection_positions",
     "SoftBuffer", "new_soft_buffer", "noiseless_llrs",
     "awgn_llrs", "rate_recover_and_combine",
-    "DecodeResult", "ldpc_decode",
+    "DecodeResult", "ldpc_decode", "ldpc_decode_batch",
     "EncodedTb", "TbDecodeOutcome", "encode_tb", "decode_tb", "e_splits",
     "cb_params", "encode_cb", "decode_cb",
 ]

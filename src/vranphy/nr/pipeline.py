@@ -1,12 +1,13 @@
 """Code-block coding chain and the transport-block pipeline on it.
 
 ``encode_cb`` (LDPC encode, then rate match) and ``decode_cb`` (rate
-recovery into the soft buffer, then LDPC decode) are the one statement of
+recovery into the soft buffers, then LDPC decode) are the one statement of
 the chain: the TB functions here, the software backend and slot coding all
 run code blocks through them, so every way of grouping blocks into calls
-codes the same bits. ``encode_cb`` takes a batch of blocks that share a
-segmentation plan, a single block being a batch of one; it encodes only
-the codeword columns the batch's rate matching reads.
+codes the same bits. Both take a batch of blocks that share a
+segmentation plan, a single block being a batch of one. ``encode_cb``
+encodes only the codeword columns the batch's rate matching reads;
+``decode_cb`` decodes the batch in ``ldpc_decode_batch``'s chunks.
 
 The per-code-block output share follows the scheduled-bit split: each of
 the C blocks gets floor or ceil of G / (layers * Qm * C) modulation units,
@@ -26,7 +27,7 @@ from .basegraph import PUNCTURED_BLOCKS, buffer_length
 from .crc import crc_check
 from .encoder import ldpc_encode
 from .ratematch import RateMatchParams, rate_match, selection_positions
-from .decoder import DecodeResult, ldpc_decode
+from .decoder import DecodeResult, ldpc_decode_batch
 from .mcs import compute_tbs, mcs_params, resource_elements
 from .segmentation import (SegmentationPlan, assemble_payload, segment_tb,
                            split_payload)
@@ -101,12 +102,18 @@ def encode_cb(bits, plan: SegmentationPlan,
     return streams
 
 
-def decode_cb(llrs: np.ndarray, plan: SegmentationPlan,
-              param: RateMatchParams, buffer: SoftBuffer) -> DecodeResult:
-    """Combine one code block's E received LLRs into its soft buffer and
-    decode the buffer."""
-    rate_recover_and_combine(llrs, plan, param, buffer)
-    return ldpc_decode(buffer, plan)
+def decode_cb(llrs, plan: SegmentationPlan,
+              params: Sequence[RateMatchParams],
+              buffers: Sequence[SoftBuffer]) -> list[DecodeResult]:
+    """Combine each of n code blocks' E received LLRs into its soft buffer,
+    then decode the n buffers, which share ``plan``, as one batch."""
+    if not len(llrs) == len(params) == len(buffers):
+        raise InvalidConfigError(
+            f"{len(llrs)} streams, {len(params)} params and "
+            f"{len(buffers)} buffers do not match")
+    for rx, param, buffer in zip(llrs, params, buffers):
+        rate_recover_and_combine(rx, plan, param, buffer)
+    return ldpc_decode_batch(buffers, plan)
 
 
 @dataclass
@@ -139,8 +146,7 @@ def decode_tb(llr_streams: list[np.ndarray], plan: SegmentationPlan,
         raise InvalidConfigError("stream/params count != num_cbs")
     if buffers is None:
         buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
-    results = [decode_cb(llrs, plan, p, buf)
-               for llrs, p, buf in zip(llr_streams, params, buffers)]
+    results = decode_cb(llr_streams, plan, params, buffers)
     payload, tb_ok, cb_ok = assemble_decoded(results, plan)
     return TbDecodeOutcome(payload=payload, tb_crc_ok=tb_ok, cb_crc_ok=cb_ok,
                            iterations=[r.iterations_used for r in results])

@@ -82,6 +82,9 @@ class JobResult:
     tb_crc_ok: bool | None = None                # None on DL: no decode
     cb_crc_ok: list[bool] = field(default_factory=list)
     num_cbs: int = 0
+    # UL: decoder iterations per CB, None for a CB kept from an earlier
+    # transmission and so not decoded in this call
+    iterations: list[int | None] = field(default_factory=list)
 
 
 @dataclass
@@ -113,17 +116,20 @@ class HarqProcess:
                           for _ in range(plan.num_cbs)])
 
     def assemble(self, decoded: list[DecodeResult]
-                 ) -> tuple[np.ndarray, bool, list[bool]]:
-        """TB payload and verdicts from the kept results and the results
-        of the CBs just decoded, in CB order; then keep the new passes."""
+                 ) -> tuple[np.ndarray, bool, list[bool], list[int | None]]:
+        """TB payload, verdicts and each CB's decoder iterations (None for
+        a kept CB) from the kept results and the results of the CBs just
+        decoded, in CB order; then keep the new passes."""
         new = iter(decoded)
         results = [self.passed[i] if i in self.passed else next(new)
                    for i in range(self.plan.num_cbs)]
+        iterations = [None if i in self.passed else r.iterations_used
+                      for i, r in enumerate(results)]
         payload, tb_ok, cb_ok = assemble_decoded(results, self.plan)
         undetected = all(cb_ok) and not tb_ok
         self.passed = {} if undetected else {
             i: r for i, (r, ok) in enumerate(zip(results, cb_ok)) if ok}
-        return payload, tb_ok, cb_ok
+        return payload, tb_ok, cb_ok, iterations
 
 
 class HarqPool:
@@ -300,7 +306,8 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
         if kind is OpKind.ENCODE:
             jr.streams = outs
         else:
-            jr.payload, jr.tb_crc_ok, jr.cb_crc_ok = w.process.assemble(outs)
+            jr.payload, jr.tb_crc_ok, jr.cb_crc_ok, jr.iterations = \
+                w.process.assemble(outs)
         results.append(jr)
     return SlotCodingResult(
         generation=request.interface_generation, job_results=results,

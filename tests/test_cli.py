@@ -26,6 +26,21 @@ def test_deploy_meets_and_misses_targets(capsys):
     assert cli_main(["deploy", "--slots", "5"]) == EXIT_TARGETS_FAILED
 
 
+def test_a_profile_name_means_the_same_in_a_config(capsys, tmp_path):
+    """``--profile ep-rfsoc`` and a config naming ``"ep-rfsoc"`` run the
+    same deployment under the profile's one canonical name."""
+    config = tmp_path / "deploy.json"
+    config.write_text(json.dumps({"profile": "EP-RFSoC", "n_instances": 2,
+                                  "duration_slots": 100}))
+    assert cli_main(["--format", "json", "--config", str(config),
+                     "deploy"]) == EXIT_OK
+    from_config = json.loads(capsys.readouterr().out)
+    assert cli_main(["--format", "json", "deploy", "--profile", "ep-rfsoc",
+                     "--instances", "2", "--slots", "100"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == from_config
+    assert from_config["config"]["profile"] == "ep_rfsoc"
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["deploy", "--slots", "0"],

@@ -6,7 +6,7 @@ from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_cb,
                         new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb, split_payload)
 from vranphy.nr import crc, decoder
-from vranphy.nr.decoder import DEFAULT_MAX_ITERS
+from vranphy.nr.decoder import DEFAULT_MAX_ITERS, DecodeResult
 
 # empirically calibrated: far inside the correction capability of the
 # full-buffer configuration used below (the waterfall sits above 260)
@@ -194,15 +194,49 @@ def test_row_messages_match_the_per_edge_rule(degree):
                                       _reference_messages(v).view(np.uint32))
 
 
-def _reference_decode(buf, plan):
-    """The decoder's own loop on the full lifted graph: every row runs."""
+def _per_cb_solved(st, totals):
+    return bool(totals[: st.k].all()) and st.syndrome_ok(totals < 0)
+
+
+def _per_cb_min_sum(st, channel, max_iters):
+    """The layered min-sum loop on one code block at a time, the oracle of
+    the batch: final totals, iterations run, and whether the word is
+    solved."""
+    totals = channel.copy()
+    decoder._peel_erasures(st, totals)
+    if _per_cb_solved(st, totals):
+        return totals, 0, True
+    sent = [np.zeros(index.shape, dtype=np.float32)
+            for index in st.row_blocks]
+    for it in range(1, max_iters + 1):
+        for index, messages in zip(st.row_blocks, sent):
+            v = totals.take(index)
+            v -= messages
+            decoder._row_messages(v, messages)
+            v += messages
+            totals[index] = v
+        if _per_cb_solved(st, totals):
+            return totals, it, True
+    return totals, max_iters, False
+
+
+def _oracle_decode(buf, plan, max_iters=DEFAULT_MAX_ITERS, full=False):
+    """One block through the per-CB loop, on the rows the buffer reached
+    or (``full``) on every row."""
     channel = decoder._channel(buf, plan)
-    st = lifted(plan.base_graph, plan.lifting_size)
-    totals, iters, _ = decoder._layered_min_sum(st, channel,
-                                                DEFAULT_MAX_ITERS)
+    st = lifted(plan.base_graph, plan.lifting_size) if full \
+        else decoder._reached_structure(channel, plan)
+    totals, iters, solved = _per_cb_min_sum(st, channel, max_iters)
     info = (totals < 0)[: plan.k_prime].astype(np.uint8)
     ok = bool(totals[: st.k].all()) and decoder._crc_verdict(info, plan)
-    return info, ok, iters
+    return DecodeResult(info_bits=info, crc_ok=ok, iterations_used=iters,
+                        parity_ok=solved)
+
+
+def _reference_decode(buf, plan):
+    """The per-CB loop on the full lifted graph: every row runs."""
+    res = _oracle_decode(buf, plan, full=True)
+    return res.info_bits, res.crc_ok, res.iterations_used
 
 
 def test_single_block_tb_crc_is_computed_once(rng, monkeypatch):
@@ -293,3 +327,101 @@ def test_awgn_sweep_no_worse_than_flooding(shape, rvs):
             iters += res.iterations_used
         assert passed >= flood_passed, sigma
         assert iters <= flood_iters, sigma
+
+
+def _mixed_buffers(count, seed):
+    """``count`` BG1 soft buffers cycling through: rv0 noise, solved after
+    a few passes or not at all; rv0 + rv2, which reaches more rows;
+    noiseless, solved by peeling at 0 iterations; erased; a partly erased
+    block and its -0.0 twin; and noise that runs out at max_iters."""
+    a, rate = SWEEP_SHAPES["bg1"]
+    plan = segment_tb(a, rate)
+    e = 2 * round(plan.k_prime / rate / 2)
+    r = np.random.default_rng([seed, count])
+    buffers = []
+    while len(buffers) < count:
+        buffers.append(_awgn_buffer(plan, a, e, (0,), r.uniform(0.45, 0.6),
+                                    r))
+        buffers.append(_awgn_buffer(plan, a, e, (0, 2), r.uniform(0.6, 0.9),
+                                    r))
+        enc = encode_tb(r.integers(0, 2, a, dtype=np.uint8), plan, e, 2, 1)
+        buffers.append(rate_recover_and_combine(
+            noiseless_llrs(enc.streams[0]), plan, enc.params[0],
+            new_soft_buffer(plan)))
+        buffers.append(new_soft_buffer(plan))
+        llrs = awgn_llrs(enc.streams[0], 0.5, r)
+        llrs[r.random(llrs.size) < 0.2] = 0.0
+        plus = rate_recover_and_combine(llrs, plan, enc.params[0],
+                                        new_soft_buffer(plan))
+        minus = new_soft_buffer(plan)
+        minus.llrs[:] = np.where(plus.llrs == 0, np.float32(-0.0),
+                                 plus.llrs)
+        buffers += [plus, minus]
+        buffers.append(_awgn_buffer(plan, a, e, (0,), 1.6, r))
+    return plan, buffers[:count]
+
+
+def _same_results(batch, oracle):
+    assert len(batch) == len(oracle)
+    for got, want in zip(batch, oracle):
+        np.testing.assert_array_equal(got.info_bits, want.info_bits)
+        assert (got.crc_ok, got.iterations_used, got.parity_ok) == \
+            (want.crc_ok, want.iterations_used, want.parity_ok)
+
+
+CHUNK = 3
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 1, 14])
+@pytest.mark.parametrize("max_iters", [DEFAULT_MAX_ITERS, 3])
+def test_batch_matches_the_per_cb_oracle(count, max_iters, monkeypatch):
+    """Mixed batches decode block for block as the per-CB loop does, with
+    chunks of CHUNK blocks: results at every chunk boundary, across
+    reached-row groups, and whether a block leaves after its first solved
+    pass, at 0 iterations or at max_iters."""
+    monkeypatch.setattr(decoder, "_chunk_width", lambda st: CHUNK)
+    plan, buffers = _mixed_buffers(count, seed=count)
+    oracle = [_oracle_decode(buf, plan, max_iters) for buf in buffers]
+    _same_results(decoder.ldpc_decode_batch(buffers, plan, max_iters),
+                  oracle)
+    if count == 14:
+        iterations = {res.iterations_used for res in oracle}
+        assert {0, max_iters} <= iterations
+        assert len({decoder._reached_structure(decoder._channel(b, plan),
+                                               plan)
+                    for b, res in zip(buffers, oracle)
+                    if res.iterations_used}) >= 3
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 1])
+def test_one_group_leaves_its_chunk_block_by_block(count, monkeypatch):
+    """Blocks of one reached-row set that solve after different passes:
+    the chunk drops each after its pass and goes on with the rest."""
+    monkeypatch.setattr(decoder, "_chunk_width", lambda st: CHUNK)
+    a, rate = SWEEP_SHAPES["bg1"]
+    plan = segment_tb(a, rate)
+    e = 2 * round(plan.k_prime / rate / 2)
+    r = np.random.default_rng([7, count])
+    buffers = [_awgn_buffer(plan, a, e, (0,), sigma, r)
+               for sigma in r.uniform(0.35, 0.6, count)]
+    oracle = [_oracle_decode(buf, plan) for buf in buffers]
+    _same_results(decoder.ldpc_decode_batch(buffers, plan), oracle)
+    # some chunk holds blocks that leave after different passes
+    assert any(len({res.iterations_used for res in oracle[i:i + CHUNK]}) > 1
+               for i in range(0, count, CHUNK))
+
+
+def test_chunk_width_holds_the_message_budget():
+    """At the UL phy-test shape (BG1, Z 384), a chunk's messages fit the
+    budget, and the budget holds several blocks on every row set."""
+    for rows in [tuple(range(12)), None]:
+        st = lifted(1, 384, rows)
+        width = decoder._chunk_width(st)
+        assert width >= 4
+        assert width * st.var_index.size * 4 <= decoder._CHUNK_BYTES
+
+
+def test_empty_batch_decodes_nothing():
+    assert decoder.ldpc_decode_batch([], segment_tb(300, 0.5)) == []

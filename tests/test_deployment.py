@@ -5,7 +5,7 @@ from vranphy.backends.model import (DIRECTIONS, GENERATIONS, JitterSpec,
                                     call_shapes)
 from vranphy.deployment import (TOPOLOGY_PROFILES, DeploymentConfig,
                                 expected_goodput_mbps, expected_slot_counts,
-                                run_deployment)
+                                run_deployment, topology_for)
 from vranphy.deployment import harness
 from vranphy.errors import InvalidConfigError
 from vranphy.highphy import tdd_slot_kind
@@ -184,6 +184,12 @@ def test_every_profiles_device_prices_every_call(profile):
 def test_an_unknown_profile_fails_at_construction():
     with pytest.raises(InvalidConfigError, match="nowhere"):
         DeploymentConfig(profile="nowhere")
+
+
+@pytest.mark.parametrize("name", ["ep-rfsoc", "EP_RFSOC", "Ep-RfSoc"])
+def test_a_profile_is_named_in_any_spelling(name):
+    assert DeploymentConfig(profile=name) == DeploymentConfig()
+    assert topology_for(name) is TOPOLOGY_PROFILES["ep_rfsoc"]
 
 
 def test_a_config_may_name_only_its_profiles_device():

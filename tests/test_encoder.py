@@ -147,6 +147,22 @@ def test_syndrome_rule_matches_the_dense_parity_matrix(bg, z, rows, rng):
         assert st.syndrome_ok(word) == (not (h @ word % 2).any())
 
 
+@pytest.mark.parametrize("rows", [None, (0, 1, 2, 3, 6, 11)],
+                         ids=["all", "restricted"])
+def test_syndrome_of_a_batch_is_each_words_syndrome(rows, rng):
+    """Words side by side as columns get the verdicts they get one by one:
+    codewords, words failing at different rows, and all-failing batches."""
+    st = lifted(1, 5, rows)
+    cws = [ldpc_encode(rng.integers(0, 2, 22 * 5, dtype=np.uint8), 1, 5)
+           for _ in range(4)]
+    words = cws + [cw ^ (rng.random(cw.size) < p)
+                   for cw in cws for p in (0.002, 0.01, 0.5)]
+    for batch in (words, words[4:], words[:1]):
+        passes = st.syndrome_passes(np.stack(batch, axis=1))
+        assert passes.tolist() == [st.syndrome_ok(w) for w in batch]
+    assert not st.syndrome_passes(np.stack(words[4:], axis=1)).all()
+
+
 def test_unsupported_lifting_size_rejected():
     with pytest.raises((UnsupportedConfigError, InvalidConfigError)):
         ldpc_encode(np.zeros(10 * 17, np.uint8), 2, 17)

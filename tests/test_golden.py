@@ -260,13 +260,13 @@ def test_harq_retransmissions_match_their_recorded_digest(name,
                                                          monkeypatch):
     transmissions, expected = HARQ_GOLDEN[name]
     decodes = []
-    real = pipeline.ldpc_decode
+    real = pipeline.ldpc_decode_batch
 
-    def counted(*args):
-        decodes.append(args[0])
-        return real(*args)
+    def counted(buffers, *args):
+        decodes.extend(buffers)
+        return real(buffers, *args)
 
-    monkeypatch.setattr(pipeline, "ldpc_decode", counted)
+    monkeypatch.setattr(pipeline, "ldpc_decode_batch", counted)
     t = PhyTestTraffic()
     tbs, plan, g, qm, layers = _phy_test("ul")
     payload = _payload(tbs, 11)

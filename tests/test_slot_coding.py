@@ -280,15 +280,16 @@ def test_payload_of_non_bits_is_rejected(value, t2_quiet):
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """The soft buffer of every ``ldpc_decode`` call, in call order."""
+    """The soft buffer of every CB ``ldpc_decode_batch`` decodes, in call
+    order."""
     seen = []
-    real = pipeline.ldpc_decode
+    real = pipeline.ldpc_decode_batch
 
-    def counted(buffer, plan, *args):
-        seen.append(buffer)
-        return real(buffer, plan, *args)
+    def counted(buffers, plan, *args):
+        seen.extend(buffers)
+        return real(buffers, plan, *args)
 
-    monkeypatch.setattr(pipeline, "ldpc_decode", counted)
+    monkeypatch.setattr(pipeline, "ldpc_decode_batch", counted)
     return seen
 
 
@@ -357,19 +358,20 @@ def test_undetected_cb_error_decodes_every_cb_again(rng, t2_quiet, decodes,
     handle, harq = _handle(t2_quiet), HarqPool()
     job = _dl_job(rng, prbs=60, mcs=20)
     plan = segment_tb(job.payload.size, mcs_params(20, "T1")[1])
-    counted = pipeline.ldpc_decode
+    counted = pipeline.ldpc_decode_batch
 
-    def corrupt_first(buffer, plan, *args):
-        result = counted(buffer, plan, *args)
-        if len(decodes) > 1:
-            return result
-        bits = result.info_bits.copy()
+    def corrupt_first(buffers, plan, *args):
+        results = counted(buffers, plan, *args)
+        if len(decodes) > len(buffers):
+            return results
+        bits = results[0].info_bits.copy()
         data = plan.segment_data_bits
         bits[0] ^= 1
         bits[data:plan.k_prime] = crc_compute(bits[:data], CB_CRC)
-        return dataclasses.replace(result, info_bits=bits)
+        results[0] = dataclasses.replace(results[0], info_bits=bits)
+        return results
 
-    monkeypatch.setattr(pipeline, "ldpc_decode", corrupt_first)
+    monkeypatch.setattr(pipeline, "ldpc_decode_batch", corrupt_first)
     first = _decode(handle, harq, _ul_job(job))
     jr = first.job_results[0]
     assert all(jr.cb_crc_ok) and jr.tb_crc_ok is False
@@ -465,3 +467,32 @@ def test_rejected_harq_placement_starts_no_process(rng):
     plan = segment_tb(job.payload.size, mcs_params(5, "T1")[1])
     with pytest.raises(HarqBufferMissingError):
         harq.resume(job.ue_id, job.harq_pid, plan)
+
+
+def test_job_result_reports_iterations_of_the_cbs_decoded(rng):
+    """A first transmission faded on CBs 1 and 3 reports every CB's
+    decoder iterations; its rv 2 retransmission decodes only CBs 1 and 3
+    and reports None for the CBs kept from the first."""
+    job = _dl_job(rng, prbs=60, mcs=20)
+    qm, rate = mcs_params(20, "T1")
+    plan = segment_tb(job.payload.size, rate)
+    g = resource_elements(60, 12, 0) * qm
+    backend, harq = SoftwareBackend(), HarqPool()
+    handle = _handle(backend)
+    buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
+    reports, reference = [], []
+    for tx, (rv, sigmas) in enumerate([(0, (0.5, 1.5, 0.5, 1.5)),
+                                       (2, (0.5,) * 4)]):
+        enc = encode_tb(job.payload, plan, g, qm, 1, rv)
+        streams = [awgn_llrs(s, sigma, rng)
+                   for s, sigma in zip(enc.streams, sigmas)]
+        reports.append(_decode(handle, harq, dataclasses.replace(
+            job, payload=None, rv=rv, new_data=tx == 0,
+            llr_streams=streams)).job_results[0])
+        reference.append(decode_tb(streams, plan, enc.params, buffers))
+    first, again = reports
+    assert first.cb_crc_ok == [True, False, True, False]
+    assert first.iterations == reference[0].iterations
+    assert again.tb_crc_ok
+    assert again.iterations == [None, reference[1].iterations[1],
+                                None, reference[1].iterations[3]]
