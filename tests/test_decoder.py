@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from vranphy.nr import (awgn_llrs, buffer_length, decode_tb, encode_cb,
-                        encode_tb, ldpc_decode, lifted, mcs_params,
+from vranphy.errors import InvalidConfigError
+from vranphy.nr import (awgn_llrs, buffer_length, decode_cb, decode_tb,
+                        encode_cb, encode_tb, ldpc_decode, lifted, mcs_params,
                         new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb, split_payload)
 from vranphy.nr import crc, decoder
@@ -425,3 +426,12 @@ def test_chunk_width_holds_the_message_budget():
 
 def test_empty_batch_decodes_nothing():
     assert decoder.ldpc_decode_batch([], segment_tb(300, 0.5)) == []
+
+
+def test_decode_cb_rejects_mismatched_batch_lengths():
+    plan = segment_tb(300, 0.5)
+    enc = encode_tb(np.zeros(300, np.uint8), plan, _full_buffer_e(plan), 2,
+                    1)
+    llrs = [noiseless_llrs(s) for s in enc.streams]
+    with pytest.raises(InvalidConfigError):
+        decode_cb(llrs * 2, plan, enc.params, [new_soft_buffer(plan)])
