@@ -1,7 +1,8 @@
 """Emulated coding accelerators with calibrated timing and contention.
 
 A device has two paths, and both price a call from its ``CallShape``
-(made by ``model.call_shapes``), which ``base_service_us`` takes whole.
+(made by ``model.call_shapes``), which ``base_service_us`` takes whole, as
+``interface_bench`` does for the benchmark slots without coding them.
 ``process(ops)``, the contract every backend shares, is the synchronous
 base-time path: it codes each op's payload and reports the base service
 time of its shape. Its ops run one after another, so each arrives at an
@@ -69,8 +70,8 @@ import numpy as np
 from ..errors import InvalidConfigError
 from ..lpu import (CallShape, Completion, CodingOpDescriptor,
                    LpuCapabilities, QueueAllocator, discover, validate_ops)
-from .model import (DIRECTIONS, GENERATIONS, JitterSpec, ServiceTimeModel,
-                    calibrate_per_generation)
+from .model import (DIRECTIONS, GENERATIONS, BenchConfig, JitterSpec,
+                    ServiceTimeModel, calibrate_per_generation, call_shapes)
 from .software import execute_descriptor
 
 OCCUPANCY_FRACTION = 0.25   # share of a call's base latency a server is held
@@ -145,6 +146,36 @@ class EmulatedDevice:
             return 0.0
         model = self.service_model(direction, generation)
         return model.call_time_us(n_tb, n_cb, kbits)
+
+    def interface_bench(self, directions=DIRECTIONS, tb_counts=range(1, 9)
+                        ) -> list[dict]:
+        """Slot coding time per (direction, generation, TB count).
+
+        The benchmark slot is a full grid equally shared between the TBs
+        (``BenchConfig``). Its calls run one after another, so none waits
+        for a server or meets the contention tail: each row is the sum of
+        the base service times of its call shapes, one deterministic
+        virtual-time sample.
+        """
+        if not tb_counts or min(tb_counts) < 1:
+            raise InvalidConfigError(
+                "the interface bench needs TB counts >= 1")
+        cfg = BenchConfig()
+        rows = []
+        for direction in directions:
+            for generation in GENERATIONS:
+                for n_tb in tb_counts:
+                    calls = call_shapes(generation, direction,
+                                        cfg.tb_shapes(n_tb))
+                    rows.append({
+                        "direction": direction,
+                        "generation": generation,
+                        "n_tb": int(n_tb),
+                        "mean_us": sum(self.base_service_us(direction, s)
+                                       for _, s in calls),
+                        "calls_made": len(calls),
+                    })
+        return rows
 
     # -- event engine ------------------------------------------------------
     def submit(self, arrival_us: float, direction: str, shape: CallShape,

@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CalibrationError, InvalidConfigError
-from ..lpu import CallShape
+from ..lpu import CallShape, InterfaceGeneration
 from ..nr.mcs import MAX_PRBS
 from ..nr.pipeline import tb_geometry
 
-GENERATIONS = ("per_cb", "per_tb", "per_slot")
+GENERATIONS = tuple(g.value for g in InterfaceGeneration)
 DIRECTIONS = ("decode", "encode")
 ENCODE_CB_BATCH = 8   # legacy encoder interface: 8 segments per call
 
@@ -261,8 +261,7 @@ def load_reference_observations(path=None
     return out
 
 
-def calibrate_per_generation(observations=None, bench: BenchConfig | None
-                             = None
+def calibrate_per_generation(observations=None
                              ) -> dict[tuple[str, str], ServiceTimeModel]:
     """One fitted model per (direction, generation), encode and decode
     calibrated separately since the measured slopes differ."""
@@ -274,5 +273,5 @@ def calibrate_per_generation(observations=None, bench: BenchConfig | None
     for direction, generation, n_tb, us in observations:
         groups.setdefault((direction, generation), []).append(
             (generation, n_tb, us))
-    return {key: calibrate_model(rows, direction=key[0], bench=bench)
+    return {key: calibrate_model(rows, direction=key[0])
             for key, rows in groups.items()}

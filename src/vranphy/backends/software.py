@@ -35,12 +35,13 @@ def execute_descriptor(op: CodingOpDescriptor) -> list:
 class SoftwareBackend:
     """Software LPU with one worker: the calling thread."""
 
-    def __init__(self, worker_count: int = 1, device_id: str = "software"):
+    device_id = "software"
+
+    def __init__(self, worker_count: int = 1):
         if worker_count != 1:
             raise InvalidConfigError("the software backend has one worker")
-        self.device_id = device_id
         self.capabilities = discover("software")
-        self.allocator = QueueAllocator(device_id,
+        self.allocator = QueueAllocator(self.device_id,
                                         self.capabilities.num_queues)
 
     def close(self):

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``bench-interfaces`` (interface-generation timing table of
-the ``--backend`` device, any ``emulated.DEVICE_PROFILES`` name),
+the ``--backend`` device, any ``emulated.DEVICE_PROFILES`` name, from its
+``EmulatedDevice.interface_bench``),
 ``calibrate`` (fit service-time models from a CSV), ``plan`` (emit core
 plans), ``deploy`` (multi-instance run plus report, on the device the
 server profile names) and ``report`` (summarize raw microsecond samples).
@@ -86,13 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     from .backends.emulated import make_emulated
-    from .slot_coding import run_interface_bench
+    from .backends.model import DIRECTIONS
 
     device = make_emulated(args.backend, seed=args.seed)
-    directions = (("decode", "encode") if args.direction == "both"
-                  else (args.direction,))
-    rows = run_interface_bench(device, directions=directions,
-                               tb_counts=range(1, args.max_tbs + 1))
+    directions = DIRECTIONS if args.direction == "both" else (args.direction,)
+    rows = device.interface_bench(directions=directions,
+                                  tb_counts=range(1, args.max_tbs + 1))
     if args.format == "json":
         sys.stdout.write(bench_rows_to_json(rows))
     else:

@@ -347,10 +347,10 @@ def expected_goodput_mbps(config: DeploymentConfig) -> dict[str, float]:
             for link, key in (("dl", "dl_encoded"), ("ul", "ul"))}
 
 
-def check_throughput(bundle: MetricsBundle,
-                     targets: dict | None = None) -> dict:
-    """Per-instance pass/fail of delivered goodput against targets."""
-    targets = dict(DEFAULT_TARGETS if targets is None else targets)
+def check_throughput(bundle: MetricsBundle) -> dict:
+    """Per-instance pass/fail of delivered goodput against
+    ``DEFAULT_TARGETS``."""
+    targets = dict(DEFAULT_TARGETS)
     out = {"targets": targets, "instances": {}, "all_pass": True}
     for m in bundle.instances:
         good = bundle.goodput_mbps(m.instance_id)

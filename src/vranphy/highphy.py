@@ -38,10 +38,11 @@ grid over it.
 Precoding accumulates over layers in a fixed order, one multiply-add per
 OFDM symbol and (port, layer) whose weight is not zero. A zero weight
 would add +-0 to a sum that starts at +0 and so is never -0, which changes
-no bit; under the identity weights ``run_dl_slot`` defaults to, each port
-takes one term. The result equals a per-element loop over every layer in the
-same order up to the rounding of NumPy's vectorized complex multiply, and
-bit for bit when the products are exact, as with identity weights.
+no bit. ``run_dl_slot`` precodes with fixed identity weights, layer l onto
+port l, so each port takes one term. The result equals a per-element loop
+over every layer in the same order up to the rounding of NumPy's
+vectorized complex multiply, and bit for bit when the products are exact,
+as with identity weights.
 """
 from __future__ import annotations
 
@@ -194,13 +195,6 @@ class _DlSlotBuffers:
         self.grid = np.zeros((ports, SYMBOLS_PER_SLOT, subcarriers),
                              dtype=np.complex128)
         self.indices = np.empty(self.grid.size, dtype=np.uint8)
-        self._layer_grids: dict[int, ResourceGrid] = {}
-
-    def layer_grid(self, layers: int) -> ResourceGrid:
-        """The first ``layers`` rows of the grid."""
-        if layers not in self._layer_grids:
-            self._layer_grids[layers] = ResourceGrid(self.grid[:layers])
-        return self._layer_grids[layers]
 
     def map_jobs(self, cfg: CellConfig, jobs: list,
                  coding: SlotCodingResult) -> None:
@@ -267,12 +261,11 @@ class SlotTimingRecord:
 
 def run_dl_slot(cfg: CellConfig, jobs, executor,
                 mode: PrecodeMode = PrecodeMode.VECTOR,
-                weights: np.ndarray | None = None,
                 slot_id: int = 0) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
     """Encode one downlink slot, map what it encoded onto the layer grid
     (the rule is in the module docstring) and precode that grid onto the
-    cell's ``tx_antennas`` ports."""
+    cell's ``tx_antennas`` ports with the identity weights."""
     jobs = list(jobs)
     kind, request = _admit(cfg, jobs, slot_id, "DL", "DS")
     for job in jobs:
@@ -283,11 +276,10 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
         scrambling_init(job.ue_id)      # an RNTI has 16 bits
     coding = encode_slot(request, executor)
     n_layers = max(j.layers for j in jobs)
-    if weights is None:
-        weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
+    weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
     buffers = _dl_slot_buffers(cfg.tx_antennas, cfg.subcarriers)
     buffers.map_jobs(cfg, jobs, coding)
-    layers = buffers.layer_grid(n_layers)
+    layers = ResourceGrid._written(buffers.grid[:n_layers])
     t0 = time.perf_counter()
     precode_and_map(layers, weights, mode=mode, out=buffers.grid)
     precode_us = (time.perf_counter() - t0) * 1e6

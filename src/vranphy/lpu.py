@@ -86,17 +86,20 @@ def route_interface(caps: LpuCapabilities, num_cbs_in_tb: int) -> Granularity:
         raise InvalidConfigError("num_cbs_in_tb must be >= 1")
     if num_cbs_in_tb == 1 and caps.tb_required_when_single_cb:
         return Granularity.TB
-    if caps.supports_cb_interface:
-        return Granularity.CB
-    if caps.supports_tb_interface:
-        return Granularity.TB
-    raise CapabilityMismatchError(
-        f"{caps.name}: no permitted interface for {num_cbs_in_tb} CBs")
+    # LpuCapabilities requires at least one of the two interfaces
+    return Granularity.CB if caps.supports_cb_interface else Granularity.TB
+
+
+class InterfaceGeneration(Enum):
+    """How a slot's CBs are grouped into calls (``model.call_groups``)."""
+    PER_CB = "per_cb"
+    PER_TB = "per_tb"
+    PER_SLOT = "per_slot"
 
 
 class CallShape(NamedTuple):
     """Timing shape of one coding-library call (``model.call_shapes``)."""
-    generation: str
+    generation: str    # an ``InterfaceGeneration`` value
     n_tb: float        # the slot's TBs spread evenly over its calls
     n_cb: int
     kbits: float

@@ -4,35 +4,36 @@ Every generation produces bit-identical coded output because all of them
 run the same per-segment primitives; they differ only in how the slot's
 segments are grouped into coding-library calls (one call per segment or
 8-segment batch, one per transport block, or one for the whole slot) and
-therefore in call count and timing. A decode call codes only the code
-blocks that have not yet passed in their HARQ process (see ``HarqPool``).
+therefore in call count and timing. A slot takes one path from its jobs
+to its device calls and back, under three rules:
+
+- an encode job's input is its payload, a decode job's its LLR streams,
+  one per code block (CB), and every job is checked before any HARQ
+  process starts;
+- every decode runs in a HARQ pool, the caller's or a fresh one dropped
+  after the slot, and codes only the CBs not yet passed in their process
+  (see ``HarqPool``);
+- each call takes the next CBs in TB order (``model.call_groups``), and
+  each TB gets its outputs back in CB order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from itertools import islice
 
 import numpy as np
 
-from .backends.emulated import EmulatedDevice
-from .backends.model import BenchConfig, call_shapes
+from .backends.model import call_shapes
 from .errors import (BackendUnavailableError, HarqBufferMissingError,
                      InvalidConfigError)
-from .lpu import (BufferLocation, CallShape, CodingOpDescriptor, Granularity,
-                  OpKind, QueueHandle, route_interface,
+from .lpu import (BufferLocation, CodingOpDescriptor, Granularity,
+                  InterfaceGeneration, OpKind, QueueHandle, route_interface,
                   validate_harq_placement)
 from .nr.decoder import DecodeResult
 from .nr.mcs import MAX_PRBS
-from .nr.pipeline import assemble_decoded, cb_params, encode_cb, tb_geometry
+from .nr.pipeline import assemble_decoded, cb_params, tb_geometry
 from .nr.segmentation import SegmentationPlan, split_payload
-from .nr.softbuffer import (SoftBuffer, new_soft_buffer, noiseless_llrs,
-                            received_llrs)
-
-
-class InterfaceGeneration(Enum):
-    PER_CB = "per_cb"
-    PER_TB = "per_tb"
-    PER_SLOT = "per_slot"
+from .nr.softbuffer import SoftBuffer, new_soft_buffer, received_llrs
 
 
 @dataclass
@@ -110,11 +111,6 @@ class HarqProcess:
     buffers: list[SoftBuffer]
     passed: dict[int, DecodeResult] = field(default_factory=dict)
 
-    @classmethod
-    def fresh(cls, plan: SegmentationPlan) -> HarqProcess:
-        return cls(plan, [new_soft_buffer(plan)
-                          for _ in range(plan.num_cbs)])
-
     def assemble(self, decoded: list[DecodeResult]
                  ) -> tuple[np.ndarray, bool, list[bool], list[int | None]]:
         """TB payload, verdicts and each CB's decoder iterations (None for
@@ -152,7 +148,8 @@ class HarqPool:
     def start(self, ue_id: int, harq_pid: int,
               plan: SegmentationPlan) -> HarqProcess:
         """A fresh process for new data."""
-        process = HarqProcess.fresh(plan)
+        process = HarqProcess(plan, [new_soft_buffer(plan)
+                                     for _ in range(plan.num_cbs)])
         self._processes[ue_id, harq_pid] = process
         return process
 
@@ -180,95 +177,67 @@ class _TbWork:
     job: TransportBlockJob
     plan: SegmentationPlan
     items: list[tuple]           # execute_descriptor items of the CBs to code
-    granularity: Granularity
     process: HarqProcess | None = None    # decode only
 
 
 def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
-                caps, kind: OpKind, harq: HarqPool | None) -> _TbWork:
-    """A job's coding state with every input checked: its payload, and on
-    a decode its stream count, its LLRs and the HARQ process a
+                kind: OpKind, harq: HarqPool | None) -> _TbWork:
+    """A job's coding state with every input checked: an encode's payload
+    (``split_payload``), and a decode's LLR streams and the HARQ process a
     retransmission resumes. No HARQ state changes here: a decode's items
     are (llrs, plan, params) until ``_start_decode`` gives them buffers."""
     plan, g_total, qm = tb_geometry(job.prb_share, request.symbols,
                                     job.layers, job.mcs_index, job.mcs_table,
                                     request.overhead)
-    if job.payload is not None and job.payload.size != plan.payload_bits:
-        raise InvalidConfigError(
-            f"job ue={job.ue_id}: payload {job.payload.size} != "
-            f"TBS {plan.payload_bits}")
     params = cb_params(plan, g_total, qm, job.layers, job.rv)
-    granularity = route_interface(caps, plan.num_cbs)
     if kind is OpKind.ENCODE:
         items = [(bits, plan, rm)
                  for bits, rm in zip(split_payload(job.payload, plan), params)]
-        return _TbWork(job=job, plan=plan, items=items,
-                       granularity=granularity)
-    streams = job.llr_streams
-    if streams is None:
-        if job.payload is None:
-            raise InvalidConfigError(
-                "UL job needs llr_streams or a loopback payload")
-        streams = [noiseless_llrs(s) for s in encode_cb(
-            split_payload(job.payload, plan), plan, params)]
-    if len(streams) != plan.num_cbs:
+        return _TbWork(job=job, plan=plan, items=items)
+    if job.llr_streams is None:
+        raise InvalidConfigError(f"UL job ue={job.ue_id} needs llr_streams")
+    if len(job.llr_streams) != plan.num_cbs:
         raise InvalidConfigError("llr stream count != segment count")
     items = [(received_llrs(llrs, rm), plan, rm)
-             for llrs, rm in zip(streams, params)]
-    process = None
-    if not job.new_data:
-        if harq is None:
-            raise HarqBufferMissingError(
-                f"ue={job.ue_id}: combining needs a HARQ pool")
-        process = harq.resume(job.ue_id, job.harq_pid, plan)
-    return _TbWork(job=job, plan=plan, items=items, granularity=granularity,
-                   process=process)
+             for llrs, rm in zip(job.llr_streams, params)]
+    process = None if job.new_data else harq.resume(job.ue_id, job.harq_pid,
+                                                    plan)
+    return _TbWork(job=job, plan=plan, items=items, process=process)
 
 
-def _start_decode(work: _TbWork, harq: HarqPool | None) -> None:
+def _start_decode(work: _TbWork, harq: HarqPool) -> None:
     """Start new data's HARQ process, then keep the items of the CBs the
     process has no passed result for, each with its soft buffer."""
     job = work.job
     if job.new_data:
-        work.process = HarqProcess.fresh(work.plan) if harq is None \
-            else harq.start(job.ue_id, job.harq_pid, work.plan)
+        work.process = harq.start(job.ue_id, job.harq_pid, work.plan)
     passed, buffers = work.process.passed, work.process.buffers
     work.items = [(*item, buffers[idx]) for idx, item in enumerate(work.items)
                   if idx not in passed]
 
 
-def _group_calls(works: list[_TbWork], generation: InterfaceGeneration,
-                 kind: OpKind
-                 ) -> list[tuple[list[tuple[int, tuple]], CallShape]]:
-    """Each call's (tb_index, item) batch and timing shape."""
-    items = [iter(w.items) for w in works]
+def _run_calls(device, kind: OpKind, generation: InterfaceGeneration,
+               works: list[_TbWork], location: BufferLocation | None
+               ) -> tuple[list[list], float, int]:
+    """Code the slot's items in ``generation``'s calls, in TB order; a call
+    is a TB descriptor when every TB it holds routes to the TB interface.
+    Returns each TB's outputs, the calls' summed time and the call count."""
     calls = call_shapes(generation.value, kind.value, [
         (w.plan.payload_bits * len(w.items) / w.plan.num_cbs, len(w.items))
         for w in works])
-    return [([(t, next(items[t])) for t in tbs], shape)
-            for tbs, shape in calls]
-
-
-def _run_calls(device, kind: OpKind, works: list[_TbWork],
-               calls: list[tuple[list[tuple[int, tuple]], CallShape]],
-               location: BufferLocation | None) -> tuple[list[list], float]:
-    """Execute call batches; returns per-TB outputs (one per CB) and the
-    calls' summed time."""
+    items = (item for w in works for item in w.items)
     ops = []
-    for batch, shape in calls:
+    for tbs, shape in calls:
         gran = Granularity.TB if all(
-            works[t].granularity is Granularity.TB for t, _ in batch) \
-            else Granularity.CB
+            route_interface(device.capabilities, works[t].plan.num_cbs)
+            is Granularity.TB for t in set(tbs)) else Granularity.CB
         ops.append(CodingOpDescriptor(
             kind=kind, granularity=gran, shape=shape,
-            payload=[item for _, item in batch], harq_location=location))
+            payload=list(islice(items, len(tbs))), harq_location=location))
     completions = device.process(ops)
-    outputs_per_tb: list[list] = [[] for _ in works]
-    for (batch, _), done in zip(calls, completions):
-        for pos, (t, _) in enumerate(batch):
-            outputs_per_tb[t].append(done.outputs[pos])
-    return outputs_per_tb, float(sum(c.service_time_us
-                                     for c in completions))
+    outputs = (out for done in completions for out in done.outputs)
+    return ([list(islice(outputs, len(w.items))) for w in works],
+            float(sum(c.service_time_us for c in completions)), len(ops))
 
 
 def encode_slot(request: SlotCodingRequest, executor: QueueHandle
@@ -279,27 +248,27 @@ def encode_slot(request: SlotCodingRequest, executor: QueueHandle
 
 def decode_slot(request: SlotCodingRequest, executor: QueueHandle,
                 harq: HarqPool | None = None) -> SlotCodingResult:
-    """Decode all transport blocks of one uplink slot."""
-    return _process_slot(request, executor, OpKind.DECODE, harq)
+    """Decode all transport blocks of one uplink slot in ``harq``, or in a
+    fresh pool dropped after the slot."""
+    return _process_slot(request, executor, OpKind.DECODE,
+                         HarqPool() if harq is None else harq)
 
 
 def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
                   kind: OpKind, harq: HarqPool | None) -> SlotCodingResult:
-    """Code one slot."""
+    """Code one slot; ``harq`` is None on an encode."""
     request.validate()
     device = executor.device
     if device is None:
         raise BackendUnavailableError("executor handle has no device")
-    location = None if harq is None else harq.location
+    location = harq.location if kind is OpKind.DECODE else None
     validate_harq_placement(device.capabilities, location)
-    works = [_prepare_tb(job, request, device.capabilities, kind, harq)
-             for job in request.jobs]
+    works = [_prepare_tb(job, request, kind, harq) for job in request.jobs]
     if kind is OpKind.DECODE:
         for w in works:
             _start_decode(w, harq)
-    calls = _group_calls(works, request.interface_generation, kind)
-    outputs_per_tb, elapsed_us = _run_calls(device, kind, works, calls,
-                                            location)
+    outputs_per_tb, elapsed_us, calls_made = _run_calls(
+        device, kind, request.interface_generation, works, location)
     results = []
     for w, outs in zip(works, outputs_per_tb):
         jr = JobResult(ue_id=w.job.ue_id, num_cbs=w.plan.num_cbs)
@@ -311,35 +280,4 @@ def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
         results.append(jr)
     return SlotCodingResult(
         generation=request.interface_generation, job_results=results,
-        total_elapsed_us=elapsed_us, calls_made=len(calls))
-
-
-def run_interface_bench(device, directions=("decode", "encode"),
-                        tb_counts=range(1, 9)) -> list[dict]:
-    """Slot coding time per (direction, generation, TB count).
-
-    The benchmark slot is a full grid equally shared between the TBs. Its
-    calls run one after another, so none waits for a server or meets the
-    contention tail: each row is the sum of the emulated device's base
-    service times, one deterministic virtual-time sample.
-    """
-    if not isinstance(device, EmulatedDevice):
-        raise InvalidConfigError(
-            "the interface bench runs on an emulated device")
-    if not tb_counts or min(tb_counts) < 1:
-        raise InvalidConfigError("the interface bench needs TB counts >= 1")
-    cfg = BenchConfig()
-    rows = []
-    for direction in directions:
-        for gen in InterfaceGeneration:
-            for n_tb in tb_counts:
-                calls = call_shapes(gen.value, direction, cfg.tb_shapes(n_tb))
-                rows.append({
-                    "direction": direction,
-                    "generation": gen.value,
-                    "n_tb": int(n_tb),
-                    "mean_us": sum(device.base_service_us(direction, s)
-                                   for _, s in calls),
-                    "calls_made": len(calls),
-                })
-    return rows
+        total_elapsed_us=elapsed_us, calls_made=calls_made)

@@ -78,7 +78,7 @@ def test_calls_made_contract(t2_quiet, rng):
     job = TransportBlockJob(ue_id=1, payload=payload, mcs_index=28,
                             mcs_table="T1", layers=1, prb_share=273)
     handle = _handle(t2_quiet)
-    req = SlotCodingRequest(jobs=[job],
+    req = SlotCodingRequest(jobs=[_ul_job(job)],
                             interface_generation=InterfaceGeneration.PER_CB)
     res = decode_slot(req, handle)
     assert res.calls_made == 26
@@ -86,11 +86,12 @@ def test_calls_made_contract(t2_quiet, rng):
     assert res.all_crc_ok
 
     req_tb = SlotCodingRequest(
-        jobs=[job], interface_generation=InterfaceGeneration.PER_TB)
+        jobs=[_ul_job(job)], interface_generation=InterfaceGeneration.PER_TB)
     assert decode_slot(req_tb, handle).calls_made == 1
 
     req_slot = SlotCodingRequest(
-        jobs=[job], interface_generation=InterfaceGeneration.PER_SLOT)
+        jobs=[_ul_job(job)],
+        interface_generation=InterfaceGeneration.PER_SLOT)
     assert decode_slot(req_slot, handle).calls_made == 1
 
     # encode batches 8 segments per legacy call: ceil(26 / 8) == 4
@@ -131,7 +132,7 @@ def test_per_call_overhead_inequality(rng):
     elapsed = {}
     calls = {}
     for gen in (InterfaceGeneration.PER_CB, InterfaceGeneration.PER_SLOT):
-        req = SlotCodingRequest(jobs=[job], interface_generation=gen)
+        req = SlotCodingRequest(jobs=[_ul_job(job)], interface_generation=gen)
         res = decode_slot(req, handle)
         elapsed[gen] = res.total_elapsed_us
         calls[gen] = res.calls_made
@@ -141,7 +142,7 @@ def test_per_call_overhead_inequality(rng):
 
 
 def test_harq_combining_needs_a_pool(rng, t2_quiet):
-    job = _dl_job(rng)
+    job = _ul_job(_dl_job(rng))
     job.new_data = False
     req = SlotCodingRequest(jobs=[job])
     with pytest.raises(HarqBufferMissingError):
@@ -154,7 +155,7 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
     handle = _handle(t2_quiet)
     for gen in InterfaceGeneration:
         job = _dl_job(rng, prbs=15, mcs=5)
-        req = SlotCodingRequest(jobs=[job], interface_generation=gen)
+        req = SlotCodingRequest(jobs=[_ul_job(job)], interface_generation=gen)
         res = decode_slot(req, handle, HarqPool())
         assert res.all_crc_ok
         np.testing.assert_array_equal(res.job_results[0].payload,
@@ -164,7 +165,8 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
 def test_dtx_slot_fails_crc(rng, t2_quiet):
     """A UE that sent nothing: all-zero LLRs must not pass any CRC."""
     job = _dl_job(rng, prbs=60, mcs=20)
-    probe = decode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
+    probe = decode_slot(SlotCodingRequest(jobs=[_ul_job(job)]),
+                        _handle(t2_quiet))
     assert probe.all_crc_ok and probe.job_results[0].num_cbs > 1
     qm, rate = mcs_params(20, "T1")
     g = resource_elements(60, 12, 0) * qm
@@ -186,7 +188,7 @@ def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
     device without internal HARQ memory refuses it."""
     device = SoftwareBackend() if backend == "software" else make_emulated(
         backend, spike=JitterSpec())
-    req = SlotCodingRequest(jobs=[_dl_job(rng, prbs=15, mcs=5)])
+    req = SlotCodingRequest(jobs=[_ul_job(_dl_job(rng, prbs=15, mcs=5))])
     harq = HarqPool(location=BufferLocation.DEVICE)
     if accepted:
         assert decode_slot(req, _handle(device), harq).all_crc_ok
@@ -255,10 +257,11 @@ def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
     shapes = [(job.payload.size, segment_tb(
         job.payload.size, mcs_params(job.mcs_index, "T1")[1]).num_cbs)
         for job in jobs]
-    for kind, code in ((lpu.OpKind.ENCODE, encode_slot),
-                       (lpu.OpKind.DECODE, decode_slot)):
+    for kind, code, coded in (
+            (lpu.OpKind.ENCODE, encode_slot, jobs),
+            (lpu.OpKind.DECODE, decode_slot, [_ul_job(j) for j in jobs])):
         for gen in InterfaceGeneration:
-            res = code(SlotCodingRequest(jobs=jobs, interface_generation=gen),
+            res = code(SlotCodingRequest(jobs=coded, interface_generation=gen),
                        handle)
             calls = call_shapes(gen.value, kind.value, shapes)
             assert res.calls_made == len(calls)
@@ -496,3 +499,52 @@ def test_job_result_reports_iterations_of_the_cbs_decoded(rng):
     assert again.tb_crc_ok
     assert again.iterations == [None, reference[1].iterations[1],
                                 None, reference[1].iterations[3]]
+
+
+def test_payload_only_ul_job_is_rejected(rng, t2_quiet):
+    """A decode job's input is its LLR streams: a job with a payload and
+    no streams is rejected before its HARQ process starts."""
+    handle, harq = _handle(t2_quiet), HarqPool()
+    job = _dl_job(rng, prbs=15, mcs=5)
+    with pytest.raises(InvalidConfigError):
+        _decode(handle, harq, job)
+    plan = segment_tb(job.payload.size, mcs_params(5, "T1")[1])
+    with pytest.raises(HarqBufferMissingError):
+        harq.resume(job.ue_id, job.harq_pid, plan)
+
+
+@pytest.mark.parametrize("kind", ["encode", "decode"])
+def test_descriptor_granularity_follows_the_device(kind, rng, monkeypatch):
+    """vRAN Boost takes a single-CB TB alone in a call as a TB descriptor,
+    and a call holding any CB of a multi-CB TB as a CB descriptor; the T2
+    takes CB descriptors only."""
+    single = _dl_job(rng, prbs=15, mcs=5, ue=1)
+    multi = _dl_job(rng, prbs=60, mcs=20, ue=2)
+    code = encode_slot if kind == "encode" else decode_slot
+    wrap = (lambda job: job) if kind == "encode" else _ul_job
+    cb, tb = lpu.Granularity.CB, lpu.Granularity.TB
+
+    def granularities(backend, jobs, generation):
+        device = make_emulated(backend, spike=JitterSpec())
+        seen = []
+        process = device.process
+
+        def recorded(ops):
+            seen.extend(op.granularity for op in ops)
+            return process(ops)
+
+        monkeypatch.setattr(device, "process", recorded)
+        code(SlotCodingRequest(jobs=[wrap(j) for j in jobs],
+                               interface_generation=generation),
+             _handle(device))
+        return seen
+
+    per_cb_mixed = [cb] if kind == "encode" else [tb, cb, cb, cb, cb]
+    for gen, mixed in ((InterfaceGeneration.PER_CB, per_cb_mixed),
+                       (InterfaceGeneration.PER_TB, [tb, cb]),
+                       (InterfaceGeneration.PER_SLOT, [cb])):
+        assert granularities("vran-boost-emulated", [single], gen) == [tb]
+        assert granularities("vran-boost-emulated", [single, multi],
+                             gen) == mixed
+        assert set(granularities("t2-emulated", [single, multi],
+                                 gen)) == {cb}
