@@ -183,7 +183,10 @@ class LiftedStructure:
     def syndrome_passes(self, hard_bits: np.ndarray) -> np.ndarray:
         """Per column of the ``(n, c)`` words ``hard_bits``, whether it
         passes the kept checks. Each row gathers only the columns that
-        passed every row before it, and the test stops once none is left."""
+        passed every row before it, and the test stops once none is left.
+        The words are made C-contiguous once and kept so by ``compress``
+        (``take`` would copy a whole array of another layout per row)."""
+        hard_bits = np.ascontiguousarray(hard_bits)
         passes = np.ones(hard_bits.shape[1], dtype=bool)
         left = np.arange(hard_bits.shape[1])
         for index in self.row_blocks:
@@ -194,7 +197,7 @@ class LiftedStructure:
                 left = left[~failed]
                 if not left.size:
                     break
-                hard_bits = hard_bits[:, ~failed]
+                hard_bits = hard_bits.compress(~failed, axis=1)
         return passes
 
 

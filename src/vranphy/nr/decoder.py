@@ -41,7 +41,9 @@ an ``(n, c)`` float32 array with one column per block, so a row gathers a
 of a row serves all c blocks. Its n rows are the codeword head up to the
 parity column of the last reached row; an extension row touches only
 information and core-parity columns besides its own, so nothing past it
-is read. After each pass the solved blocks leave with their results, and
+is read. After each pass the check reads the hard decisions of the
+C-ordered chunk, and its decided test reduces over kb rows of Z*c values,
+not over K rows of c. The solved blocks leave with their results, and
 the totals and each row's messages shrink to the other blocks' columns,
 one array at a time and C-contiguous again. Every block thus gets the
 iterations, totals and result it would get alone, bit for bit. A chunk
@@ -173,10 +175,15 @@ def _crc_verdict(info: np.ndarray, plan: SegmentationPlan) -> bool:
 def _solved(st, totals: np.ndarray) -> np.ndarray:
     """Per column of ``totals``: no information position undecided and
     every kept check satisfied."""
-    solved = totals[: st.k].all(axis=0)
+    # reduce over kb rows of Z*c values, then fold the Z positions
+    solved = totals[: st.k].reshape(st.kb, -1).all(axis=0)
+    solved = solved.reshape(-1, totals.shape[1]).all(axis=0)
     decided = np.flatnonzero(solved)
     if decided.size:
-        solved[decided] = st.syndrome_passes(totals[:, decided] < 0)
+        hard = totals < 0
+        if decided.size < solved.size:
+            hard = hard.take(decided, axis=1)
+        solved[decided] = st.syndrome_passes(hard)
     return solved
 
 

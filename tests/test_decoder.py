@@ -3,8 +3,8 @@ import pytest
 
 from vranphy.errors import InvalidConfigError
 from vranphy.nr import (awgn_llrs, buffer_length, decode_cb, decode_tb,
-                        encode_cb, encode_tb, ldpc_decode, lifted, mcs_params,
-                        new_soft_buffer, noiseless_llrs,
+                        encode_cb, encode_tb, ldpc_decode, ldpc_encode, lifted,
+                        mcs_params, new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb, split_payload)
 from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS, DecodeResult
@@ -422,6 +422,34 @@ def test_chunk_width_holds_the_message_budget():
         width = decoder._chunk_width(st)
         assert width >= 4
         assert width * st.var_index.size * 4 <= decoder._CHUNK_BYTES
+
+
+def test_solved_hands_the_syndrome_check_c_ordered_words(monkeypatch, rng):
+    """A chunk of an undecided block, one failing at row 0, one failing
+    only at a later row and codewords gets the per-CB verdicts, and the
+    words reach the syndrome check C-contiguous."""
+    bg, z = 1, 5
+    st = lifted(bg, z)
+    kb = st.k // z
+    cw = ldpc_encode(rng.integers(0, 2, st.k, dtype=np.uint8), bg, z)
+    words = np.repeat(np.where(cw == 1, -1.0, 1.0).astype(np.float32)[
+        :, None], 5, axis=1)
+    words[0, 0] = 0.0                       # undecided
+    words[int(st.var_index[0, 0]), 1] *= -1     # row 0 reads it
+    words[(kb + 4) * z, 3] *= -1            # only extension row 4 reads it
+    assert st.rows[st.cols == kb + 4].tolist() == [4]
+    per_cb = [_per_cb_solved(st, words[:, j]) for j in range(words.shape[1])]
+    assert per_cb == [False, False, True, False, True]
+    seen = []
+    check = type(st).syndrome_passes
+
+    def recording(self, hard_bits):
+        seen.append(hard_bits.flags.c_contiguous)
+        return check(self, hard_bits)
+
+    monkeypatch.setattr(type(st), "syndrome_passes", recording)
+    assert decoder._solved(st, words).tolist() == per_cb
+    assert seen and all(seen)
 
 
 def test_empty_batch_decodes_nothing():

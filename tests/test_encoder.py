@@ -163,6 +163,38 @@ def test_syndrome_of_a_batch_is_each_words_syndrome(rows, rng):
     assert not st.syndrome_passes(np.stack(words[4:], axis=1)).all()
 
 
+@pytest.mark.parametrize("rows", [None, (0, 1, 2, 3, 6, 11)],
+                         ids=["all", "restricted"])
+def test_syndrome_of_a_batch_ignores_its_layout(rows, rng):
+    """Fortran-ordered and column-strided batches get each word's
+    verdict, also when failing columns drop out at row 0 and at later
+    rows while codewords stay to the last row."""
+    st = lifted(1, 5, rows)
+    kb = st.k // 5
+    cws = [ldpc_encode(rng.integers(0, 2, 22 * 5, dtype=np.uint8), 1, 5)
+           for _ in range(4)]
+    late = []
+    for r in (6, 11):       # column kb + r is read by row r alone
+        word = cws[r % 4].copy()
+        word[(kb + r) * 5] ^= 1
+        late.append(word)
+    early = cws[1].copy()
+    early[int(st.var_index[0, 0])] ^= 1
+    noisy = [cw ^ (rng.random(cw.size) < p)
+             for cw in cws for p in (0.002, 0.5)]
+    dropping = [cws[0], early, late[0], cws[1], late[1], cws[2]]
+    for batch in (cws + noisy, noisy, dropping):
+        want = [st.syndrome_ok(w) for w in batch]
+        words = np.stack(batch, axis=1)
+        wide = np.repeat(words, 2, axis=1)
+        wide[:, 1::2] ^= 1
+        for layout in (np.asfortranarray(words), wide[:, ::2]):
+            np.testing.assert_array_equal(layout, words)
+            assert st.syndrome_passes(layout).tolist() == want
+    assert [st.syndrome_ok(w) for w in dropping] == \
+        [True, False, False, True, False, True]
+
+
 def test_unsupported_lifting_size_rejected():
     with pytest.raises((UnsupportedConfigError, InvalidConfigError)):
         ldpc_encode(np.zeros(10 * 17, np.uint8), 2, 17)
