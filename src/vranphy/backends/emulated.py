@@ -47,12 +47,21 @@ the server count, which is what turns instance sharing into latency
 spikes while leaving medians nearly unchanged.
 
 Random variates: each device owns one numpy stream of spike normals,
-consumed one per spiked call in submission order and drawn ``DRAW_BLOCK``
-values at a time (``block_draws``, which the deployment harness uses for
-its instances' streams too). A block holds exactly the values the same
-number of scalar calls would return, so the draw order alone fixes the
-outputs. A (direction, shape) is checked and priced the first time the
-device sees it; ``submit`` reuses that base time after that.
+consumed one per spiked call in submission order. The spikes are drawn
+``DRAW_BLOCK`` at a time (``block_draws``, which the deployment harness
+uses for its instances' streams too), each block as ``scale_us *
+np.exp(sigma * z)`` over a block of normals ``z``. A block holds exactly
+the values the same number of scalar draws would give, each one
+``float(scale_us * np.exp(sigma * z))`` bit for bit, so the draw order
+alone fixes the outputs. The spike in force is the one the device was
+built with. A (direction, shape) is checked and
+priced the first time the device sees it (``_base_us``), by ``submit`` or
+by ``process``; both reuse that base time after that.
+
+The engine's entry points stay whole methods, each called once per
+submit, advance, collection or drain, so a tracer wrapping them by name
+counts every call; ``submit`` binds the heap functions at module level and
+``advance_to`` moves the clock once per batch of completions.
 
 Each shipped device is one ``DEVICE_PROFILES`` entry, which
 ``make_emulated`` builds by name.
@@ -60,10 +69,10 @@ Each shipped device is one ``DEVICE_PROFILES`` entry, which
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -80,9 +89,10 @@ DRAW_BLOCK = 1024           # variates a stream draws per numpy call
 
 def block_draws(draw):
     """The values of successive scalar ``draw()`` calls, drawn a block at a
-    time: ``draw`` is a bound ``Generator`` method such as ``rng.random``."""
-    while True:
-        yield from draw(DRAW_BLOCK).tolist()
+    time: ``draw(n)`` returns ``n`` values as an array, as a bound
+    ``Generator`` method such as ``rng.random`` does."""
+    return itertools.chain.from_iterable(map(
+        np.ndarray.tolist, map(draw, itertools.repeat(DRAW_BLOCK))))
 
 
 @dataclass(slots=True)
@@ -94,10 +104,6 @@ class CallRecord:
     completion_us: float
     seq: int
     tag: object   # the submitter's, handed back unchanged
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.completion_us - self.arrival_us
 
 
 @dataclass
@@ -118,10 +124,13 @@ class EmulatedDevice:
                                      f"must be an int >= 1, not {servers!r}")
         self.allocator = QueueAllocator(self.device_id,
                                         self.capabilities.num_queues)
-        self._normals = block_draws(
-            np.random.default_rng(self.seed).standard_normal)
+        normals = np.random.default_rng(self.seed).standard_normal
+        scale_us, sigma = self.spike.scale_us, self.spike.sigma
+        self._spikes = block_draws(
+            lambda k: scale_us * np.exp(sigma * normals(k))
+        ).__next__ if self.spike.enabled else None
         self._base_us: dict[tuple, float] = {}   # (direction, shape) -> us
-        self._seq = itertools.count()
+        self._seq = 0
         self.now_us = 0.0
         self._free = [0.0] * servers   # heap: when each server is next free
         self._in_flight: list[tuple[float, int, CallRecord]] = []   # heap
@@ -135,6 +144,15 @@ class EmulatedDevice:
         except KeyError:
             raise InvalidConfigError(
                 f"{self.device_id}: no model for {direction}/{generation}")
+
+    def _priced_us(self, direction: str, shape: CallShape) -> float:
+        """The base time of a (direction, shape), checked and priced the
+        first time the device sees it and read from ``_base_us`` after."""
+        key = (direction, shape)
+        base_us = self._base_us.get(key)
+        if base_us is None:
+            base_us = self._base_us[key] = self.base_service_us(*key)
+        return base_us
 
     def base_service_us(self, direction: str, shape: CallShape) -> float:
         generation, n_tb, n_cb, kbits = shape
@@ -184,38 +202,35 @@ class EmulatedDevice:
         if not self.now_us - 1e-9 <= arrival_us < math.inf:   # NaN fails too
             raise InvalidConfigError(
                 "arrivals must be finite and non-decreasing")
-        key = (direction, shape)
-        base_us = self._base_us.get(key)
-        if base_us is None:
-            base_us = self._base_us[key] = self.base_service_us(*key)
+        base_us = self._priced_us(direction, shape)
         self.advance_to(arrival_us)
-        spike_us = 0.0
-        if len(self._in_flight) >= self.parallel_servers and \
-                self.spike.enabled:
-            spike_us = float(self.spike.scale_us * np.exp(
-                self.spike.sigma * next(self._normals)))
+        in_flight = self._in_flight
+        spike_us = self._spikes() if self._spikes and \
+            len(in_flight) >= self.parallel_servers else 0.0
         free_us = self._free[0]
         start = self.now_us if free_us <= arrival_us + 1e-9 else free_us
         completion = start + (base_us + spike_us)
+        seq = self._seq
+        self._seq = seq + 1
         call = CallRecord(arrival_us, base_us, spike_us, start, completion,
-                          next(self._seq), tag)
-        heapq.heapreplace(self._free, min(
-            start + OCCUPANCY_FRACTION * base_us, completion))
-        heapq.heappush(self._in_flight, (completion, call.seq, call))
+                          seq, tag)
+        heapreplace(self._free, min(start + OCCUPANCY_FRACTION * base_us,
+                                    completion))
+        heappush(in_flight, (completion, seq, call))
         return call
 
     def advance_to(self, t_us: float) -> None:
         """Complete the calls that finish by ``t_us`` and move the clock."""
         if not t_us < math.inf:             # NaN fails too
             raise InvalidConfigError(f"advance_to({t_us}): time not finite")
-        in_flight = self._in_flight
-        while in_flight and in_flight[0][0] <= t_us + 1e-9:
-            when, _, call = heapq.heappop(in_flight)
-            if when > self.now_us:
-                self.now_us = when
-            self._completed.append(call)
-        if t_us > self.now_us:
-            self.now_us = t_us
+        in_flight, completed = self._in_flight, self._completed
+        now, limit = self.now_us, t_us + 1e-9
+        while in_flight and in_flight[0][0] <= limit:
+            when, _, call = heappop(in_flight)
+            if when > now:
+                now = when
+            completed.append(call)
+        self.now_us = t_us if t_us > now else now
 
     def drain(self) -> None:
         """Complete every call in flight; the clock stops at the last one."""
@@ -238,8 +253,8 @@ class EmulatedDevice:
             raise InvalidConfigError(
                 f"{self.device_id}: an emulated call needs a shape")
         return [Completion(outputs=execute_descriptor(op),
-                           service_time_us=self.base_service_us(
-                               op.kind.value, op.shape))
+                           service_time_us=self._priced_us(op.kind.value,
+                                                           op.shape))
                 for op in ops]
 
 

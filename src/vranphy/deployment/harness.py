@@ -11,7 +11,7 @@ one per-slot call ``model.call_shapes`` makes of the link's TB; the
 device serves every instance's calls from its one FIFO server pool and
 fixes each call's start and completion as it is submitted, and at each
 slot's end the harness accounts the calls completed by then, each by its
-``(instance, direction, slot)`` tag (``emulated`` states the tag rule).
+tag (``emulated`` states the tag rule).
 Downlink encodes are prepared one slot ahead; uplink decodes follow the
 front stages of their slot, so encode and decode service windows overlap
 inside uplink slots and sharing shows up as occasional occupancy spikes
@@ -26,6 +26,17 @@ Each instance owns one uniform stream, drawn a block at a time
 UL submission jitter, then one error draw per completed call, in
 completion order. A jitter is ``SUBMIT_JITTER_US * u``, which is bitwise
 ``rng.uniform(0.0, SUBMIT_JITTER_US)``.
+
+The run loop pays for nothing per call that carries no information. Each
+instance's draw and its device's ``submit`` are bound once per run and the
+slot kinds read once. Each slot's wave is built inline from the instances
+that have not failed (``live``) as ``(arrival_us, instance, is_ul,
+traffic_slot)`` tuples; sorted, they order the calls by arrival, then by
+instance, DL before UL, and each tuple is its call's tag. Every
+``pop_completed`` batch is accounted in one loop that reads a call's
+coding time as ``completion_us - arrival_us``. A failed instance leaves
+``live``, and its slot count is the number of slots ended when its failure
+is seen.
 """
 from __future__ import annotations
 
@@ -245,84 +256,81 @@ def run_deployment(config: DeploymentConfig) -> MetricsBundle:
     devices, unique_devices = _make_devices(topology.device, config.seed, n)
     metrics = [InstanceMetrics(instance_id=i) for i in range(n)]
     plans = config.traffic.plans()
-    uniforms = [block_draws(np.random.default_rng(np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(i,))).random) for i in range(n)]
+    # each instance's uniform stream, as its bound ``__next__``
+    draws = [block_draws(np.random.default_rng(np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(i,))).random).__next__
+        for i in range(n)]
     ul_tbs, ul_error = plans["ul"].payload_bits, config.traffic.ul_error_rate
     dl_tbs, dl_error = plans["dl"].payload_bits, config.traffic.dl_error_rate
-    # (direction, shape) of each link's one per-slot call
+    # (direction, shape) of each link's one per-slot call, by is_ul
     [(_, ul_shape)] = call_shapes("per_slot", "decode",
                                   [(ul_tbs, plans["ul"].num_cbs)])
     [(_, dl_shape)] = call_shapes("per_slot", "encode",
                                   [(dl_tbs, plans["dl"].num_cbs)])
-    ul_call, dl_call = ("decode", ul_shape), ("encode", dl_shape)
+    calls = (("encode", dl_shape), ("decode", ul_shape))
 
     duration = config.duration_slots
+    kinds = [tdd_slot_kind(k) for k in range(duration)]
+    submits = [dev.submit for dev in devices]
+    live = list(range(n))   # the instances that have not failed
     ul_streak = [0] * n
 
-    def schedule(slot: int) -> list[tuple[float, int, str, int]]:
-        """(arrival_us, instance, direction, traffic_slot) for one slot."""
-        out = []
-        t0 = slot * TTI_US
-        uplink = tdd_slot_kind(slot) == "U"
-        # encode prepared ahead for the D slot this one points at
-        target = slot + ENCODE_LOOKAHEAD_SLOTS
-        encode_ahead = target < duration and tdd_slot_kind(target) == "D"
-        for i in range(n):
-            if metrics[i].failed:
-                continue
-            if encode_ahead:
-                jitter = SUBMIT_JITTER_US * next(uniforms[i])
-                out.append((t0 + DL_PREP_OFFSET_US + jitter, i, "dl",
-                            target))
-            if uplink:
-                jitter = SUBMIT_JITTER_US * next(uniforms[i])
-                out.append((t0 + UL_PREP_OFFSET_US + jitter, i, "ul", slot))
-        return out
-
-    def account(call) -> None:
-        instance, direction, slot = call.tag
-        m = metrics[instance]
-        elapsed = call.elapsed_us
-        if direction == "ul":
-            m.ul_decode_us.append(elapsed)
-            if next(uniforms[instance]) >= ul_error:
-                m.delivered_ul_bits += ul_tbs
-            _, met = slot_timing(UL_SLOT_US, elapsed)
-            if not met:
+    def account(done: list, counted: int) -> None:
+        """Account a batch of completed calls; ``counted`` slots have
+        ended, which is the slot count of an instance failing here."""
+        for call in done:
+            _, instance, is_ul, slot = call.tag
+            m = metrics[instance]
+            elapsed = call.completion_us - call.arrival_us
+            if is_ul:
+                m.ul_decode_us.append(elapsed)
+                if draws[instance]() >= ul_error:
+                    m.delivered_ul_bits += ul_tbs
+                if slot_timing(UL_SLOT_US, elapsed)[1]:
+                    ul_streak[instance] = 0
+                    continue
                 m.ul_deadline_misses += 1
                 ul_streak[instance] += 1
                 if ul_streak[instance] >= UL_FAILURE_STREAK \
                         and not m.failed:
                     m.failed = True
                     m.failed_at_slot = slot
+                    m.slots_processed = counted
+                    live.remove(instance)
             else:
-                ul_streak[instance] = 0
-        else:
-            m.dl_encode_us.append(elapsed)
-            if next(uniforms[instance]) >= dl_error:
-                m.delivered_dl_bits += dl_tbs
-            _, met = slot_timing(DL_SLOT_US, elapsed)
-            if not met:
-                m.dl_deadline_misses += 1
+                m.dl_encode_us.append(elapsed)
+                if draws[instance]() >= dl_error:
+                    m.delivered_dl_bits += dl_tbs
+                if not slot_timing(DL_SLOT_US, elapsed)[1]:
+                    m.dl_deadline_misses += 1
 
     for slot in range(duration):
-        wave = sorted(schedule(slot))
-        for arrival, instance, direction, target in wave:
-            devices[instance].submit(
-                arrival, *(ul_call if direction == "ul" else dl_call),
-                tag=(instance, direction, target))
+        # the encode prepared ahead for the D slot this one points at,
+        # and this slot's decode
+        t0 = slot * TTI_US
+        target = slot + ENCODE_LOOKAHEAD_SLOTS
+        encode_ahead = target < duration and kinds[target] == "D"
+        uplink = kinds[slot] == "U"
+        wave = []
+        for i in live:
+            if encode_ahead:
+                wave.append((t0 + DL_PREP_OFFSET_US
+                             + SUBMIT_JITTER_US * draws[i](), i, 0, target))
+            if uplink:
+                wave.append((t0 + UL_PREP_OFFSET_US
+                             + SUBMIT_JITTER_US * draws[i](), i, 1, slot))
+        wave.sort()
+        for tag in wave:
+            submits[tag[1]](tag[0], *calls[tag[2]], tag)
         horizon = (slot + 1) * TTI_US
         for dev in unique_devices:
             dev.advance_to(horizon)
-            for call in dev.pop_completed():
-                account(call)
-        for i in range(n):
-            if not metrics[i].failed:
-                metrics[i].slots_processed += 1
+            account(dev.pop_completed(), slot)
     for dev in unique_devices:
         dev.drain()
-        for call in dev.pop_completed():
-            account(call)
+        account(dev.pop_completed(), duration)
+    for i in live:
+        metrics[i].slots_processed = duration
     return MetricsBundle(config=config, instances=metrics,
                          virtual_time_us=duration * TTI_US)
 

@@ -8,7 +8,7 @@ from vranphy.deployment import (TOPOLOGY_PROFILES, DeploymentConfig,
                                 run_deployment, topology_for)
 from vranphy.deployment import harness
 from vranphy.errors import InvalidConfigError
-from vranphy.highphy import tdd_slot_kind
+from vranphy.highphy import TTI_US, tdd_slot_kind
 from vranphy.metrics import summarize
 from vranphy.nr import compute_tbs, mcs_params, segment_tb
 
@@ -199,3 +199,69 @@ def test_a_config_may_name_only_its_profiles_device():
     for other in ("t2-emulated", "nowhere", None):
         with pytest.raises(InvalidConfigError):
             DeploymentConfig.from_dict({**doc, "backend": other})
+
+
+@pytest.mark.parametrize("profile, processed", [
+    ("ep_rfsoc", 41), ("vranp", 41), ("hpp", 43)])
+def test_a_failure_streak_stops_the_instance(profile, processed,
+                                              monkeypatch):
+    """A UL decode too slow for its slot budget misses every deadline, so
+    after ``UL_FAILURE_STREAK`` misses in a row the instance fails, stops
+    counting slots and submits nothing more; every call it did submit is
+    still accounted."""
+    arrivals = []
+    real = emulated.EmulatedDevice.submit
+
+    def recorded(self, arrival_us, *call, **tag):
+        arrivals.append(arrival_us)
+        return real(self, arrival_us, *call, **tag)
+
+    monkeypatch.setattr(emulated.EmulatedDevice, "submit", recorded)
+    config = DeploymentConfig(
+        profile=profile, n_instances=3, duration_slots=300, seed=4,
+        traffic=harness.PhyTestTraffic(ul_layers=4, ul_mcs=27))
+    bundle = run_deployment(config)
+    for m in bundle.instances:
+        assert m.failed and m.failed_at_slot == 39
+        assert len(m.ul_decode_us) == harness.UL_FAILURE_STREAK
+        assert m.ul_deadline_misses == harness.UL_FAILURE_STREAK
+        assert len(m.dl_encode_us) == 26
+        assert m.slots_processed == processed
+    # the failure is seen in slot ``processed``; no later slot submits
+    assert len(arrivals) == sum(len(m.ul_decode_us) + len(m.dl_encode_us)
+                                for m in bundle.instances)
+    assert max(arrivals) < (processed + 1) * TTI_US
+
+
+@pytest.mark.parametrize("profile, n, counts", [
+    ("ep_rfsoc", 7, (1134, 1338, 204, 1)),
+    ("hpp", 4, (648, 1464, 816, 4))])
+def test_a_run_calls_each_engine_entry_point_as_the_tracer_counts(
+        profile, n, counts, monkeypatch):
+    """The benchmark's tracer times ``submit``, ``advance_to``,
+    ``pop_completed`` and ``drain`` by name: one submit per accounted
+    call; one advance per submit, per slot and distinct device, and per
+    drain; one collection per slot and device and one after each drain;
+    one drain per device."""
+    calls = dict.fromkeys(("submit", "advance_to", "pop_completed",
+                           "drain"), 0)
+    for name in calls:
+        real = getattr(emulated.EmulatedDevice, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(emulated.EmulatedDevice, name, counted)
+    config = DeploymentConfig(profile=profile, n_instances=n,
+                              duration_slots=203, seed=1)
+    bundle = run_deployment(config)
+    devices = 1 if emulated.DEVICE_PROFILES[
+        topology_for(profile).device].shared else n
+    accounted = sum(len(m.ul_decode_us) + len(m.dl_encode_us)
+                    for m in bundle.instances)
+    assert calls["submit"] == accounted
+    assert calls["advance_to"] == accounted + (203 + 1) * devices
+    assert calls["pop_completed"] == (203 + 1) * devices
+    assert calls["drain"] == devices
+    assert tuple(calls.values()) == counts

@@ -12,7 +12,7 @@ from vranphy.backends.emulated import (DEFAULT_SPIKE, DRAW_BLOCK,
 from vranphy.backends.model import JitterSpec, calibrate_per_generation
 from vranphy.deployment.harness import SUBMIT_JITTER_US
 from vranphy.errors import InvalidConfigError
-from vranphy.lpu import CallShape
+from vranphy.lpu import CallShape, CodingOpDescriptor, Granularity, OpKind
 
 
 def test_full_pool_grants_waiting_calls_in_submission_order(t2_quiet):
@@ -81,6 +81,9 @@ def test_submit_rejects_an_arrival_before_the_clock(t2_quiet):
 
 
 def test_submit_prices_each_call_shape_once(t2_quiet, monkeypatch):
+    """``submit`` and ``process`` price a (direction, shape) through one
+    cache: each is priced the first time the device sees it, by either
+    path, and both reuse that base time after."""
     dev = t2_quiet
     priced = []
     real = dev.base_service_us
@@ -98,12 +101,27 @@ def test_submit_prices_each_call_shape_once(t2_quiet, monkeypatch):
     assert {c.base_us for c in calls[::2]} == {real(*ul)}
     assert {c.base_us for c in calls[1::2]} == {real(*dl)}
 
+    def op(direction, shape):
+        return CodingOpDescriptor(kind=OpKind(direction),
+                                  granularity=Granularity.CB, payload=[],
+                                  shape=shape)
+
+    per_cb = ("decode", CallShape("per_cb", 1.0, 1, 8.424))
+    done = dev.process([op(*dl), op(*per_cb), op(*ul), op(*per_cb)])
+    assert priced == [ul, dl, per_cb]
+    assert [c.service_time_us for c in done] == \
+        [real(*dl), real(*per_cb), real(*ul), real(*per_cb)]
+    assert dev.submit(600.0, *per_cb).base_us == real(*per_cb)
+    assert priced == [ul, dl, per_cb]
+
 
 @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
 def test_block_draws_are_the_scalar_draws(seed):
     """A block of ``random`` scaled by the jitter width is the sequence of
-    scalar ``uniform(0, width)`` draws, and a block of ``standard_normal``
-    is the sequence of scalar ``standard_normal`` draws, bit for bit."""
+    scalar ``uniform(0, width)`` draws, a block of ``standard_normal`` is
+    the sequence of scalar ``standard_normal`` draws, and a device's spike
+    blocks are the scalar spikes ``float(scale_us * np.exp(sigma * z))``
+    of its normals ``z``, bit for bit."""
     n = 2 * DRAW_BLOCK + 37
     scalar = np.random.default_rng(seed)
     block = block_draws(np.random.default_rng(seed).random)
@@ -114,6 +132,16 @@ def test_block_draws_are_the_scalar_draws(seed):
     block = block_draws(np.random.default_rng(seed).standard_normal)
     assert list(itertools.islice(block, n)) == \
         [scalar.standard_normal() for _ in range(n)]
+    # one server and one arrival: every call after the first is spiked
+    t2 = emulated.make_emulated("t2-emulated")
+    dev = emulated.EmulatedDevice(
+        device_id="t2", capabilities=t2.capabilities, models=t2.models,
+        parallel_servers=1, spike=DEFAULT_SPIKE, seed=seed)
+    spikes = [dev.submit(0.0, *_UL).spike_us for _ in range(n + 1)][1:]
+    normals = np.random.default_rng(seed).standard_normal
+    scale_us, sigma = DEFAULT_SPIKE.scale_us, DEFAULT_SPIKE.sigma
+    assert spikes == [float(scale_us * np.exp(sigma * normals()))
+                      for _ in range(n)]
 
 
 @pytest.mark.parametrize("servers", [0, -1, 2.0, True, None],
