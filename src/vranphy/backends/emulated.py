@@ -18,13 +18,14 @@ of its own to tell which of its calls has completed.
 
 The device is one FIFO pool of ``parallel_servers`` servers: calls wait in
 submission order, which is arrival order since arrivals never decrease,
-and each free server takes the oldest waiting call. Queue indices from the
-allocator are labels, as a bbdev queue is a descriptor ring of one virtual
-function; they are not a scheduling rule. Serialising each queue's calls
-was measured to change no grant: over 897 108 submits (every shipped
-profile, 1 to 7 instances, seeds 0-9, 4 000 slots each, plus the
-interface bench on every device) no call ever arrived while its own queue
-was busy or held a waiting call, though the pool was full 947 times.
+and each free server takes the oldest waiting call. The device has no
+queues, and its callers submit to it directly. A bbdev queue is a
+descriptor ring of one virtual function, and a rule per queue would change
+no grant here: with one queue index per instance, over 897 108 submits
+(every shipped profile, 1 to 7 instances, seeds 0-9, 4 000 slots each,
+plus the interface bench on every device) no call ever arrived while its
+own queue was busy or held a waiting call, though the pool was full 947
+times.
 
 The engine keeps two heaps: the time each server is next free
 (``_free``) and the calls in flight by ``(completion_us, seq)``. With
@@ -78,7 +79,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError
 from ..lpu import (CallShape, Completion, CodingOpDescriptor,
-                   LpuCapabilities, QueueAllocator, discover, validate_ops)
+                   LpuCapabilities, discover, validate_ops)
 from .model import (DIRECTIONS, GENERATIONS, BenchConfig, JitterSpec,
                     ServiceTimeModel, calibrate_per_generation, call_shapes)
 from .software import execute_descriptor
@@ -122,8 +123,6 @@ class EmulatedDevice:
         if type(servers) is not int or servers < 1:
             raise InvalidConfigError(f"{self.device_id}: parallel_servers "
                                      f"must be an int >= 1, not {servers!r}")
-        self.allocator = QueueAllocator(self.device_id,
-                                        self.capabilities.num_queues)
         normals = np.random.default_rng(self.seed).standard_normal
         scale_us, sigma = self.spike.scale_us, self.spike.sigma
         self._spikes = block_draws(

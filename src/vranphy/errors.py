@@ -21,10 +21,6 @@ class ResourceExhaustedError(VranPhyError):
     """No free queue / core / capacity left."""
 
 
-class BackendUnavailableError(VranPhyError):
-    """The executor rejected the request."""
-
-
 class HarqBufferMissingError(VranPhyError):
     """Soft combining was requested but no buffer exists for the process."""
 

@@ -259,7 +259,7 @@ class SlotTimingRecord:
     precode_wall_us: float | None = None
 
 
-def run_dl_slot(cfg: CellConfig, jobs, executor,
+def run_dl_slot(cfg: CellConfig, jobs, device,
                 mode: PrecodeMode = PrecodeMode.VECTOR,
                 slot_id: int = 0) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
@@ -274,7 +274,7 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
                 f"job ue={job.ue_id}: {job.layers} layers exceed "
                 f"{cfg.tx_antennas} antennas")
         scrambling_init(job.ue_id)      # an RNTI has 16 bits
-    coding = encode_slot(request, executor)
+    coding = encode_slot(request, device)
     n_layers = max(j.layers for j in jobs)
     weights = np.eye(cfg.tx_antennas, n_layers, dtype=np.complex128)
     buffers = _dl_slot_buffers(cfg.tx_antennas, cfg.subcarriers)
@@ -289,13 +289,13 @@ def run_dl_slot(cfg: CellConfig, jobs, executor,
     return rec, coding
 
 
-def run_ul_slot(cfg: CellConfig, jobs, executor,
+def run_ul_slot(cfg: CellConfig, jobs, device,
                 harq: HarqPool | None = None,
                 slot_id: int = 4) -> tuple[SlotTimingRecord,
                                            SlotCodingResult]:
     """Front stages, rate recovery and decoding of one uplink slot."""
     kind, request = _admit(cfg, list(jobs), slot_id, "UL", "U")
-    coding = decode_slot(request, executor, harq)
+    coding = decode_slot(request, device, harq)
     rec = SlotTimingRecord(slot_id, kind,
                            *slot_timing(UL_SLOT_US, coding.total_elapsed_us))
     return rec, coding

@@ -1,17 +1,18 @@
-"""Accelerator-abstraction layer: capability discovery, queue allocation,
-operation descriptors and the CB/TB interface routing quirks.
+"""Accelerator-abstraction layer: capability discovery, operation
+descriptors and the CB/TB interface routing quirks.
 
 Devices expose static capability descriptors. Every backend takes work
 through one call, ``process(ops) -> list[Completion]``: one completion per
 coding operation descriptor, in submission order, after the device has
-checked the descriptor against its capabilities. Each gNB instance owns
-exclusive queue indices on a shared device. Routing between code-block and
-transport-block descriptor granularity honours each device's advertised
-quirks.
+checked the descriptor against its capabilities. Each gNB instance
+submits to the device itself: a bbdev queue is a descriptor ring of the
+device, and here rings would be labels that schedule nothing (see
+``backends.emulated``). Routing between code-block and transport-block
+descriptor granularity honours each device's advertised quirks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -42,7 +43,6 @@ class LpuCapabilities:
     supports_tb_interface: bool
     tb_required_when_single_cb: bool
     internal_harq_memory: bool
-    num_queues: int
 
     def __post_init__(self):
         if not (self.supports_cb_interface or self.supports_tb_interface):
@@ -59,16 +59,15 @@ class LpuCapabilities:
 _PROFILES = {
     "t2": LpuCapabilities(
         name="t2", supports_cb_interface=True, supports_tb_interface=False,
-        tb_required_when_single_cb=False, internal_harq_memory=True,
-        num_queues=16),
+        tb_required_when_single_cb=False, internal_harq_memory=True),
     "vran_boost": LpuCapabilities(
         name="vran_boost", supports_cb_interface=True,
         supports_tb_interface=True, tb_required_when_single_cb=True,
-        internal_harq_memory=False, num_queues=16),
+        internal_harq_memory=False),
     "software": LpuCapabilities(
         name="software", supports_cb_interface=True,
         supports_tb_interface=True, tb_required_when_single_cb=False,
-        internal_harq_memory=False, num_queues=64),
+        internal_harq_memory=False),
 }
 
 
@@ -121,34 +120,25 @@ class Completion:
     service_time_us: float
 
 
-@dataclass
-class QueueHandle:
-    """One queue index of a device: the label of an instance's descriptor
-    ring, through which its work reaches ``device``."""
-    device_id: str
-    queue_index: int
-    device: Any = field(repr=False, default=None)
-
-
 class QueueAllocator:
-    """Exclusive queue-index bookkeeping for one device: indices are
-    handed out in order and stay with their holder."""
+    """Queue-index bookkeeping for one device: ``num_queues`` indices
+    handed out in order. Its last caller is perfbench, whose workloads
+    open one queue on the software backend and submit to what
+    ``open_queue`` returns."""
 
     def __init__(self, device_id: str, num_queues: int):
         self.device_id = device_id
         self.num_queues = num_queues
         self._opened = 0
 
-    def open_queue(self, instance_id: int, device=None) -> QueueHandle:
-        """The next free queue for ``instance_id``, which holds the
-        returned handle."""
+    def open_queue(self, instance_id: int, device):
+        """Take the next free index for ``instance_id`` and return
+        ``device``, to which the instance then submits."""
         if self._opened == self.num_queues:
             raise ResourceExhaustedError(
                 f"{self.device_id}: all {self.num_queues} queues in use")
-        handle = QueueHandle(device_id=self.device_id,
-                             queue_index=self._opened, device=device)
         self._opened += 1
-        return handle
+        return device
 
 
 def validate_harq_placement(caps: LpuCapabilities,

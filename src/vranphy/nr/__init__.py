@@ -13,8 +13,8 @@ from .ratematch import (RateMatchParams, deinterleave, interleave, k0_offset,
 from .softbuffer import (SoftBuffer, awgn_llrs, new_soft_buffer,
                          noiseless_llrs, rate_recover_and_combine)
 from .decoder import DecodeResult, ldpc_decode, ldpc_decode_batch
-from .pipeline import (EncodedTb, TbDecodeOutcome, cb_params, decode_cb,
-                       decode_tb, e_splits, encode_cb, encode_tb)
+from .pipeline import (EncodedTb, cb_params, decode_cb, e_splits, encode_cb,
+                       encode_tb)
 
 __all__ = [
     "crc_compute", "crc_check", "crc_length",
@@ -29,6 +29,6 @@ __all__ = [
     "SoftBuffer", "new_soft_buffer", "noiseless_llrs",
     "awgn_llrs", "rate_recover_and_combine",
     "DecodeResult", "ldpc_decode", "ldpc_decode_batch",
-    "EncodedTb", "TbDecodeOutcome", "encode_tb", "decode_tb", "e_splits",
+    "EncodedTb", "encode_tb", "e_splits",
     "cb_params", "encode_cb", "decode_cb",
 ]

@@ -175,11 +175,6 @@ class LiftedStructure:
         # the codeword head holding every column the kept rows touch
         self.n_used = (int(self.cols.max()) + 1) * z
 
-    def syndrome_ok(self, hard_bits: np.ndarray) -> bool:
-        """Whether the word ``hard_bits`` (0/1 or bool) passes the kept
-        checks."""
-        return bool(self.syndrome_passes(hard_bits[:, None])[0])
-
     def syndrome_passes(self, hard_bits: np.ndarray) -> np.ndarray:
         """Per column of the ``(n, c)`` words ``hard_bits``, whether it
         passes the kept checks. Each row gathers only the columns that

@@ -2,8 +2,8 @@
 
 ``encode_cb`` (LDPC encode, then rate match) and ``decode_cb`` (rate
 recovery into the soft buffers, then LDPC decode) are the one statement of
-the chain: the TB functions here, the software backend and slot coding all
-run code blocks through them, so every way of grouping blocks into calls
+the chain: ``encode_tb``, the software backend and slot coding all run
+code blocks through them, so every way of grouping blocks into calls
 codes the same bits. Both take a batch of blocks that share a
 segmentation plan, a single block being a batch of one. ``encode_cb``
 encodes only the codeword columns the batch's rate matching reads;
@@ -31,7 +31,7 @@ from .decoder import DecodeResult, ldpc_decode_batch
 from .mcs import compute_tbs, mcs_params, resource_elements
 from .segmentation import (SegmentationPlan, assemble_payload, segment_tb,
                            split_payload)
-from .softbuffer import SoftBuffer, new_soft_buffer, rate_recover_and_combine
+from .softbuffer import SoftBuffer, rate_recover_and_combine
 
 
 def tb_geometry(prbs: int, symbols: int, layers: int, mcs_index: int,
@@ -128,28 +128,6 @@ def encode_tb(payload, plan: SegmentationPlan, total_bits: int, qm: int,
     params = cb_params(plan, total_bits, qm, layers, rv)
     streams = encode_cb(split_payload(payload, plan), plan, params)
     return EncodedTb(params=params, streams=streams)
-
-
-@dataclass
-class TbDecodeOutcome:
-    payload: np.ndarray
-    tb_crc_ok: bool
-    cb_crc_ok: list[bool]
-    iterations: list[int]
-
-
-def decode_tb(llr_streams: list[np.ndarray], plan: SegmentationPlan,
-              params: list[RateMatchParams],
-              buffers: list[SoftBuffer] | None = None) -> TbDecodeOutcome:
-    """Rate-recover each stream into its buffer and decode the block."""
-    if len(llr_streams) != plan.num_cbs or len(params) != plan.num_cbs:
-        raise InvalidConfigError("stream/params count != num_cbs")
-    if buffers is None:
-        buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
-    results = decode_cb(llr_streams, plan, params, buffers)
-    payload, tb_ok, cb_ok = assemble_decoded(results, plan)
-    return TbDecodeOutcome(payload=payload, tb_crc_ok=tb_ok, cb_crc_ok=cb_ok,
-                           iterations=[r.iterations_used for r in results])
 
 
 def assemble_decoded(results: list[DecodeResult], plan: SegmentationPlan

@@ -24,10 +24,9 @@ from itertools import islice
 import numpy as np
 
 from .backends.model import call_shapes
-from .errors import (BackendUnavailableError, HarqBufferMissingError,
-                     InvalidConfigError)
+from .errors import HarqBufferMissingError, InvalidConfigError
 from .lpu import (BufferLocation, CodingOpDescriptor, Granularity,
-                  InterfaceGeneration, OpKind, QueueHandle, route_interface,
+                  InterfaceGeneration, OpKind, route_interface,
                   validate_harq_placement)
 from .nr.decoder import DecodeResult
 from .nr.mcs import MAX_PRBS
@@ -94,13 +93,6 @@ class SlotCodingResult:
     job_results: list[JobResult]
     total_elapsed_us: float
     calls_made: int
-
-    @property
-    def all_crc_ok(self) -> bool:
-        """Every TB was decoded and passed; an encode decodes nothing, so
-        it is no pass."""
-        return all(j.tb_crc_ok is True and all(j.cb_crc_ok)
-                   for j in self.job_results)
 
 
 @dataclass
@@ -240,27 +232,24 @@ def _run_calls(device, kind: OpKind, generation: InterfaceGeneration,
             float(sum(c.service_time_us for c in completions)), len(ops))
 
 
-def encode_slot(request: SlotCodingRequest, executor: QueueHandle
-                ) -> SlotCodingResult:
-    """Encode all transport blocks of one downlink slot."""
-    return _process_slot(request, executor, OpKind.ENCODE, None)
+def encode_slot(request: SlotCodingRequest, device) -> SlotCodingResult:
+    """Encode all transport blocks of one downlink slot on ``device``."""
+    return _process_slot(request, device, OpKind.ENCODE, None)
 
 
-def decode_slot(request: SlotCodingRequest, executor: QueueHandle,
+def decode_slot(request: SlotCodingRequest, device,
                 harq: HarqPool | None = None) -> SlotCodingResult:
-    """Decode all transport blocks of one uplink slot in ``harq``, or in a
-    fresh pool dropped after the slot."""
-    return _process_slot(request, executor, OpKind.DECODE,
+    """Decode all transport blocks of one uplink slot on ``device`` in
+    ``harq``, or in a fresh pool dropped after the slot."""
+    return _process_slot(request, device, OpKind.DECODE,
                          HarqPool() if harq is None else harq)
 
 
-def _process_slot(request: SlotCodingRequest, executor: QueueHandle,
-                  kind: OpKind, harq: HarqPool | None) -> SlotCodingResult:
-    """Code one slot; ``harq`` is None on an encode."""
+def _process_slot(request: SlotCodingRequest, device, kind: OpKind,
+                  harq: HarqPool | None) -> SlotCodingResult:
+    """Code one slot on ``device``, any backend with ``capabilities`` and
+    ``process``; ``harq`` is None on an encode."""
     request.validate()
-    device = executor.device
-    if device is None:
-        raise BackendUnavailableError("executor handle has no device")
     location = harq.location if kind is OpKind.DECODE else None
     validate_harq_placement(device.capabilities, location)
     works = [_prepare_tb(job, request, kind, harq) for job in request.jobs]

@@ -23,12 +23,13 @@ from vranphy import highphy
 from vranphy.backends import SoftwareBackend
 from vranphy.cli import cli_main
 from vranphy.deployment.harness import PhyTestTraffic
-from vranphy.nr import (awgn_llrs, compute_tbs, decode_tb, encode_tb,
-                        mcs_params, new_soft_buffer, pipeline,
-                        resource_elements, segment_tb)
+from vranphy.nr import (awgn_llrs, compute_tbs, encode_tb, mcs_params,
+                        new_soft_buffer, pipeline, resource_elements,
+                        segment_tb)
 from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
                                  decode_slot, encode_slot)
+from ul_oracle import decode_tb
 
 GOLDEN = {
     ("--format", "json", "deploy", "--profile", "ep-rfsoc",
@@ -168,10 +169,9 @@ def test_two_tb_slot_streams_match_their_recorded_digest(generation):
         jobs.append(TransportBlockJob(
             ue_id=ue, payload=_payload(tbs, 10 + ue), mcs_index=mcs,
             mcs_table=table, layers=layers, prb_share=prbs))
-    backend = SoftwareBackend()
     result = encode_slot(
         SlotCodingRequest(jobs=jobs, interface_generation=generation),
-        backend.allocator.open_queue(0, device=backend))
+        SoftwareBackend())
     streams = [s for jr in result.job_results for s in jr.streams]
     assert _streams_digest(streams) == SLOT_DIGEST
 
@@ -199,9 +199,8 @@ def test_dl_port_grid_matches_its_recorded_digest(monkeypatch):
     job = TransportBlockJob(
         ue_id=3, payload=_payload(tbs, 9), mcs_index=t.dl_mcs,
         mcs_table=t.dl_table, layers=t.dl_layers, prb_share=t.prbs)
-    backend = SoftwareBackend()
     highphy.run_dl_slot(highphy.CellConfig(overhead=t.overhead), [job],
-                        backend.allocator.open_queue(0, device=backend))
+                        SoftwareBackend())
     assert grids == [PORT_GRID_DIGEST], grids
 
 
@@ -271,9 +270,7 @@ def test_harq_retransmissions_match_their_recorded_digest(name,
     tbs, plan, g, qm, layers = _phy_test("ul")
     payload = _payload(tbs, 11)
     rng = np.random.default_rng(12)
-    backend = SoftwareBackend()
-    handle = backend.allocator.open_queue(0, device=backend)
-    harq = HarqPool()
+    backend, harq = SoftwareBackend(), HarqPool()
     h = hashlib.sha256()
     failed = plan.num_cbs
     for tx, (rv, sigma) in enumerate(transmissions):
@@ -286,7 +283,7 @@ def test_harq_retransmissions_match_their_recorded_digest(name,
             llr_streams=[awgn_llrs(s, sigma, rng) for s in enc.streams])
         jr = decode_slot(SlotCodingRequest(
             jobs=[job], symbols=t.symbols, overhead=t.overhead),
-            handle, harq).job_results[0]
+            backend, harq).job_results[0]
         assert len(decodes) == failed
         failed = jr.cb_crc_ok.count(False)
         h.update(np.asarray(jr.cb_crc_ok, dtype=np.uint8).tobytes())

@@ -8,16 +8,16 @@ from vranphy.backends import SoftwareBackend
 from vranphy.backends.emulated import make_emulated
 from vranphy.backends.model import JitterSpec
 from vranphy.deployment import PhyTestTraffic
-from vranphy.errors import InvalidConfigError
+from vranphy.errors import InvalidConfigError, ResourceExhaustedError
 from vranphy.highphy import (CellConfig, PrecodeMode, ResourceGrid,
                              precode_and_map, run_dl_slot, run_ul_slot,
                              tdd_slot_kind)
-from vranphy.nr import compute_tbs, mcs_params
+from vranphy.nr import compute_tbs, mcs_params, noiseless_llrs
 from vranphy.nr.mcs import SUBCARRIERS_PER_PRB, SYMBOLS_PER_SLOT
 from vranphy.nr.modulation import (constellation, gold_sequence, layer_map,
                                    modulate, scramble, scrambling_init,
                                    symbol_indices)
-from vranphy.slot_coding import TransportBlockJob
+from vranphy.slot_coding import HarqPool, TransportBlockJob
 
 
 def _precode_scalar(w, x):
@@ -167,11 +167,6 @@ def _job(ue_id, prbs, mcs, layers, cfg, seed=0):
         mcs_index=mcs, mcs_table="T2", layers=layers, prb_share=prbs)
 
 
-def _software_handle():
-    backend = SoftwareBackend()
-    return backend.allocator.open_queue(0, device=backend)
-
-
 @pytest.mark.parametrize("cfg, jobs, run_slot", [
     # more layers than antennas: the identity weights would drop layer 2
     (CellConfig(prbs=4, tx_antennas=2), [(0, 4, 5, 3)], run_dl_slot),
@@ -184,17 +179,38 @@ def _software_handle():
 ], ids=["layers", "prbs", "prbs-ul", "rnti-high", "rnti-negative"])
 def test_dl_slot_rejects_jobs_the_cell_cannot_carry(cfg, jobs, run_slot):
     with pytest.raises(InvalidConfigError):
-        run_slot(cfg, [_job(*j, cfg) for j in jobs], _software_handle())
+        run_slot(cfg, [_job(*j, cfg) for j in jobs], SoftwareBackend())
 
 
 def test_slot_runners_check_the_slot_kind(t2_quiet):
     cfg = CellConfig()
-    handle = t2_quiet.allocator.open_queue(0, device=t2_quiet)
     with pytest.raises(InvalidConfigError):
-        run_dl_slot(cfg, [], handle, slot_id=4)      # U slot
+        run_dl_slot(cfg, [], t2_quiet, slot_id=4)    # U slot
     for slot in (0, 3):                               # D and S slots
         with pytest.raises(InvalidConfigError):
-            run_ul_slot(cfg, [], handle, slot_id=slot)
+            run_ul_slot(cfg, [], t2_quiet, slot_id=slot)
+
+
+def test_slot_runners_take_what_the_benchmark_opens():
+    """perfbench's call path: open queue 0 of a one-worker software
+    backend, which hands the backend back, and run a DL and a UL slot on
+    it. The backend's 64 queue indices run out at the 65th open."""
+    backend = SoftwareBackend(worker_count=1)
+    device = backend.allocator.open_queue(0, device=backend)
+    assert device is backend
+    cfg = CellConfig(prbs=4)
+    job = _job(0, 4, 5, 1, cfg)
+    _, dl = run_dl_slot(cfg, [job], device, mode=PrecodeMode.VECTOR,
+                        slot_id=0)
+    ul = replace(job, payload=None, llr_streams=[
+        noiseless_llrs(s) for s in dl.job_results[0].streams])
+    _, coding = run_ul_slot(cfg, [ul], device, harq=HarqPool(), slot_id=4)
+    assert coding.job_results[0].tb_crc_ok
+    np.testing.assert_array_equal(coding.job_results[0].payload, job.payload)
+    for i in range(1, 64):
+        backend.allocator.open_queue(i, device=backend)
+    with pytest.raises(ResourceExhaustedError):
+        backend.allocator.open_queue(64, device=backend)
 
 
 @pytest.mark.parametrize("backend", ["t2-emulated", "vran-boost-emulated"])
@@ -210,11 +226,10 @@ def test_dl_slot_total_is_the_harness_rule_in_virtual_time(backend, rng):
                             mcs_index=t.dl_mcs, mcs_table=t.dl_table,
                             layers=t.dl_layers, prb_share=t.prbs)
     device = make_emulated(backend, spike=JitterSpec())
-    handle = device.allocator.open_queue(0, device=device)
     cell = CellConfig(overhead=t.overhead)
     records = []
     for _ in range(3):
-        rec, coding = run_dl_slot(cell, [job], handle, slot_id=0)
+        rec, coding = run_dl_slot(cell, [job], device, slot_id=0)
         assert rec.total_us == 407.0 + coding.total_elapsed_us
         assert rec.deadline_met
         records.append(replace(rec, precode_wall_us=None))
@@ -266,7 +281,7 @@ def test_dl_slot_maps_the_encoded_streams_for_each_qm(mcs, qm, precoded):
     cfg = CellConfig(prbs=3, overhead=12)
     job = _job(41, 3, mcs, 2, cfg, seed=mcs)
     assert mcs_params(mcs, "T2")[0] == qm
-    _, coding = run_dl_slot(cfg, [job], _software_handle())
+    _, coding = run_dl_slot(cfg, [job], SoftwareBackend())
     (layers, ports), = precoded
     streams = np.concatenate(coding.job_results[0].streams)
     assert np.array_equal(
@@ -280,7 +295,7 @@ def test_dl_slot_maps_two_jobs_with_different_layer_counts(precoded):
     symbols (156 per PRB at 14 symbols) and its last PRB stay 0."""
     cfg = CellConfig(prbs=6, symbols=14, overhead=6)
     jobs = [_job(3, 3, 11, 1, cfg, seed=1), _job(9, 2, 20, 3, cfg, seed=2)]
-    _, coding = run_dl_slot(cfg, jobs, _software_handle())
+    _, coding = run_dl_slot(cfg, jobs, SoftwareBackend())
     (layers, _), = precoded
     assert layers.shape == (3, SYMBOLS_PER_SLOT, cfg.subcarriers)
     first_prb = 0

@@ -66,30 +66,21 @@ def test_capability_descriptor_invariants():
         LpuCapabilities(name="x", supports_cb_interface=False,
                         supports_tb_interface=False,
                         tb_required_when_single_cb=False,
-                        internal_harq_memory=False, num_queues=1)
+                        internal_harq_memory=False)
     with pytest.raises(InvalidConfigError):
         LpuCapabilities(name="x", supports_cb_interface=True,
                         supports_tb_interface=False,
                         tb_required_when_single_cb=True,
-                        internal_harq_memory=False, num_queues=1)
+                        internal_harq_memory=False)
 
 
 def test_queue_allocation_exclusive_and_exhaustible():
     alloc = QueueAllocator("dev", num_queues=16)
-    first = alloc.open_queue(instance_id=0)
-    assert first.queue_index == 0
-    handles = [alloc.open_queue(instance_id=i + 1) for i in range(15)]
-    indices = {first.queue_index} | {h.queue_index for h in handles}
-    assert len(indices) == 16
+    device = object()
+    for i in range(16):
+        assert alloc.open_queue(instance_id=i, device=device) is device
     with pytest.raises(ResourceExhaustedError):
-        alloc.open_queue(instance_id=99)
-
-
-def test_two_instances_get_distinct_queues():
-    alloc = QueueAllocator("dev", num_queues=4)
-    a = alloc.open_queue(instance_id=0)
-    b = alloc.open_queue(instance_id=1)
-    assert a.queue_index != b.queue_index
+        alloc.open_queue(instance_id=99, device=device)
 
 
 def _decode_op(plan, rng, location=None):

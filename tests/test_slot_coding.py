@@ -12,8 +12,8 @@ from vranphy.backends.model import (JitterSpec, ServiceTimeModel,
 from vranphy.errors import (CapabilityMismatchError, HarqBufferMissingError,
                             InvalidConfigError)
 from vranphy.lpu import BufferLocation
-from vranphy.nr import (awgn_llrs, compute_tbs, crc_compute, decode_tb,
-                        e_splits, encode_tb, mcs_params, new_soft_buffer,
+from vranphy.nr import (awgn_llrs, compute_tbs, crc_compute, e_splits,
+                        encode_tb, mcs_params, new_soft_buffer,
                         noiseless_llrs, pipeline, resource_elements,
                         segment_tb, split_payload)
 from vranphy.nr.pipeline import assemble_decoded
@@ -21,10 +21,13 @@ from vranphy.nr.segmentation import CB_CRC
 from vranphy.slot_coding import (HarqPool, InterfaceGeneration,
                                  SlotCodingRequest, TransportBlockJob,
                                  decode_slot, encode_slot)
+from ul_oracle import decode_tb
 
 
-def _handle(device):
-    return device.allocator.open_queue(0, device=device)
+def _all_crc_ok(result):
+    """Every TB of a decoded slot passed, and each of its CBs."""
+    return all(j.tb_crc_ok is True and all(j.cb_crc_ok)
+               for j in result.job_results)
 
 
 def _dl_job(rng, prbs=20, mcs=9, table="T1", layers=1, ue=1):
@@ -37,7 +40,7 @@ def _dl_job(rng, prbs=20, mcs=9, table="T1", layers=1, ue=1):
 def test_empty_jobs_rejected(t2_quiet):
     req = SlotCodingRequest(jobs=[])
     with pytest.raises(InvalidConfigError):
-        encode_slot(req, _handle(t2_quiet))
+        encode_slot(req, t2_quiet)
 
 
 def test_payload_size_validated(t2_quiet, rng):
@@ -45,7 +48,7 @@ def test_payload_size_validated(t2_quiet, rng):
     job.payload = job.payload[:-8]
     req = SlotCodingRequest(jobs=[job])
     with pytest.raises(InvalidConfigError):
-        encode_slot(req, _handle(t2_quiet))
+        encode_slot(req, t2_quiet)
 
 
 def test_prb_budget_validated(rng):
@@ -57,12 +60,11 @@ def test_prb_budget_validated(rng):
 
 def test_generations_produce_identical_bits_software(rng):
     backend = SoftwareBackend()
-    handle = backend.allocator.open_queue(0, device=backend)
     jobs = [_dl_job(rng, prbs=30, ue=1), _dl_job(rng, prbs=25, mcs=16, ue=2)]
     outs = {}
     for gen in InterfaceGeneration:
         req = SlotCodingRequest(jobs=jobs, interface_generation=gen)
-        outs[gen] = encode_slot(req, handle)
+        outs[gen] = encode_slot(req, backend)
     ref = outs[InterfaceGeneration.PER_SLOT]
     for gen, res in outs.items():
         for jr, jref in zip(res.job_results, ref.job_results):
@@ -77,27 +79,26 @@ def test_calls_made_contract(t2_quiet, rng):
     payload = rng.integers(0, 2, tbs).astype(np.uint8)
     job = TransportBlockJob(ue_id=1, payload=payload, mcs_index=28,
                             mcs_table="T1", layers=1, prb_share=273)
-    handle = _handle(t2_quiet)
     req = SlotCodingRequest(jobs=[_ul_job(job)],
                             interface_generation=InterfaceGeneration.PER_CB)
-    res = decode_slot(req, handle)
+    res = decode_slot(req, t2_quiet)
     assert res.calls_made == 26
     assert len(res.job_results[0].cb_crc_ok) == 26
-    assert res.all_crc_ok
+    assert _all_crc_ok(res)
 
     req_tb = SlotCodingRequest(
         jobs=[_ul_job(job)], interface_generation=InterfaceGeneration.PER_TB)
-    assert decode_slot(req_tb, handle).calls_made == 1
+    assert decode_slot(req_tb, t2_quiet).calls_made == 1
 
     req_slot = SlotCodingRequest(
         jobs=[_ul_job(job)],
         interface_generation=InterfaceGeneration.PER_SLOT)
-    assert decode_slot(req_slot, handle).calls_made == 1
+    assert decode_slot(req_slot, t2_quiet).calls_made == 1
 
     # encode batches 8 segments per legacy call: ceil(26 / 8) == 4
     dl = SlotCodingRequest(jobs=[job],
                            interface_generation=InterfaceGeneration.PER_CB)
-    assert encode_slot(dl, _handle(t2_quiet)).calls_made == 4
+    assert encode_slot(dl, t2_quiet).calls_made == 4
 
 
 def test_eight_jobs_share_the_grid(rng, t2_quiet):
@@ -106,7 +107,7 @@ def test_eight_jobs_share_the_grid(rng, t2_quiet):
             for i, s in enumerate(shares)]
     req = SlotCodingRequest(jobs=jobs,
                             interface_generation=InterfaceGeneration.PER_TB)
-    res = encode_slot(req, _handle(t2_quiet))
+    res = encode_slot(req, t2_quiet)
     assert res.calls_made == 8
     for jr, share in zip(res.job_results, shares):
         qm, _ = mcs_params(28, "T1")
@@ -124,7 +125,6 @@ def test_per_call_overhead_inequality(rng):
     device = EmulatedDevice(device_id="synthetic", models=models,
                             capabilities=lpu.discover("software"),
                             spike=JitterSpec())
-    handle = device.allocator.open_queue(0, device=device)
     tbs = compute_tbs(80, 12, 1, 28, "T1")
     payload = rng.integers(0, 2, tbs).astype(np.uint8)
     job = TransportBlockJob(ue_id=1, payload=payload, mcs_index=28,
@@ -133,7 +133,7 @@ def test_per_call_overhead_inequality(rng):
     calls = {}
     for gen in (InterfaceGeneration.PER_CB, InterfaceGeneration.PER_SLOT):
         req = SlotCodingRequest(jobs=[_ul_job(job)], interface_generation=gen)
-        res = decode_slot(req, handle)
+        res = decode_slot(req, device)
         elapsed[gen] = res.total_elapsed_us
         calls[gen] = res.calls_made
     gap = elapsed[InterfaceGeneration.PER_CB] - \
@@ -146,18 +146,17 @@ def test_harq_combining_needs_a_pool(rng, t2_quiet):
     job.new_data = False
     req = SlotCodingRequest(jobs=[job])
     with pytest.raises(HarqBufferMissingError):
-        decode_slot(req, _handle(t2_quiet), None)
+        decode_slot(req, t2_quiet, None)
     with pytest.raises(HarqBufferMissingError):
-        decode_slot(req, _handle(t2_quiet), HarqPool())
+        decode_slot(req, t2_quiet, HarqPool())
 
 
 def test_noiseless_decode_any_generation(rng, t2_quiet):
-    handle = _handle(t2_quiet)
     for gen in InterfaceGeneration:
         job = _dl_job(rng, prbs=15, mcs=5)
         req = SlotCodingRequest(jobs=[_ul_job(job)], interface_generation=gen)
-        res = decode_slot(req, handle, HarqPool())
-        assert res.all_crc_ok
+        res = decode_slot(req, t2_quiet, HarqPool())
+        assert _all_crc_ok(res)
         np.testing.assert_array_equal(res.job_results[0].payload,
                                       job.payload)
 
@@ -165,16 +164,15 @@ def test_noiseless_decode_any_generation(rng, t2_quiet):
 def test_dtx_slot_fails_crc(rng, t2_quiet):
     """A UE that sent nothing: all-zero LLRs must not pass any CRC."""
     job = _dl_job(rng, prbs=60, mcs=20)
-    probe = decode_slot(SlotCodingRequest(jobs=[_ul_job(job)]),
-                        _handle(t2_quiet))
-    assert probe.all_crc_ok and probe.job_results[0].num_cbs > 1
+    probe = decode_slot(SlotCodingRequest(jobs=[_ul_job(job)]), t2_quiet)
+    assert _all_crc_ok(probe) and probe.job_results[0].num_cbs > 1
     qm, rate = mcs_params(20, "T1")
     g = resource_elements(60, 12, 0) * qm
     plan = segment_tb(job.payload.size, rate)
     job.payload = None
     job.llr_streams = [np.zeros(e, np.float32)
                        for e in e_splits(plan.num_cbs, g, qm, 1)]
-    res = decode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
+    res = decode_slot(SlotCodingRequest(jobs=[job]), t2_quiet)
     jr = res.job_results[0]
     assert jr.tb_crc_ok is False
     assert not any(jr.cb_crc_ok)
@@ -191,10 +189,10 @@ def test_device_side_harq_needs_internal_memory(backend, accepted, rng):
     req = SlotCodingRequest(jobs=[_ul_job(_dl_job(rng, prbs=15, mcs=5))])
     harq = HarqPool(location=BufferLocation.DEVICE)
     if accepted:
-        assert decode_slot(req, _handle(device), harq).all_crc_ok
+        assert _all_crc_ok(decode_slot(req, device, harq))
     else:
         with pytest.raises(CapabilityMismatchError):
-            decode_slot(req, _handle(device), harq)
+            decode_slot(req, device, harq)
 
 
 def _run_grouped(generation, kind, per_tb_items):
@@ -252,7 +250,6 @@ def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
     server or meets the contention tail, even with the default spikes on:
     a slot costs the base service times of its call shapes."""
     device = make_emulated(backend)
-    handle = _handle(device)
     jobs = [_dl_job(rng, prbs=60, mcs=20, ue=1), _dl_job(rng, prbs=25, ue=2)]
     shapes = [(job.payload.size, segment_tb(
         job.payload.size, mcs_params(job.mcs_index, "T1")[1]).num_cbs)
@@ -262,7 +259,7 @@ def test_slot_time_is_the_sum_of_its_calls_base_times(backend, rng):
             (lpu.OpKind.DECODE, decode_slot, [_ul_job(j) for j in jobs])):
         for gen in InterfaceGeneration:
             res = code(SlotCodingRequest(jobs=coded, interface_generation=gen),
-                       handle)
+                       device)
             calls = call_shapes(gen.value, kind.value, shapes)
             assert res.calls_made == len(calls)
             assert res.total_elapsed_us == sum(
@@ -278,7 +275,7 @@ def test_payload_of_non_bits_is_rejected(value, t2_quiet):
                             mcs_index=5, mcs_table="T1", layers=1,
                             prb_share=4)
     with pytest.raises(InvalidConfigError):
-        encode_slot(SlotCodingRequest(jobs=[job]), _handle(t2_quiet))
+        encode_slot(SlotCodingRequest(jobs=[job]), t2_quiet)
 
 
 @pytest.fixture
@@ -311,10 +308,10 @@ def _ul_job(payload_job, new_data=True, harq_pid=0, silent=()):
                                new_data=new_data, harq_pid=harq_pid)
 
 
-def _decode(handle, harq, *jobs, generation=InterfaceGeneration.PER_SLOT):
+def _decode(device, harq, *jobs, generation=InterfaceGeneration.PER_SLOT):
     return decode_slot(SlotCodingRequest(jobs=list(jobs),
                                          interface_generation=generation),
-                       handle, harq)
+                       device, harq)
 
 
 @pytest.mark.parametrize("generation", list(InterfaceGeneration))
@@ -322,21 +319,21 @@ def test_retransmission_decodes_only_the_cbs_that_failed(
         generation, rng, t2_quiet, decodes):
     """Each call shape counts only the CBs decoded, at an unchanged share
     of bits per CB, and a TB with every CB kept makes no call."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     full = _dl_job(rng, prbs=60, mcs=20, ue=1)
     other = _dl_job(rng, prbs=15, mcs=5, ue=2)
     num_cbs = segment_tb(full.payload.size, mcs_params(20, "T1")[1]).num_cbs
     assert num_cbs == 4
-    first = _decode(handle, harq, _ul_job(full, silent=(0, 2)),
+    first = _decode(t2_quiet, harq, _ul_job(full, silent=(0, 2)),
                     _ul_job(other), generation=generation)
     assert first.job_results[0].cb_crc_ok == [False, True, False, True]
     assert first.job_results[1].tb_crc_ok
     assert len(decodes) == num_cbs + 1
 
-    again = _decode(handle, harq, _ul_job(full, new_data=False),
+    again = _decode(t2_quiet, harq, _ul_job(full, new_data=False),
                     _ul_job(other, new_data=False), generation=generation)
     assert len(decodes) == num_cbs + 1 + 2
-    assert again.all_crc_ok
+    assert _all_crc_ok(again)
     np.testing.assert_array_equal(again.job_results[0].payload, full.payload)
     np.testing.assert_array_equal(again.job_results[1].payload,
                                   other.payload)
@@ -346,11 +343,11 @@ def test_retransmission_decodes_only_the_cbs_that_failed(
     assert again.total_elapsed_us == pytest.approx(sum(
         t2_quiet.base_service_us("decode", s) for _, s in calls))
 
-    last = _decode(handle, harq, _ul_job(full, new_data=False),
+    last = _decode(t2_quiet, harq, _ul_job(full, new_data=False),
                    generation=generation)
     assert len(decodes) == num_cbs + 3
     assert (last.calls_made, last.total_elapsed_us) == (0, 0.0)
-    assert last.all_crc_ok
+    assert _all_crc_ok(last)
     np.testing.assert_array_equal(last.job_results[0].payload, full.payload)
 
 
@@ -358,7 +355,7 @@ def test_undetected_cb_error_decodes_every_cb_again(rng, t2_quiet, decodes,
                                                     monkeypatch):
     """Every CB passes its CRC but the TB CRC fails: the next transmission
     must decode every CB, or the TB could never be delivered."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     job = _dl_job(rng, prbs=60, mcs=20)
     plan = segment_tb(job.payload.size, mcs_params(20, "T1")[1])
     counted = pipeline.ldpc_decode_batch
@@ -375,63 +372,63 @@ def test_undetected_cb_error_decodes_every_cb_again(rng, t2_quiet, decodes,
         return results
 
     monkeypatch.setattr(pipeline, "ldpc_decode_batch", corrupt_first)
-    first = _decode(handle, harq, _ul_job(job))
+    first = _decode(t2_quiet, harq, _ul_job(job))
     jr = first.job_results[0]
     assert all(jr.cb_crc_ok) and jr.tb_crc_ok is False
     assert len(decodes) == plan.num_cbs
 
-    again = _decode(handle, harq, _ul_job(job, new_data=False))
+    again = _decode(t2_quiet, harq, _ul_job(job, new_data=False))
     assert len(decodes) == 2 * plan.num_cbs
-    assert again.all_crc_ok
+    assert _all_crc_ok(again)
     np.testing.assert_array_equal(again.job_results[0].payload, job.payload)
 
 
 def test_new_data_starts_a_fresh_process(rng, t2_quiet, decodes):
     """Results kept for the process's previous TB never reach a new one."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     old = _dl_job(rng, prbs=60, mcs=20)
     new = _dl_job(rng, prbs=60, mcs=20)
     assert not np.array_equal(old.payload, new.payload)
-    _decode(handle, harq, _ul_job(old, harq_pid=5, silent=(0,)))
-    res = _decode(handle, harq, _ul_job(new, harq_pid=5))
+    _decode(t2_quiet, harq, _ul_job(old, harq_pid=5, silent=(0,)))
+    res = _decode(t2_quiet, harq, _ul_job(new, harq_pid=5))
     assert len(decodes) == 8
-    assert res.all_crc_ok
+    assert _all_crc_ok(res)
     np.testing.assert_array_equal(res.job_results[0].payload, new.payload)
 
 
 @pytest.mark.parametrize("bad", ["nan", "short"])
 def test_stream_of_a_kept_cb_is_still_validated(bad, rng, t2_quiet):
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     job = _dl_job(rng, prbs=60, mcs=20)
-    first = _decode(handle, harq, _ul_job(job, silent=(0,)))
+    first = _decode(t2_quiet, harq, _ul_job(job, silent=(0,)))
     assert first.job_results[0].cb_crc_ok[1]
     retx = _ul_job(job, new_data=False)
     retx.llr_streams[1] = (np.full_like(retx.llr_streams[1], np.nan)
                            if bad == "nan" else retx.llr_streams[1][:-2])
     with pytest.raises(InvalidConfigError):
-        _decode(handle, harq, retx)
+        _decode(t2_quiet, harq, retx)
 
 
 def test_retransmission_needs_its_process_and_its_segmentation(rng,
                                                                t2_quiet):
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     job = _dl_job(rng, prbs=60, mcs=20)
-    _decode(handle, harq, _ul_job(job, harq_pid=2, silent=(0,)))
+    _decode(t2_quiet, harq, _ul_job(job, harq_pid=2, silent=(0,)))
     smaller = _dl_job(rng, prbs=50, mcs=20)
     with pytest.raises(InvalidConfigError):
-        _decode(handle, harq, _ul_job(smaller, new_data=False, harq_pid=2))
+        _decode(t2_quiet, harq, _ul_job(smaller, new_data=False, harq_pid=2))
     harq.release(job.ue_id, 2)
     with pytest.raises(HarqBufferMissingError):
-        _decode(handle, harq, _ul_job(job, new_data=False, harq_pid=2))
+        _decode(t2_quiet, harq, _ul_job(job, new_data=False, harq_pid=2))
 
 
 def test_rejected_retransmission_leaves_every_buffer_as_it_was(rng,
                                                                t2_quiet):
     """NaN LLRs in CB 2 reject the retransmission before CB 0, which
     precedes it, is combined."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     job = _dl_job(rng, prbs=60, mcs=20)
-    first = _decode(handle, harq, _ul_job(job, silent=(0, 2)))
+    first = _decode(t2_quiet, harq, _ul_job(job, silent=(0, 2)))
     assert first.job_results[0].cb_crc_ok == [False, True, False, True]
     plan = segment_tb(job.payload.size, mcs_params(20, "T1")[1])
     process = harq.resume(job.ue_id, job.harq_pid, plan)
@@ -439,7 +436,7 @@ def test_rejected_retransmission_leaves_every_buffer_as_it_was(rng,
     retx = _ul_job(job, new_data=False)
     retx.llr_streams[2] = np.full_like(retx.llr_streams[2], np.nan)
     with pytest.raises(InvalidConfigError):
-        _decode(handle, harq, retx)
+        _decode(t2_quiet, harq, retx)
     for buffer, kept in zip(process.buffers, before, strict=True):
         np.testing.assert_array_equal(buffer.llrs, kept)
 
@@ -447,16 +444,16 @@ def test_rejected_retransmission_leaves_every_buffer_as_it_was(rng,
 def test_rejected_slot_keeps_the_processes_it_would_start(rng, t2_quiet):
     """Job 2's stream count rejects the slot before new data for job 1
     replaces job 1's earlier process."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     one = _dl_job(rng, prbs=60, mcs=20, ue=1)
     two = _dl_job(rng, prbs=15, mcs=5, ue=2)
-    _decode(handle, harq, _ul_job(one, silent=(0,)))
+    _decode(t2_quiet, harq, _ul_job(one, silent=(0,)))
     plan = segment_tb(one.payload.size, mcs_params(20, "T1")[1])
     earlier = harq.resume(one.ue_id, one.harq_pid, plan)
     doubled = _ul_job(two)
     doubled.llr_streams = doubled.llr_streams * 2
     with pytest.raises(InvalidConfigError):
-        _decode(handle, harq, _ul_job(one), doubled)
+        _decode(t2_quiet, harq, _ul_job(one), doubled)
     assert harq.resume(one.ue_id, one.harq_pid, plan) is earlier
 
 
@@ -466,7 +463,7 @@ def test_rejected_harq_placement_starts_no_process(rng):
     job = _dl_job(rng, prbs=15, mcs=5)
     harq = HarqPool(location=BufferLocation.DEVICE)
     with pytest.raises(CapabilityMismatchError):
-        _decode(_handle(SoftwareBackend()), harq, _ul_job(job))
+        _decode(SoftwareBackend(), harq, _ul_job(job))
     plan = segment_tb(job.payload.size, mcs_params(5, "T1")[1])
     with pytest.raises(HarqBufferMissingError):
         harq.resume(job.ue_id, job.harq_pid, plan)
@@ -481,7 +478,6 @@ def test_job_result_reports_iterations_of_the_cbs_decoded(rng):
     plan = segment_tb(job.payload.size, rate)
     g = resource_elements(60, 12, 0) * qm
     backend, harq = SoftwareBackend(), HarqPool()
-    handle = _handle(backend)
     buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
     reports, reference = [], []
     for tx, (rv, sigmas) in enumerate([(0, (0.5, 1.5, 0.5, 1.5)),
@@ -489,7 +485,7 @@ def test_job_result_reports_iterations_of_the_cbs_decoded(rng):
         enc = encode_tb(job.payload, plan, g, qm, 1, rv)
         streams = [awgn_llrs(s, sigma, rng)
                    for s, sigma in zip(enc.streams, sigmas)]
-        reports.append(_decode(handle, harq, dataclasses.replace(
+        reports.append(_decode(backend, harq, dataclasses.replace(
             job, payload=None, rv=rv, new_data=tx == 0,
             llr_streams=streams)).job_results[0])
         reference.append(decode_tb(streams, plan, enc.params, buffers))
@@ -504,10 +500,10 @@ def test_job_result_reports_iterations_of_the_cbs_decoded(rng):
 def test_payload_only_ul_job_is_rejected(rng, t2_quiet):
     """A decode job's input is its LLR streams: a job with a payload and
     no streams is rejected before its HARQ process starts."""
-    handle, harq = _handle(t2_quiet), HarqPool()
+    harq = HarqPool()
     job = _dl_job(rng, prbs=15, mcs=5)
     with pytest.raises(InvalidConfigError):
-        _decode(handle, harq, job)
+        _decode(t2_quiet, harq, job)
     plan = segment_tb(job.payload.size, mcs_params(5, "T1")[1])
     with pytest.raises(HarqBufferMissingError):
         harq.resume(job.ue_id, job.harq_pid, plan)
@@ -536,7 +532,7 @@ def test_descriptor_granularity_follows_the_device(kind, rng, monkeypatch):
         monkeypatch.setattr(device, "process", recorded)
         code(SlotCodingRequest(jobs=[wrap(j) for j in jobs],
                                interface_generation=generation),
-             _handle(device))
+             device)
         return seen
 
     per_cb_mixed = [cb] if kind == "encode" else [tb, cb, cb, cb, cb]

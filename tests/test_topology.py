@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vranphy.backends import DEVICE_PROFILES
 from vranphy.deployment import (CORES_PER_INSTANCE, TOPOLOGY_PROFILES,
                                 default_core_plan, topology_for)
+from vranphy.deployment.topology import plan_from_block
 from vranphy.errors import CapacityError
 
 # instances a profile holds: one 8-core block each, block 0 for the host
@@ -69,3 +71,10 @@ def test_ep_rfsoc_holds_at_most_seven_instances(n):
             default_core_plan(topology, n)
     else:
         assert len(default_core_plan(topology, n)) == n
+
+
+def test_software_device_serves_on_the_instance_pool():
+    """The ``hpp-sw-emulated`` device codes on one instance's pool cores,
+    so its server count is the pool's size."""
+    assert DEVICE_PROFILES["hpp-sw-emulated"].servers == \
+        len(plan_from_block(0, list(range(8))).pool)
