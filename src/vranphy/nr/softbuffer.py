@@ -1,9 +1,21 @@
-"""Soft-combining buffers for retransmission aggregation.
+"""The UL soft path's one LLR format, and the soft-combining buffers that
+hold it.
+
+The format: an LLR is an int16 with ``LLR_FRACTION_BITS`` = 2 fractional
+bits, saturated symmetrically at +-``LLR_SAT`` = 2^13 - 1, as a coding
+accelerator declares its LLR width and decimals. A received stream enters
+the format once, in ``received_llrs``: scaled by 2^2, rounded half away
+from zero, then saturated. From there on, the soft buffer and the decoder
+hold nothing else; a magnitude of ``LLR_SAT`` means certain. The bound
+leaves the decoder's arithmetic room below the int16 range (``nr.decoder``
+shows that no sum it forms can wrap).
 
 A buffer holds one code block's circular-buffer worth of LLRs. New
 transmissions are de-interleaved, mapped back onto their buffer positions
-and saturating-added. Filler positions stay pinned at maximal confidence
-for bit value 0; untransmitted positions keep their prior value.
+and added with saturation; where a transmission repeats positions
+(E > Ncb), its values for one position are summed first, so no sum wraps.
+Filler positions stay pinned at +``LLR_SAT``, bit value 0 for certain;
+untransmitted positions keep their prior value.
 
 Sign convention: positive LLR means bit 0.
 """
@@ -19,33 +31,53 @@ from .ratematch import RateMatchParams, deinterleave, filler_range, \
     selection_positions
 from .segmentation import SegmentationPlan
 
-FLOAT_CLAMP = float(1 << 20)
+LLR_DTYPE = np.int16
+LLR_FRACTION_BITS = 2
+LLR_SAT = (1 << 13) - 1
+# the largest real-valued LLR magnitude the format holds
+LLR_MAX = LLR_SAT / (1 << LLR_FRACTION_BITS)
 
 
 @dataclass
 class SoftBuffer:
-    llrs: np.ndarray
+    llrs: np.ndarray     # Ncb LLRs in the format
 
 
 def new_soft_buffer(plan: SegmentationPlan) -> SoftBuffer:
     """Zeroed full circular buffer with filler positions pinned to
-    +FLOAT_CLAMP."""
+    +LLR_SAT."""
     ncb = buffer_length(plan.base_graph, plan.lifting_size)
-    buffer = SoftBuffer(llrs=np.zeros(ncb, dtype=np.float32))
+    buffer = SoftBuffer(llrs=np.zeros(ncb, dtype=LLR_DTYPE))
     lo, hi = filler_range(plan)
-    buffer.llrs[lo:hi] = FLOAT_CLAMP
+    buffer.llrs[lo:hi] = LLR_SAT
     return buffer
 
 
+def quantized(llrs) -> np.ndarray:
+    """Real-valued LLRs in the format: scaled by 2^LLR_FRACTION_BITS,
+    rounded half away from zero and saturated at +-LLR_SAT. The scaling
+    and the rounding are exact in the input's float type."""
+    q = np.multiply(llrs, 1 << LLR_FRACTION_BITS,
+                    dtype=np.result_type(llrs, np.float32))
+    np.clip(q, -LLR_SAT, LLR_SAT, out=q)
+    rounded = np.rint(q)                    # halves go to the even side
+    half = np.abs(q - rounded) == 0.5
+    rounded[half] = q[half] + np.copysign(0.5, q[half])
+    return rounded.astype(LLR_DTYPE)
+
+
 def received_llrs(llrs, params: RateMatchParams) -> np.ndarray:
-    """One code block's received LLRs as float32, checked to be E finite
-    values."""
-    rx = np.asarray(llrs, dtype=np.float32)
+    """One code block's E received LLRs in the format, checked to be
+    finite before they are quantised. A stream already of ``LLR_DTYPE``
+    is taken to be in the format and passes as it is."""
+    rx = np.asarray(llrs)
     if rx.size != params.e:
         raise InvalidConfigError(f"LLR length {rx.size} != E={params.e}")
+    if rx.dtype == LLR_DTYPE:
+        return rx
     if not np.isfinite(rx).all():
         raise InvalidConfigError("LLRs must be finite")
-    return rx
+    return quantized(rx)
 
 
 def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
@@ -57,28 +89,40 @@ def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
         raise InvalidConfigError("buffer length does not match Ncb")
     seq = deinterleave(rx, params.qm)
     positions = selection_positions(plan, params)
-    np.add.at(buffer.llrs, positions, seq)
-    np.clip(buffer.llrs, -FLOAT_CLAMP, FLOAT_CLAMP, out=buffer.llrs)
+    total = buffer.llrs.astype(np.int32)
+    np.add.at(total, positions, seq.astype(np.int32))    # one dtype: fast
+    np.clip(total, -LLR_SAT, LLR_SAT, out=total)
+    buffer.llrs[:] = total
     lo, hi = filler_range(plan)
-    buffer.llrs[lo:hi] = FLOAT_CLAMP
+    buffer.llrs[lo:hi] = LLR_SAT
     return buffer
 
 
+def _binary(bits) -> np.ndarray:
+    b = np.asarray(bits)
+    if not ((b == 0) | (b == 1)).all():
+        raise InvalidConfigError("bits must be 0 or 1")
+    return b.astype(np.float32)
+
+
 def noiseless_llrs(bits: np.ndarray,
-                   magnitude: float = FLOAT_CLAMP) -> np.ndarray:
+                   magnitude: float = LLR_MAX) -> np.ndarray:
     """Exact-sign LLRs for a bit sequence (bit 0 -> +magnitude).
 
-    The default magnitude is the buffer clamp, i.e. full confidence; the
-    decoder treats such values as exact and can resolve the punctured head
-    by erasure peeling instead of iterating.
+    The default magnitude is the format's largest, which quantises to
+    +-LLR_SAT: full confidence. The decoder treats such values as exact
+    and can resolve the punctured head by erasure peeling instead of
+    iterating.
     """
-    b = np.asarray(bits, dtype=np.float32)
-    return (1.0 - 2.0 * b) * magnitude
+    return (1.0 - 2.0 * _binary(bits)) * magnitude
 
 
 def awgn_llrs(bits: np.ndarray, sigma: float,
               rng: np.random.Generator) -> np.ndarray:
     """BPSK-over-AWGN LLRs: y = (1-2b) + n, llr = 2y / sigma^2."""
-    b = np.asarray(bits, dtype=np.float32)
+    b = _binary(bits)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InvalidConfigError(f"noise level sigma={sigma} must be a "
+                                 "positive finite number")
     y = (1.0 - 2.0 * b) + rng.normal(0.0, sigma, size=b.size)
     return (2.0 / (sigma * sigma)) * y.astype(np.float32)

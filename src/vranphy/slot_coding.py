@@ -177,7 +177,8 @@ def _prepare_tb(job: TransportBlockJob, request: SlotCodingRequest,
     """A job's coding state with every input checked: an encode's payload
     (``split_payload``), and a decode's LLR streams and the HARQ process a
     retransmission resumes. No HARQ state changes here: a decode's items
-    are (llrs, plan, params) until ``_start_decode`` gives them buffers."""
+    are (llrs, plan, params), the LLRs quantised once to the soft buffer's
+    format, until ``_start_decode`` gives them buffers."""
     plan, g_total, qm = tb_geometry(job.prb_share, request.symbols,
                                     job.layers, job.mcs_index, job.mcs_table,
                                     request.overhead)

@@ -1,5 +1,7 @@
-"""``tools/bench_pairs.summary`` on hand-made runs; nothing is benchmarked."""
+"""``tools/bench_pairs`` on hand-made runs and on this tree's files;
+nothing is benchmarked."""
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,21 @@ def test_importing_bench_pairs_leaves_the_import_path_alone(monkeypatch):
     _load_bench_pairs()
     assert sys.path == path
     assert "measure" not in sys.modules
+
+
+def test_the_change_side_is_an_export_of_the_tree_as_it_is(tmp_path):
+    """Every file git tracks or would track is copied byte for byte, and
+    nothing else: no ``.git``, no ignored caches."""
+    root = bench_pairs.ROOT
+    bench_pairs.export_tree(tmp_path)
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True,
+        text=True).stdout.split("\0")
+    want = {name for name in listed if name and (root / name).is_file()}
+    got = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+           if p.is_file()}
+    assert got == want
+    assert "perfbench/run.py" in got and "BENCHMARK.json" in got
+    for name in want:
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes()

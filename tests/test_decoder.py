@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from vranphy.errors import InvalidConfigError
-from vranphy.nr import (awgn_llrs, buffer_length, decode_cb, encode_cb,
-                        encode_tb, ldpc_decode, ldpc_encode, lifted,
-                        mcs_params, new_soft_buffer, noiseless_llrs,
-                        rate_recover_and_combine, segment_tb, split_payload)
+from vranphy.nr import (awgn_llrs, buffer_length, compute_tbs, decode_cb,
+                        encode_cb, encode_tb, ldpc_decode, ldpc_encode,
+                        lifted, mcs_params, new_soft_buffer, noiseless_llrs,
+                        rate_recover_and_combine, resource_elements,
+                        segment_tb, split_payload)
 from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS, DecodeResult
+from vranphy.nr.softbuffer import LLR_DTYPE, LLR_SAT, quantized
+from vranphy.deployment.harness import PhyTestTraffic
+import float_decoder
 from ul_oracle import decode_tb
 
 # empirically calibrated: far inside the correction capability of the
@@ -63,7 +67,7 @@ def test_uniform_random_llrs_rejected_by_crc():
         r = np.random.default_rng(1000 + seed)
         buf = new_soft_buffer(plan)
         lo = plan.k_prime - 2 * plan.lifting_size
-        buf.llrs[:] = r.uniform(-10, 10, buf.llrs.size).astype(np.float32)
+        buf.llrs[:] = quantized(r.uniform(-10, 10, buf.llrs.size))
         res = ldpc_decode(buf, plan, max_iters=2)
         assert not res.crc_ok, seed
 
@@ -136,7 +140,7 @@ def test_corrupted_code_block_fails_its_crc_and_the_tb(rng):
 @pytest.mark.parametrize("sigma", [0.0, 0.7, 0.9])
 @pytest.mark.parametrize("erased", [0.0, 0.3])
 def test_negative_zeros_decode_as_positive_zeros(sigma, erased, rng):
-    """A soft buffer whose zeros are -0.0 decodes to the same result as
+    """An LLR stream whose zeros are -0.0 decodes to the same result as
     with +0.0: rv 0 over two thirds of the buffer, with a share of its
     LLRs erased, leaves zeros in rows that run, and noise makes the
     decoder iterate."""
@@ -147,53 +151,87 @@ def test_negative_zeros_decode_as_positive_zeros(sigma, erased, rng):
     llrs = noiseless_llrs(enc.streams[0]) if sigma == 0.0 else awgn_llrs(
         enc.streams[0], sigma, rng)
     llrs[rng.random(llrs.size) < erased] = 0.0
-    buf = rate_recover_and_combine(llrs, plan, enc.params[0],
-                                   new_soft_buffer(plan))
-    negative = new_soft_buffer(plan)
-    negative.llrs[:] = np.where(buf.llrs == 0, np.float32(-0.0), buf.llrs)
-    assert np.signbit(negative.llrs[negative.llrs == 0]).all()
-    plus, minus = ldpc_decode(buf, plan), ldpc_decode(negative, plan)
+    negative = np.where(llrs == 0, np.float32(-0.0), llrs)
+    assert np.signbit(negative[negative == 0]).all()
+    buffers = [rate_recover_and_combine(x, plan, enc.params[0],
+                                        new_soft_buffer(plan))
+               for x in (llrs, negative)]
+    np.testing.assert_array_equal(buffers[0].llrs, buffers[1].llrs)
+    plus, minus = (ldpc_decode(b, plan) for b in buffers)
     np.testing.assert_array_equal(minus.info_bits, plus.info_bits)
     assert (minus.crc_ok, minus.iterations_used, minus.parity_ok) == \
         (plus.crc_ok, plus.iterations_used, plus.parity_ok)
 
 
 def _reference_messages(v):
-    """Per-edge min-sum rule: the smallest magnitude among the other
-    edges, normalised and clamped, signed by the parity of the other
-    edges' signs (a zero counts as positive)."""
+    """Per-edge min-sum rule in integers: the smallest magnitude m among
+    the other edges, times 0.75 rounded down, signed by the parity of the
+    other edges' signs (a zero counts as positive)."""
     out = np.empty_like(v)
     for j in range(v.shape[0]):
-        others = np.delete(v, j, axis=0)
-        mag = np.minimum(np.float32(decoder.NORMALIZATION)
-                         * np.abs(others).min(axis=0),
-                         np.float32(decoder._MSG_CLAMP))
+        others = np.delete(v, j, axis=0).astype(np.int64)
+        m = np.abs(others).min(axis=0)
+        mag = 3 * m // 4
         negative = np.logical_xor.reduce(others < 0, axis=0)
-        out[j] = np.where(negative, np.float32(-1), np.float32(1)) * mag
+        out[j] = np.where(negative, -mag, mag)
     return out
 
 
 @pytest.mark.parametrize("degree", [3, 8, 19])
 def test_row_messages_match_the_per_edge_rule(degree):
     """Random blocks with ties at the smallest magnitude, exact zeros and
-    magnitudes past the clamp; compared bit for bit, zeros' signs too."""
+    magnitudes at the saturation bound; compared value for value."""
     r = np.random.default_rng(degree)
     z = 64
     for _ in range(20):
-        v = r.normal(0.0, 4.0, (degree, z)).astype(np.float32)
-        v[r.random(v.shape) < 0.1] = 0.0
-        v[r.random(v.shape) < r.choice([0.05, 0.9])] *= np.float32(2.0 ** 26)
+        v = np.round(r.normal(0.0, 40.0, (degree, z))).astype(np.int64)
+        v[r.random(v.shape) < 0.1] = 0
+        v[r.random(v.shape) < r.choice([0.05, 0.9])] = LLR_SAT
+        v = np.clip(v * r.choice([-1, 1], v.shape), -LLR_SAT, LLR_SAT)
         # two edges (one when the draws agree) at the column's smallest
         # magnitude, each with a random sign
         m1 = np.abs(v).min(axis=0)
         for row in r.integers(0, degree, (2, z)):
             v[row, np.arange(z)] = m1 * r.choice([-1, 1], z)
-        v += np.float32(0.0)              # the decoder holds no -0.0
+        v = v.astype(LLR_DTYPE)
         assert ((np.abs(v) == m1).sum(axis=0) > 1).any()
         out = np.empty_like(v)
         decoder._row_messages(v, out)
-        np.testing.assert_array_equal(out.view(np.uint32),
-                                      _reference_messages(v).view(np.uint32))
+        np.testing.assert_array_equal(out, _reference_messages(v))
+
+
+def test_saturated_channel_never_wraps_a_total(monkeypatch, rng):
+    """A channel at +-LLR_SAT everywhere that is no codeword: every row's
+    first messages are the largest there are, totals pass LLR_SAT by that
+    much and later rows take their own messages off them, over all
+    DEFAULT_MAX_ITERS passes. The int16 chunk ends on the totals the same
+    arithmetic gives in int64, where nothing can wrap."""
+    plan = segment_tb(1000, 0.8)
+    st = lifted(plan.base_graph, plan.lifting_size)
+    channel = np.where(rng.random(st.n_used) < 0.5, -LLR_SAT, LLR_SAT)
+    largest = []
+    real = decoder._row_messages
+
+    def recording(v, out):
+        real(v, out)
+        largest.append(int(np.abs(out).max()))
+
+    monkeypatch.setattr(decoder, "_row_messages", recording)
+    totals = channel.astype(LLR_DTYPE)[:, None].copy()
+    results = [None]
+    decoder._decode_chunk(st, totals, [0], plan, DEFAULT_MAX_ITERS, results)
+    assert results[0].iterations_used == DEFAULT_MAX_ITERS
+    assert not results[0].parity_ok
+    assert max(largest) == 3 * LLR_SAT // 4
+
+    def wide_messages(v, out):
+        out[...] = _reference_messages(v)
+
+    want, iterations, solved = _per_cb_min_sum(
+        st, channel.astype(np.int64), DEFAULT_MAX_ITERS, wide_messages)
+    assert (iterations, solved) == (DEFAULT_MAX_ITERS, False)
+    assert np.abs(want).max() > LLR_SAT
+    np.testing.assert_array_equal(totals[:, 0], want)
 
 
 def _per_cb_solved(st, totals):
@@ -201,23 +239,22 @@ def _per_cb_solved(st, totals):
         st.syndrome_passes((totals < 0)[:, None])[0])
 
 
-def _per_cb_min_sum(st, channel, max_iters):
+def _per_cb_min_sum(st, channel, max_iters,
+                    row_messages=decoder._row_messages):
     """The layered min-sum loop on one code block at a time, the oracle of
     the batch: final totals, iterations run, and whether the word is
-    solved."""
+    solved. The arithmetic is in ``channel``'s dtype."""
     totals = channel.copy()
     decoder._peel_erasures(st, totals)
     if _per_cb_solved(st, totals):
         return totals, 0, True
-    sent = [np.zeros(index.shape, dtype=np.float32)
+    sent = [np.zeros(index.shape, dtype=totals.dtype)
             for index in st.row_blocks]
     for it in range(1, max_iters + 1):
         for index, messages in zip(st.row_blocks, sent):
-            v = totals.take(index)
-            v -= messages
-            decoder._row_messages(v, messages)
-            v += messages
-            totals[index] = v
+            v = np.clip(totals.take(index) - messages, -LLR_SAT, LLR_SAT)
+            row_messages(v, messages)
+            totals[index] = v + messages
         if _per_cb_solved(st, totals):
             return totals, it, True
     return totals, max_iters, False
@@ -354,12 +391,10 @@ def _mixed_buffers(count, seed):
         buffers.append(new_soft_buffer(plan))
         llrs = awgn_llrs(enc.streams[0], 0.5, r)
         llrs[r.random(llrs.size) < 0.2] = 0.0
-        plus = rate_recover_and_combine(llrs, plan, enc.params[0],
-                                        new_soft_buffer(plan))
-        minus = new_soft_buffer(plan)
-        minus.llrs[:] = np.where(plus.llrs == 0, np.float32(-0.0),
-                                 plus.llrs)
-        buffers += [plus, minus]
+        buffers += [rate_recover_and_combine(x, plan, enc.params[0],
+                                             new_soft_buffer(plan))
+                    for x in (llrs, np.where(llrs == 0, np.float32(-0.0),
+                                             llrs))]
         buffers.append(_awgn_buffer(plan, a, e, (0,), 1.6, r))
     return plan, buffers[:count]
 
@@ -423,7 +458,8 @@ def test_chunk_width_holds_the_message_budget():
         st = lifted(1, 384, rows)
         width = decoder._chunk_width(st)
         assert width >= 4
-        assert width * st.var_index.size * 4 <= decoder._CHUNK_BYTES
+        assert width * st.var_index.size * np.dtype(LLR_DTYPE).itemsize \
+            <= decoder._CHUNK_BYTES
 
 
 def test_solved_hands_the_syndrome_check_c_ordered_words(monkeypatch, rng):
@@ -434,9 +470,9 @@ def test_solved_hands_the_syndrome_check_c_ordered_words(monkeypatch, rng):
     st = lifted(bg, z)
     kb = st.k // z
     cw = ldpc_encode(rng.integers(0, 2, st.k, dtype=np.uint8), bg, z)
-    words = np.repeat(np.where(cw == 1, -1.0, 1.0).astype(np.float32)[
-        :, None], 5, axis=1)
-    words[0, 0] = 0.0                       # undecided
+    words = np.repeat(np.where(cw == 1, -LLR_SAT, LLR_SAT).astype(
+        LLR_DTYPE)[:, None], 5, axis=1)
+    words[0, 0] = 0                         # undecided
     words[int(st.var_index[0, 0]), 1] *= -1     # row 0 reads it
     words[(kb + 4) * z, 3] *= -1            # only extension row 4 reads it
     assert st.rows[st.cols == kb + 4].tolist() == [4]
@@ -465,3 +501,40 @@ def test_decode_cb_rejects_mismatched_batch_lengths():
     llrs = [noiseless_llrs(s) for s in enc.streams]
     with pytest.raises(InvalidConfigError):
         decode_cb(llrs * 2, plan, enc.params, [new_soft_buffer(plan)])
+
+
+# Per-CB CRC verdicts of the int16 decoder against the float32 decoder it
+# replaced (``float_decoder``) on seeded AWGN at the UL golden set's shape
+# (PhyTestTraffic's one UL MCS: 36 BG1 CBs at Z 384), INT16_SWEEP_SEEDS
+# transmissions at each sigma, 324 CBs in all. From the benchmark's clear
+# channel (0.44) to just below the waterfall (near 0.625, where int16
+# passes fewer CBs than float32). Set before the sweep was run: at most
+# ALLOWED_DISAGREEMENTS CBs whose two verdicts differ.
+INT16_SWEEP_SIGMAS = (0.44, 0.52, 0.60)
+INT16_SWEEP_SEEDS = 3
+ALLOWED_DISAGREEMENTS = 1
+
+
+def test_int16_verdicts_match_the_float32_reference():
+    t = PhyTestTraffic()
+    qm, rate = mcs_params(t.ul_mcs, t.ul_table)
+    plan = segment_tb(compute_tbs(t.prbs, t.symbols, t.ul_layers, t.ul_mcs,
+                                  t.ul_table, t.overhead), rate)
+    g = resource_elements(t.prbs, t.symbols, t.overhead) * qm * t.ul_layers
+    disagreements = cbs = 0
+    for sigma in INT16_SWEEP_SIGMAS:
+        for seed in range(INT16_SWEEP_SEEDS):
+            r = np.random.default_rng([seed, round(sigma * 100)])
+            payload = r.integers(0, 2, plan.payload_bits, dtype=np.uint8)
+            enc = encode_tb(payload, plan, g, qm, t.ul_layers)
+            llrs = [awgn_llrs(s, sigma, r) for s in enc.streams]
+            ints = decode_tb(llrs, plan, enc.params).cb_crc_ok
+            buffers = [float_decoder.rate_recover_and_combine(
+                x, plan, p, float_decoder.new_soft_buffer(plan))
+                for x, p in zip(llrs, enc.params)]
+            floats = [res.crc_ok for res in
+                      float_decoder.ldpc_decode_batch(buffers, plan)]
+            disagreements += sum(a != b for a, b in zip(ints, floats))
+            cbs += len(ints)
+    assert cbs == len(INT16_SWEEP_SIGMAS) * INT16_SWEEP_SEEDS * plan.num_cbs
+    assert disagreements <= ALLOWED_DISAGREEMENTS, disagreements

@@ -208,14 +208,14 @@ def test_dl_port_grid_matches_its_recorded_digest(monkeypatch):
 # transmission (rv, sigma) of one seeded TB is combined into the same soft
 # buffers and decoded, and every decode's per-CB iterations, CB CRC
 # verdicts and TB payload are hashed in order. Recorded on the layered
-# min-sum decoder.
+# min-sum decoder with int16 LLRs.
 UL_GOLDEN = {
     "rv0_sigma0.44": (((0, 0.44),),
-        "aeed61423a7cb4578d837402e5aa79424c46ebe3bb7907552af38d8f95ed8221"),
+        "d172590c94ebafb9a4d2d8f57778dac0a5f973bed49e075b91d948cfd440ebb5"),
     "rv0_sigma0.625": (((0, 0.625),),
-        "58fda7364aa795a1c65aca4dfe9c82dc22918d24dac8e46c0f212246d6914a34"),
+        "15dbe19e06c9bb7e39d4d065e8f90b8feab90b44a2b44dc5a45877e7af8d0fb3"),
     "rv0_sigma0.625+rv2_sigma0.44": (((0, 0.625), (2, 0.44)),
-        "b22bf241dca416c016b280f649430b88bce66bd34a808e7b37e4fb400436dddf"),
+        "07cd738f25af58568f9d195fcbb499a4273c914d742e49115108e5890fe903fc"),
 }
 
 
@@ -238,19 +238,20 @@ def test_ul_decodes_match_their_recorded_digest(name):
 
 
 # sha256 of HARQ retransmission sets decoded through ``decode_slot``: a
-# faded first transmission of the UL test TB (27 of its 36 CBs pass), then
+# faded first transmission of the UL test TB (25 of its 36 CBs pass), then
 # retransmissions combined in one HARQ process. Every transmission's CB
 # verdicts, TB verdict and payload are hashed in order; iteration counts
-# are not, since a CB that passed is not decoded again. Recorded while
-# every CB of a retransmission was still decoded again, so keeping the
-# passed CBs changes no decision. A retransmission decodes exactly the CBs
-# that had failed.
+# are not, since a CB that passed is not decoded again. Recorded on the
+# int16 decoder. The first set's verdicts are those of the same UL_GOLDEN
+# transmissions, where every CB is decoded again, so keeping the passed
+# CBs changes no decision. A retransmission decodes exactly the CBs that
+# had failed.
 HARQ_GOLDEN = {
     "rv0_sigma0.625+rv2_sigma0.44": (((0, 0.625), (2, 0.44)),
-        "e6e3ca5ac659399610bdae844a40a36cdc1cb008ac828863a1b375ef97820882"),
+        "01cedb433546ca0cf732321753d952e60cb3196ccc7dadb7cb14435f4ed01697"),
     "rv0_sigma0.625+rv2_sigma3.0+rv3_sigma0.6": (
         ((0, 0.625), (2, 3.0), (3, 0.6)),
-        "80c93b7e331891f018e362f58920474f5b1854de080956dbd62cff4b6f1c0476"),
+        "30f492770caf8131bd6db11cc0e5513edc94965c8d625e20f8a0352d187c310a"),
 }
 
 

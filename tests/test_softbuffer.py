@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from vranphy.errors import InvalidConfigError
-from vranphy.nr import (RateMatchParams, buffer_length, encode_tb,
+from vranphy.errors import InvalidConfigError, VranPhyError
+from vranphy.nr import (RateMatchParams, awgn_llrs, buffer_length, encode_tb,
                         new_soft_buffer, noiseless_llrs,
                         rate_recover_and_combine, segment_tb,
                         selection_positions)
+from vranphy.nr import softbuffer
 from vranphy.nr.ratematch import filler_range
-from vranphy.nr.softbuffer import FLOAT_CLAMP
+from vranphy.nr.softbuffer import LLR_DTYPE, LLR_MAX, LLR_SAT, quantized
 
 
 def _setup(rng, a=300, rate=0.5, e=None, rv=0):
@@ -42,7 +43,7 @@ def test_untouched_positions_stay_zero(rng):
     lo, hi = filler_range(plan)
     for p in range(buf.llrs.size):
         if lo <= p < hi:
-            assert buf.llrs[p] == FLOAT_CLAMP
+            assert buf.llrs[p] == LLR_SAT
         elif p not in pos:
             assert buf.llrs[p] == 0.0
 
@@ -67,11 +68,11 @@ def test_rv0_then_rv2_touched_set_matches_union_oracle(rng):
 
 def test_saturation_clamps_at_buffer_limit(rng):
     plan, enc, _ = _setup(rng)
-    big = noiseless_llrs(enc.streams[0], magnitude=FLOAT_CLAMP)
+    big = noiseless_llrs(enc.streams[0], magnitude=LLR_MAX)
     buf = new_soft_buffer(plan)
     for _ in range(3):
         rate_recover_and_combine(big, plan, enc.params[0], buf)
-    assert np.abs(buf.llrs).max() <= FLOAT_CLAMP
+    assert np.abs(buf.llrs).max() <= LLR_SAT
 
 
 def test_length_mismatch_rejected(rng):
@@ -95,3 +96,78 @@ def test_non_finite_llrs_rejected(rng, bad):
     buf = new_soft_buffer(plan)
     with pytest.raises(InvalidConfigError):
         rate_recover_and_combine(llrs, plan, enc.params[0], buf)
+
+
+@pytest.mark.parametrize("bits", [[0, 1, 2], [3, 0], [0, -1], [0.5, 1]])
+def test_non_binary_bits_rejected(bits, rng):
+    with pytest.raises(InvalidConfigError):
+        noiseless_llrs(np.asarray(bits))
+    with pytest.raises(InvalidConfigError):
+        awgn_llrs(np.asarray(bits), 0.5, rng)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.5, np.nan, np.inf])
+def test_awgn_noise_level_must_be_positive_and_finite(sigma, rng):
+    with pytest.raises(InvalidConfigError):
+        awgn_llrs(np.zeros(8, np.uint8), sigma, rng)
+
+
+@pytest.mark.parametrize("x,q", [
+    (0.0, 0), (-0.0, 0), (0.1, 0), (0.125, 1), (-0.125, -1), (0.375, 2),
+    (-0.375, -2), (0.625, 3), (-0.625, -3), (1.2, 5), (-1.2, -5),
+    # a float32 just below one half after scaling: adding 0.5 in float32
+    # would round it up to 1
+    (np.nextafter(np.float32(0.125), np.float32(0.0)), 0),
+    (2047.6, 8190), (LLR_MAX, LLR_SAT), (-LLR_MAX, -LLR_SAT),
+    (3e4, LLR_SAT), (-1e30, -LLR_SAT)])
+def test_quantisation_scales_rounds_half_away_and_saturates(x, q):
+    got = quantized(np.array([x], dtype=np.float32))
+    assert got.dtype == LLR_DTYPE
+    assert got.tolist() == [q]
+
+
+def test_float64_llrs_round_without_passing_through_float32():
+    # 0.125 - 1e-12 is 0.125 in float32, a half after scaling
+    got = quantized(np.array([0.125 - 1e-12, -0.125 + 1e-12, 2.5]))
+    assert got.tolist() == [0, 0, 10]
+
+
+def test_repeated_positions_saturate_without_wrapping(rng):
+    """E = 3 Ncb at full confidence sums up to four values of LLR_SAT into
+    one position, past the int16 range; combining the opposite signs
+    afterwards drives every sent position to the other bound."""
+    plan = segment_tb(300, 0.5)
+    ncb = buffer_length(plan.base_graph, plan.lifting_size)
+    plan, enc, _ = _setup(rng, e=2 * ((3 * ncb) // 2))
+    positions = selection_positions(plan, enc.params[0])
+    assert np.bincount(positions).max() >= 4
+    sent = np.zeros(ncb, bool)
+    sent[positions] = True
+    lo, hi = filler_range(plan)
+    sent[lo:hi] = False
+    buf = new_soft_buffer(plan)
+    llrs = noiseless_llrs(enc.streams[0])
+    rate_recover_and_combine(llrs, plan, enc.params[0], buf)
+    signs = np.sign(buf.llrs[sent])
+    assert (buf.llrs[sent] == signs * LLR_SAT).all()
+    for _ in range(2):
+        rate_recover_and_combine(-llrs, plan, enc.params[0], buf)
+    assert (buf.llrs[sent] == -signs * LLR_SAT).all()
+    assert (buf.llrs[lo:hi] == LLR_SAT).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_fail_before_quantisation(bad, monkeypatch):
+    def unreachable(llrs):
+        raise AssertionError("quantised before the check")
+
+    monkeypatch.setattr(softbuffer, "quantized", unreachable)
+    params = RateMatchParams(e=4, rv=0, qm=2, ncb=100)
+    with pytest.raises(VranPhyError):
+        softbuffer.received_llrs(np.array([1.0, bad, 0.0, 2.0]), params)
+
+
+def test_a_stream_in_the_format_passes_as_it_is():
+    params = RateMatchParams(e=4, rv=0, qm=2, ncb=100)
+    rx = np.array([-LLR_SAT, -1, 0, 7], dtype=LLR_DTYPE)
+    assert softbuffer.received_llrs(rx, params) is rx

@@ -3,11 +3,15 @@
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 10 \
         --workload ul_harq_awgn --out BENCH.json
 
-Run from anywhere inside the repository. ``--base`` is exported (``git
-archive``) into a temporary directory, removed again on exit, error or
-interrupt included. The export writes nothing into the repository: a
-``git worktree`` would be registered in its ``.git`` and stay registered
-after a run killed by a signal no ``finally`` sees (SIGKILL). Pair ``i`` runs ``perfbench/run.py --trace 0`` once in
+Run from anywhere inside the repository. Both sides run from exports in
+a temporary directory, removed again on exit, error or interrupt
+included, so that where a tree lies favours neither side: ``--base`` is
+exported with ``git archive``, and this tree by copying the files git
+tracks or would track as they are on disk, committed or not (files git
+ignores, such as caches, are left out). The exports write nothing into
+the repository: a ``git worktree`` would be registered in its ``.git``
+and stay registered after a run killed by a signal no ``finally`` sees
+(SIGKILL). Pair ``i`` runs ``perfbench/run.py --trace 0`` once in
 each tree with seed ``--first-seed + i``; the tree that runs first
 alternates from pair to pair, so a drift of the machine's speed favours
 neither. Each tree runs its own ``perfbench`` on its own ``src``, one run
@@ -57,6 +61,20 @@ nearest_rank = _load_measure().nearest_rank
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def export_tree(dest: Path) -> None:
+    """Copy this tree's files as they are on disk into ``dest``: every file
+    git tracks or would track, committed or not, but none it ignores."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = ROOT / name
+        if not source.is_file():      # deleted but not yet staged
+            continue
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, dest / name)
 
 
 def machine() -> dict:
@@ -174,7 +192,8 @@ def main(argv=None) -> int:
             capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
                        check=True)
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {"base": base_tree, "change": scratch / "change"}
+        export_tree(trees["change"])
         for workload in args.workload:
             runs = []
             for i, seed in enumerate(seeds):
