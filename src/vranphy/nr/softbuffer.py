@@ -90,7 +90,8 @@ def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
     seq = deinterleave(rx, params.qm)
     positions = selection_positions(plan, params)
     total = buffer.llrs.astype(np.int32)
-    np.add.at(total, positions, seq.astype(np.int32))    # one dtype: fast
+    # one dtype on both sides: add.at on int32 += int16 is ~25x slower
+    np.add.at(total, positions, seq.astype(np.int32))
     np.clip(total, -LLR_SAT, LLR_SAT, out=total)
     buffer.llrs[:] = total
     lo, hi = filler_range(plan)
@@ -99,6 +100,7 @@ def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
 
 
 def _binary(bits) -> np.ndarray:
+    """``bits`` as float32, checked to be 0 or 1."""
     b = np.asarray(bits)
     if not ((b == 0) | (b == 1)).all():
         raise InvalidConfigError("bits must be 0 or 1")

@@ -1,6 +1,7 @@
 """``tools/bench_pairs`` on hand-made runs and on this tree's files;
 nothing is benchmarked."""
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +91,20 @@ def test_the_change_side_is_an_export_of_the_tree_as_it_is(tmp_path):
     assert "perfbench/run.py" in got and "BENCHMARK.json" in got
     for name in want:
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
+
+
+def test_an_interrupted_run_does_not_outlive_it(tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import time\ntime.sleep(60)\n")
+    pids = []
+
+    def interrupted(pid, options):
+        pids.append(pid)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench_pairs.os, "wait4", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.run_once(tmp_path, "ul_harq_awgn", 1, 1.0)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vranphy.deployment.harness import PhyTestTraffic
 from vranphy.errors import InvalidConfigError
 from vranphy.nr import (awgn_llrs, buffer_length, compute_tbs, decode_cb,
                         encode_cb, encode_tb, ldpc_decode, ldpc_encode,
@@ -10,7 +11,6 @@ from vranphy.nr import (awgn_llrs, buffer_length, compute_tbs, decode_cb,
 from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS, DecodeResult
 from vranphy.nr.softbuffer import LLR_DTYPE, LLR_SAT, quantized
-from vranphy.deployment.harness import PhyTestTraffic
 import float_decoder
 from ul_oracle import decode_tb
 

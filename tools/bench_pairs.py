@@ -105,7 +105,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(argv, cwd=tree, stdout=out, stderr=err,
                                 text=True)
-        _, status, usage = os.wait4(proc.pid, 0)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            # SIGTERM or ^C: the run must not outlive its removed tree
+            proc.kill()
+            proc.wait()
+            raise
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
