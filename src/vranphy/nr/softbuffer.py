@@ -67,14 +67,16 @@ def quantized(llrs) -> np.ndarray:
 
 
 def received_llrs(llrs, params: RateMatchParams) -> np.ndarray:
-    """One code block's E received LLRs in the format, checked to be
-    finite before they are quantised. A stream already of ``LLR_DTYPE``
-    is taken to be in the format and passes as it is."""
+    """One code block's E received LLRs in the format, checked to be real
+    and finite before they are quantised. A stream already of
+    ``LLR_DTYPE`` is taken to be in the format and passes as it is."""
     rx = np.asarray(llrs)
     if rx.size != params.e:
         raise InvalidConfigError(f"LLR length {rx.size} != E={params.e}")
     if rx.dtype == LLR_DTYPE:
         return rx
+    if rx.dtype.kind not in "iuf":
+        raise InvalidConfigError(f"LLRs must be real numbers, not {rx.dtype}")
     if not np.isfinite(rx).all():
         raise InvalidConfigError("LLRs must be finite")
     return quantized(rx)

@@ -167,6 +167,15 @@ def test_non_finite_llrs_fail_before_quantisation(bad, monkeypatch):
         softbuffer.received_llrs(np.array([1.0, bad, 0.0, 2.0]), params)
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([1 + 1j, 2]), np.array(["1", "2"]), np.array([None, 1.0]),
+    np.array([True, False])], ids=["complex", "str", "object", "bool"])
+def test_llrs_that_are_no_real_numbers_rejected(bad):
+    params = RateMatchParams(e=2, rv=0, qm=2, ncb=100)
+    with pytest.raises(InvalidConfigError):
+        softbuffer.received_llrs(bad, params)
+
+
 def test_a_stream_in_the_format_passes_as_it_is():
     params = RateMatchParams(e=4, rv=0, qm=2, ncb=100)
     rx = np.array([-LLR_SAT, -1, 0, 7], dtype=LLR_DTYPE)

@@ -5,7 +5,7 @@
 
 Run from anywhere inside the repository. Both sides run from exports in
 a temporary directory, removed again on exit, error or interrupt
-included, so that where a tree lies favours neither side: ``--base`` is
+included, so that neither side runs from the checkout: ``--base`` is
 exported with ``git archive``, and this tree by copying the files git
 tracks or would track as they are on disk, committed or not (files git
 ignores, such as caches, are left out). The exports write nothing into
