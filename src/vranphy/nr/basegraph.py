@@ -5,9 +5,7 @@ row, column, one shift per lifting-set index) guarded by a sha256 header.
 A lifted structure for a concrete (graph, Z) pair holds its edges, which
 the encoder reads, and precomputes the gather and group-reduction indices
 that the decoder runs on; the decoder asks for one restricted to the
-check rows a transmission reached. A word passes the syndrome when each
-kept row's XOR over its edges' hard bits is zero at all Z positions; the
-test of a batch of words stops at the first row where each has failed.
+check rows a transmission reached.
 
 Lifting semantics: an entry with shift ``s`` stands for a Z x Z identity
 rolled by ``s``; check-local position ``i`` of that block connects to
@@ -174,26 +172,6 @@ class LiftedStructure:
         self.row_blocks = tuple(np.split(self.var_index, self.row_starts[1:]))
         # the codeword head holding every column the kept rows touch
         self.n_used = (int(self.cols.max()) + 1) * z
-
-    def syndrome_passes(self, hard_bits: np.ndarray) -> np.ndarray:
-        """Per column of the ``(n, c)`` words ``hard_bits``, whether it
-        passes the kept checks. Each row gathers only the columns that
-        passed every row before it, and the test stops once none is left.
-        The words are made C-contiguous once and kept so by ``compress``
-        (``take`` would copy a whole array of another layout per row)."""
-        hard_bits = np.ascontiguousarray(hard_bits)
-        passes = np.ones(hard_bits.shape[1], dtype=bool)
-        left = np.arange(hard_bits.shape[1])
-        for index in self.row_blocks:
-            failed = np.bitwise_xor.reduce(hard_bits.take(index, axis=0),
-                                           axis=0).any(axis=0)
-            if failed.any():
-                passes[left[failed]] = False
-                left = left[~failed]
-                if not left.size:
-                    break
-                hard_bits = hard_bits.compress(~failed, axis=1)
-        return passes
 
 
 @lru_cache(maxsize=32)

@@ -3,7 +3,9 @@ int16 path replaced, kept as a reference for ``test_decoder``'s sweep.
 
 The constants from ``NORMALIZATION`` to ``_CHUNK_BYTES`` and everything
 from ``DecodeResult`` down are the float32 decoder as it stood before the
-integer format, unchanged but for absolute imports. Its LLRs are float32
+integer format, unchanged but for absolute imports and the syndrome test,
+which left ``LiftedStructure`` for the test helper ``syndrome``. It keeps
+its exit on the syndrome; the int16 decoder now exits on the CRC. Its LLRs are float32
 from the channel to the totals. Between the two, the float32 soft buffer
 it decoded from combines unquantised LLRs with a clamp at
 ``FLOAT_CLAMP``.
@@ -81,6 +83,7 @@ from vranphy.nr.basegraph import CORE_PARITY_BLOCKS, PUNCTURED_BLOCKS, \
 from vranphy.nr.ratematch import RateMatchParams, deinterleave, \
     filler_range, selection_positions
 from vranphy.nr.segmentation import CB_CRC, SegmentationPlan
+from syndrome import syndrome_passes
 
 NORMALIZATION = 0.75
 DEFAULT_MAX_ITERS = 8
@@ -227,7 +230,7 @@ def _solved(st, totals: np.ndarray) -> np.ndarray:
         hard = totals < 0
         if decided.size < solved.size:
             hard = hard.take(decided, axis=1)
-        solved[decided] = st.syndrome_passes(hard)
+        solved[decided] = syndrome_passes(st, hard)
     return solved
 
 

@@ -108,3 +108,25 @@ def test_an_interrupted_run_does_not_outlive_it(tmp_path, monkeypatch):
         bench_pairs.run_once(tmp_path, "ul_harq_awgn", 1, 1.0)
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+@pytest.mark.parametrize("workloads", [["no_such_load"],
+                                       ["ul_harq_awgn", "no_such_load"]],
+                         ids=["alone", "after-a-valid-one"])
+def test_an_unknown_workload_exits_before_any_tree_is_exported(
+        workloads, tmp_path, monkeypatch, capsys):
+    def exported(*args, **kwargs):
+        raise AssertionError("a tree was exported")
+
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", exported)
+    monkeypatch.setattr(bench_pairs, "export_tree", exported)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD", "--pairs", "1", "--seconds", "1",
+            "--out", str(out)]
+    for name in workloads:
+        argv += ["--workload", name]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "no_such_load" in capsys.readouterr().err
+    assert not out.exists()

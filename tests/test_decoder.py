@@ -10,8 +10,11 @@ from vranphy.nr import (awgn_llrs, buffer_length, compute_tbs, decode_cb,
                         segment_tb, split_payload)
 from vranphy.nr import crc, decoder
 from vranphy.nr.decoder import DEFAULT_MAX_ITERS, DecodeResult
+from vranphy.nr.segmentation import CB_CRC
 from vranphy.nr.softbuffer import LLR_DTYPE, LLR_SAT, quantized
 import float_decoder
+from syndrome import syndrome_passes
+from test_golden import UL_GOLDEN, _payload, _phy_test
 from ul_oracle import decode_tb
 
 # empirically calibrated: far inside the correction capability of the
@@ -84,7 +87,17 @@ def test_iterations_reported_and_bounded(rng):
     rate_recover_and_combine(llrs, plan, enc.params[0], buf)
     res = ldpc_decode(buf, plan, max_iters=8)
     assert 1 <= res.iterations_used <= 8
-    assert res.parity_ok
+    assert res.crc_ok
+
+
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, "8", None])
+def test_max_iters_must_be_a_positive_integer(max_iters, rng):
+    plan = segment_tb(300, 0.5)
+    buf = _awgn_buffer(plan, 300, _full_buffer_e(plan), (0,), 0.7, rng)
+    for decode in (ldpc_decode, lambda b, p, m: decoder.ldpc_decode_batch(
+            [b, b], p, m)):
+        with pytest.raises(InvalidConfigError, match="max_iters"):
+            decode(buf, plan, max_iters)
 
 
 def test_punctured_head_recovered_from_parity(rng):
@@ -103,7 +116,6 @@ def test_erased_block_is_undecided():
     plan = segment_tb(300, 0.5)
     res = ldpc_decode(new_soft_buffer(plan), plan)
     assert not res.crc_ok
-    assert not res.parity_ok
     assert res.iterations_used == DEFAULT_MAX_ITERS
 
 
@@ -159,8 +171,8 @@ def test_negative_zeros_decode_as_positive_zeros(sigma, erased, rng):
     np.testing.assert_array_equal(buffers[0].llrs, buffers[1].llrs)
     plus, minus = (ldpc_decode(b, plan) for b in buffers)
     np.testing.assert_array_equal(minus.info_bits, plus.info_bits)
-    assert (minus.crc_ok, minus.iterations_used, minus.parity_ok) == \
-        (plus.crc_ok, plus.iterations_used, plus.parity_ok)
+    assert (minus.crc_ok, minus.iterations_used) == \
+        (plus.crc_ok, plus.iterations_used)
 
 
 def _reference_messages(v):
@@ -221,32 +233,36 @@ def test_saturated_channel_never_wraps_a_total(monkeypatch, rng):
     results = [None]
     decoder._decode_chunk(st, totals, [0], plan, DEFAULT_MAX_ITERS, results)
     assert results[0].iterations_used == DEFAULT_MAX_ITERS
-    assert not results[0].parity_ok
+    assert not results[0].crc_ok
     assert max(largest) == 3 * LLR_SAT // 4
 
     def wide_messages(v, out):
         out[...] = _reference_messages(v)
 
-    want, iterations, solved = _per_cb_min_sum(
-        st, channel.astype(np.int64), DEFAULT_MAX_ITERS, wide_messages)
-    assert (iterations, solved) == (DEFAULT_MAX_ITERS, False)
+    want, iterations, passed = _per_cb_min_sum(
+        st, plan, channel.astype(np.int64), DEFAULT_MAX_ITERS, wide_messages)
+    assert (iterations, passed) == (DEFAULT_MAX_ITERS, False)
     assert np.abs(want).max() > LLR_SAT
     np.testing.assert_array_equal(totals[:, 0], want)
 
 
-def _per_cb_solved(st, totals):
-    return bool(totals[: st.k].all()) and bool(
-        st.syndrome_passes((totals < 0)[:, None])[0])
+def _per_cb_passes(st, plan, totals):
+    """The exit test on one block, as a receiver checks one block: every
+    information position decided and the segment CRC passing on the hard
+    decisions (the CB CRC24B, or the TB CRC of a single segment)."""
+    kind = CB_CRC if plan.cb_crc_present else plan.tb_crc_kind
+    info = (totals[: plan.k_prime] < 0).astype(np.uint8)
+    return bool(totals[: st.k].all()) and crc.crc_check(info, kind)
 
 
-def _per_cb_min_sum(st, channel, max_iters,
+def _per_cb_min_sum(st, plan, channel, max_iters,
                     row_messages=decoder._row_messages):
     """The layered min-sum loop on one code block at a time, the oracle of
-    the batch: final totals, iterations run, and whether the word is
-    solved. The arithmetic is in ``channel``'s dtype."""
+    the batch: final totals, iterations run, and whether the block passed
+    the exit test. The arithmetic is in ``channel``'s dtype."""
     totals = channel.copy()
     decoder._peel_erasures(st, totals)
-    if _per_cb_solved(st, totals):
+    if _per_cb_passes(st, plan, totals):
         return totals, 0, True
     sent = [np.zeros(index.shape, dtype=totals.dtype)
             for index in st.row_blocks]
@@ -255,7 +271,7 @@ def _per_cb_min_sum(st, channel, max_iters,
             v = np.clip(totals.take(index) - messages, -LLR_SAT, LLR_SAT)
             row_messages(v, messages)
             totals[index] = v + messages
-        if _per_cb_solved(st, totals):
+        if _per_cb_passes(st, plan, totals):
             return totals, it, True
     return totals, max_iters, False
 
@@ -266,11 +282,9 @@ def _oracle_decode(buf, plan, max_iters=DEFAULT_MAX_ITERS, full=False):
     channel = decoder._channel(buf, plan)
     st = lifted(plan.base_graph, plan.lifting_size) if full \
         else decoder._reached_structure(channel, plan)
-    totals, iters, solved = _per_cb_min_sum(st, channel, max_iters)
+    totals, iters, passed = _per_cb_min_sum(st, plan, channel, max_iters)
     info = (totals < 0)[: plan.k_prime].astype(np.uint8)
-    ok = bool(totals[: st.k].all()) and decoder._crc_verdict(info, plan)
-    return DecodeResult(info_bits=info, crc_ok=ok, iterations_used=iters,
-                        parity_ok=solved)
+    return DecodeResult(info_bits=info, crc_ok=passed, iterations_used=iters)
 
 
 def _reference_decode(buf, plan):
@@ -300,12 +314,13 @@ def test_single_block_tb_crc_is_computed_once(rng, monkeypatch):
 
 
 def _awgn_buffer(plan, a, e, rvs, sigma, rng):
-    """Soft buffer combining BPSK-AWGN transmissions, one per rv, of a
-    random ``a``-bit payload."""
+    """First code block's soft buffer combining BPSK-AWGN transmissions,
+    one per rv and ``e`` bits per block, of a random ``a``-bit payload."""
     payload = rng.integers(0, 2, a, dtype=np.uint8)
     buf = new_soft_buffer(plan)
     for rv in rvs:
-        enc = encode_tb(payload, plan, e, qm=2, layers=1, rv=rv)
+        enc = encode_tb(payload, plan, e * plan.num_cbs, qm=2, layers=1,
+                        rv=rv)
         rate_recover_and_combine(awgn_llrs(enc.streams[0], sigma, rng), plan,
                                  enc.params[0], buf)
     return buf
@@ -348,6 +363,8 @@ FLOODING_SWEEP = {
     ("bg2", (0, 2)): {1.05: (20, 148), 1.15: (14, 160), 1.25: (4, 160)},
 }
 SWEEP_SHAPES = {"bg1": (1000, 0.8), "bg2": (500, 0.5)}
+# two BG1 segments at Z 208, each with its CB CRC24B
+TWO_CB_SHAPE = (8500, 0.8)
 
 
 @pytest.mark.parametrize("shape,rvs", list(FLOODING_SWEEP),
@@ -369,12 +386,13 @@ def test_awgn_sweep_no_worse_than_flooding(shape, rvs):
         assert iters <= flood_iters, sigma
 
 
-def _mixed_buffers(count, seed):
-    """``count`` BG1 soft buffers cycling through: rv0 noise, solved after
-    a few passes or not at all; rv0 + rv2, which reaches more rows;
-    noiseless, solved by peeling at 0 iterations; erased; a partly erased
-    block and its -0.0 twin; and noise that runs out at max_iters."""
-    a, rate = SWEEP_SHAPES["bg1"]
+def _mixed_buffers(shape, count, seed):
+    """``count`` soft buffers of the first code block of the BG1 plan of
+    ``shape``, an ``(a, rate)`` pair, cycling through: rv0 noise, passed after a few passes or not at
+    all; rv0 + rv2, which reaches more rows; noiseless, passed by peeling
+    at 0 iterations; erased; a partly erased block and its -0.0 twin; and
+    noise that runs out at max_iters."""
+    a, rate = shape
     plan = segment_tb(a, rate)
     e = 2 * round(plan.k_prime / rate / 2)
     r = np.random.default_rng([seed, count])
@@ -384,7 +402,8 @@ def _mixed_buffers(count, seed):
                                     r))
         buffers.append(_awgn_buffer(plan, a, e, (0, 2), r.uniform(0.6, 0.9),
                                     r))
-        enc = encode_tb(r.integers(0, 2, a, dtype=np.uint8), plan, e, 2, 1)
+        enc = encode_tb(r.integers(0, 2, a, dtype=np.uint8), plan,
+                        e * plan.num_cbs, 2, 1)
         buffers.append(rate_recover_and_combine(
             noiseless_llrs(enc.streams[0]), plan, enc.params[0],
             new_soft_buffer(plan)))
@@ -403,8 +422,8 @@ def _same_results(batch, oracle):
     assert len(batch) == len(oracle)
     for got, want in zip(batch, oracle):
         np.testing.assert_array_equal(got.info_bits, want.info_bits)
-        assert (got.crc_ok, got.iterations_used, got.parity_ok) == \
-            (want.crc_ok, want.iterations_used, want.parity_ok)
+        assert (got.crc_ok, got.iterations_used) == \
+            (want.crc_ok, want.iterations_used)
 
 
 CHUNK = 3
@@ -413,13 +432,18 @@ CHUNK = 3
 @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1,
                                    2 * CHUNK + 1, 14])
 @pytest.mark.parametrize("max_iters", [DEFAULT_MAX_ITERS, 3])
-def test_batch_matches_the_per_cb_oracle(count, max_iters, monkeypatch):
+@pytest.mark.parametrize("shape", [SWEEP_SHAPES["bg1"], TWO_CB_SHAPE],
+                         ids=["one-segment", "cb-crc"])
+def test_batch_matches_the_per_cb_oracle(shape, count, max_iters,
+                                         monkeypatch):
     """Mixed batches decode block for block as the per-CB loop does, with
     chunks of CHUNK blocks: results at every chunk boundary, across
-    reached-row groups, and whether a block leaves after its first solved
-    pass, at 0 iterations or at max_iters."""
+    reached-row groups, and whether a block leaves after its first pass
+    that passes its segment CRC (the TB CRC of a single segment, or a CB
+    CRC), at 0 iterations or at max_iters."""
     monkeypatch.setattr(decoder, "_chunk_width", lambda st: CHUNK)
-    plan, buffers = _mixed_buffers(count, seed=count)
+    plan, buffers = _mixed_buffers(shape, count, seed=count)
+    assert plan.cb_crc_present == (shape == TWO_CB_SHAPE)
     oracle = [_oracle_decode(buf, plan, max_iters) for buf in buffers]
     _same_results(decoder.ldpc_decode_batch(buffers, plan, max_iters),
                   oracle)
@@ -451,6 +475,34 @@ def test_one_group_leaves_its_chunk_block_by_block(count, monkeypatch):
                for i in range(0, count, CHUNK))
 
 
+def test_a_retransmitted_block_leaves_at_its_first_crc_pass():
+    """On ``test_golden``'s rv0 sigma 0.625 + rv2 sigma 0.44 buffers, each
+    CB leaves after the first pass whose exit test it passes, as the
+    per-CB loop finds, also CBs whose syndrome still fails there (a core
+    check keeps flipping, which kept them to the last pass under an exit
+    on the syndrome). No CB runs DEFAULT_MAX_ITERS passes."""
+    transmissions, _ = UL_GOLDEN["rv0_sigma0.625+rv2_sigma0.44"]
+    tbs, plan, g, qm, layers = _phy_test("ul")
+    payload = _payload(tbs, 11)
+    rng = np.random.default_rng(12)
+    buffers = [new_soft_buffer(plan) for _ in range(plan.num_cbs)]
+    for rv, sigma in transmissions:
+        enc = encode_tb(payload, plan, g, qm, layers, rv)
+        out = decode_tb([awgn_llrs(s, sigma, rng) for s in enc.streams],
+                        plan, enc.params, buffers)
+    assert out.tb_crc_ok and all(out.cb_crc_ok)
+    assert max(out.iterations) < DEFAULT_MAX_ITERS
+    syndrome_failing = 0
+    for buf, iterations in zip(buffers, out.iterations):
+        channel = decoder._channel(buf, plan)
+        st = decoder._reached_structure(channel, plan)
+        totals, want, passed = _per_cb_min_sum(st, plan, channel,
+                                               DEFAULT_MAX_ITERS)
+        assert (iterations, passed) == (want, True)
+        syndrome_failing += not syndrome_passes(st, (totals < 0)[:, None])[0]
+    assert syndrome_failing
+
+
 def test_chunk_width_holds_the_message_budget():
     """At the UL phy-test shape (BG1, Z 384), a chunk's messages fit the
     budget, and the budget holds several blocks on every row set."""
@@ -460,34 +512,6 @@ def test_chunk_width_holds_the_message_budget():
         assert width >= 4
         assert width * st.var_index.size * np.dtype(LLR_DTYPE).itemsize \
             <= decoder._CHUNK_BYTES
-
-
-def test_solved_hands_the_syndrome_check_c_ordered_words(monkeypatch, rng):
-    """A chunk of an undecided block, one failing at row 0, one failing
-    only at a later row and codewords gets the per-CB verdicts, and the
-    words reach the syndrome check C-contiguous."""
-    bg, z = 1, 5
-    st = lifted(bg, z)
-    kb = st.k // z
-    cw = ldpc_encode(rng.integers(0, 2, st.k, dtype=np.uint8), bg, z)
-    words = np.repeat(np.where(cw == 1, -LLR_SAT, LLR_SAT).astype(
-        LLR_DTYPE)[:, None], 5, axis=1)
-    words[0, 0] = 0                         # undecided
-    words[int(st.var_index[0, 0]), 1] *= -1     # row 0 reads it
-    words[(kb + 4) * z, 3] *= -1            # only extension row 4 reads it
-    assert st.rows[st.cols == kb + 4].tolist() == [4]
-    per_cb = [_per_cb_solved(st, words[:, j]) for j in range(words.shape[1])]
-    assert per_cb == [False, False, True, False, True]
-    seen = []
-    check = type(st).syndrome_passes
-
-    def recording(self, hard_bits):
-        seen.append(hard_bits.flags.c_contiguous)
-        return check(self, hard_bits)
-
-    monkeypatch.setattr(type(st), "syndrome_passes", recording)
-    assert decoder._solved(st, words).tolist() == per_cb
-    assert seen and all(seen)
 
 
 def test_empty_batch_decodes_nothing():

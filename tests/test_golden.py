@@ -208,14 +208,15 @@ def test_dl_port_grid_matches_its_recorded_digest(monkeypatch):
 # transmission (rv, sigma) of one seeded TB is combined into the same soft
 # buffers and decoded, and every decode's per-CB iterations, CB CRC
 # verdicts and TB payload are hashed in order. Recorded on the layered
-# min-sum decoder with int16 LLRs.
+# min-sum decoder with int16 LLRs, where each CB leaves after the first
+# pass whose segment CRC passes.
 UL_GOLDEN = {
     "rv0_sigma0.44": (((0, 0.44),),
-        "d172590c94ebafb9a4d2d8f57778dac0a5f973bed49e075b91d948cfd440ebb5"),
+        "418143b6900fb681024c1e979e591193e87831b5e6352fc8eafb8e25a1d3ba6e"),
     "rv0_sigma0.625": (((0, 0.625),),
-        "15dbe19e06c9bb7e39d4d065e8f90b8feab90b44a2b44dc5a45877e7af8d0fb3"),
+        "7b9ed8df5295f38a22def15631168c73fe1ddbfc3031a5ceee139b7d69da6951"),
     "rv0_sigma0.625+rv2_sigma0.44": (((0, 0.625), (2, 0.44)),
-        "07cd738f25af58568f9d195fcbb499a4273c914d742e49115108e5890fe903fc"),
+        "fe694ccd1fd66bfecb6502af6f070b2a381b41f3b97378d8e2d1b7cb3fb6650f"),
 }
 
 

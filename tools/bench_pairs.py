@@ -25,7 +25,9 @@ which the change was better; each run's metrics, quality metrics and
 failed-step count are kept too, with the minor page faults and maximum
 resident set size of the run's process tree (its timed set-ups included),
 and each tree's median of both, so that effects of heap layout show.
-``--workload`` may be given several times.
+``--workload`` may be given several times; each must name a workload of
+``BENCHMARK.json``, or the command exits with code 2 before it exports a
+tree.
 """
 from __future__ import annotations
 
@@ -172,6 +174,11 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workload if w not in known]
+    if unknown:
+        parser.error(f"unknown --workload {', '.join(unknown)}; "
+                     f"BENCHMARK.json declares {', '.join(known)}")
     try:
         base_commit = _git("rev-parse", "--verify", args.base + "^{commit}")
     except subprocess.CalledProcessError:
