@@ -68,10 +68,10 @@ rows of Z*c values, not over K rows of c, and one ``crc.crc_compute`` call
 checks the ``(c, K')`` hard-decision rows of every decided block. The
 blocks that pass leave with their results, and the totals and each row's
 messages shrink to the other blocks' columns, one array at a time and
-C-contiguous again. Every block thus gets the
-iterations, totals and result it would get alone, bit for bit. A chunk
-holds as many blocks as ``_CHUNK_BYTES`` of messages fit: 20 at BG1 Z 384
-on the 12 rows an rv0 reaches, 8 when all 46 rows are reached.
+C-contiguous again. Every block thus gets the iterations, totals and
+result it would get alone, bit for bit. A chunk holds as many blocks as
+``_CHUNK_BYTES`` of messages fit: 20 at BG1 Z 384 on the 12 rows an rv0
+reaches, 8 when all 46 rows are reached.
 
 An information position whose total is exactly 0 is undecided: an erased
 block (or a UE that sent nothing) never exits early and never passes CRC,

@@ -429,11 +429,11 @@ def _same_results(batch, oracle):
 CHUNK = 3
 
 
-@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1,
-                                   2 * CHUNK + 1, 14])
+@pytest.mark.parametrize("shape,count", [
+    pytest.param(shape, count, id=f"{name}{count}")
+    for name, shape in (("", SWEEP_SHAPES["bg1"]), ("cb-crc-", TWO_CB_SHAPE))
+    for count in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 14)])
 @pytest.mark.parametrize("max_iters", [DEFAULT_MAX_ITERS, 3])
-@pytest.mark.parametrize("shape", [SWEEP_SHAPES["bg1"], TWO_CB_SHAPE],
-                         ids=["one-segment", "cb-crc"])
 def test_batch_matches_the_per_cb_oracle(shape, count, max_iters,
                                          monkeypatch):
     """Mixed batches decode block for block as the per-CB loop does, with
