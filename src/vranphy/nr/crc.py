@@ -3,19 +3,29 @@
 Three generator polynomials are supported: the 24-bit A and B variants and
 the 16-bit CCITT polynomial. Bits are processed MSB-first with zero initial
 state and no final inversion, so an all-zero payload yields an all-zero
-checksum and appending the checksum makes the remainder zero.
+checksum and appending the checksum makes the remainder zero. Every
+payload value must be 0 or 1; a bool array is binary by its type, so
+callers that checked their bits already pass a bool view and nothing is
+checked twice.
 
 The checksum is computed through the linearity of polynomial division:
-``crc(m) = sum over set bits i of (x^(len + n - 1 - i) mod g)``. Over a
-block of rows of width W that sum is one GF(2) matrix product: the rows
-times a (W, len) matrix whose row j holds the bits of x^(len + W - 1 - j)
-mod g give every row's remainder at once. A batch of equal-length
-messages is such a block. A flat payload is zero-padded at the front to
-whole rows of ``ROW_BITS`` (leading zeros leave the remainder unchanged),
-and the row remainders are folded pairwise, hi * x^W + lo, in log2(rows)
-more products, so the table of x^k mod g never grows past the widest row.
-The matrix of each fold level squares the previous level's; it is built
-once per (kind, level) and cached read-only.
+``crc(m) = m(x) x^len mod g``, the sum over set bits i of
+x^(len + n - 1 - i) mod g. Over a block of rows of width W that sum is one
+GF(2) matrix product: the rows times a (W, len) matrix whose row j holds
+the bits of x^(len + W - 1 - j) mod g give every row's checksum at once.
+A batch of equal-length messages is such a block.
+
+A flat payload of n bits is packed into R rows of W = ``ROW_BITS`` and
+t = R * W - n trailing zeros. The stack of rows is the message times x^t,
+and row j of it counts times x^(W * (R - 1 - j)), so
+
+    crc(m) = sum over j of crc(row j) * x^(W * (R - 1 - j) - t) mod g.
+
+The exponent may be negative: x is invertible modulo each generator, whose
+constant term is 1. The sum is one more GF(2) product, of the R row
+checksums laid end to end with an (R * len, len) fold matrix. That matrix
+is built in O(log R) products of (len, len) shift matrices, by doubling
+its stack of blocks, and cached read-only per (kind, R, t).
 Products run on bits packed 64 to a word: AND with the matrix's packed
 columns, XOR-reduce, parity.
 """
@@ -33,12 +43,12 @@ _POLYS = {
     "CRC24B": (0x800063, 24),
     "CRC16": (0x1021, 16),
 }
-# row width a flat payload is folded over: the largest code block, so the
-# CRC of a block is one row and needs no fold
+# row width a flat payload is packed into: the largest code block, so the
+# CRC of a block is one row; a whole number of 64-bit words
 ROW_BITS = 8448
-# rows a GF(2) product ANDs and reduces at once, which bounds its transient
-# (0.4 MB at 8448 bits and 24 columns)
-_PRODUCT_ROWS = 16
+# bytes of the transient a GF(2) product ANDs and reduces at once: 16 rows
+# at 8448 bits and 24 columns
+_PRODUCT_BYTES = 16 * 132 * 24 * 8
 
 _POWER_CACHE: dict[str, np.ndarray] = {}
 
@@ -79,14 +89,19 @@ def _x_powers(kind: str, needed: int) -> np.ndarray:
     return out
 
 
+def _int_bits(values, length: int) -> np.ndarray:
+    """(count, len) MSB-first bits of ``count`` integers."""
+    values = np.asarray(values, dtype=np.uint32)
+    return ((values[:, None] >> np.arange(length - 1, -1, -1,
+                                          dtype=np.uint32)) & 1
+            ).astype(np.uint8)
+
+
 def _power_bits(kind: str, lo: int, count: int) -> np.ndarray:
     """(count, len) MSB-first bits of x^k mod g for k = lo + count - 1
     down to lo."""
-    length = crc_length(kind)
-    powers = _x_powers(kind, lo + count)[lo:lo + count][::-1]
-    return ((powers[:, None] >> np.arange(length - 1, -1, -1,
-                                          dtype=np.uint32)) & 1
-            ).astype(np.uint8)
+    return _int_bits(_x_powers(kind, lo + count)[lo:lo + count][::-1],
+                     crc_length(kind))
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -97,17 +112,40 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _gf2_product(a: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for an (n, K) 0/1 array ``a`` and a (K, L) 0/1
-    matrix given as its packed columns ``_pack_rows(b.T)``: (n, L) bits."""
-    packed = _pack_rows(a)
+def _gf2_product(packed: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) for an (n, K) 0/1 array ``a`` given as its packed
+    rows ``_pack_rows(a)`` and a (K, L) 0/1 matrix given as its packed
+    columns ``_pack_rows(b.T)``: (n, L) bits."""
     words = np.empty((packed.shape[0], b_cols.shape[0]), dtype=np.uint64)
-    for lo in range(0, packed.shape[0], _PRODUCT_ROWS):
-        np.bitwise_xor.reduce(packed[lo:lo + _PRODUCT_ROWS, None, :] & b_cols,
-                              axis=2, out=words[lo:lo + _PRODUCT_ROWS])
+    step = max(1, _PRODUCT_BYTES // max(1, b_cols.size * 8))
+    for lo in range(0, packed.shape[0], step):
+        np.bitwise_xor.reduce(packed[lo:lo + step, None, :] & b_cols,
+                              axis=2, out=words[lo:lo + step])
     for shift in (32, 16, 8, 4, 2, 1):
         words ^= words >> np.uint64(shift)
     return (words & np.uint64(1)).astype(np.uint8)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2) for two small 0/1 matrices."""
+    return _gf2_product(_pack_rows(a), _pack_rows(b.T))
+
+
+def _shift_matrix(kind: str, k: int) -> np.ndarray:
+    """The (len, len) matrix that multiplies a checksum by x^k mod g: row i
+    holds x^(len - 1 - i + k) mod g. A negative k powers x^-1 = (g - 1) / x
+    by squaring."""
+    if k >= 0:
+        return _power_bits(kind, k, crc_length(kind))
+    poly, length = _POLYS[kind]
+    base = np.eye(length, k=1, dtype=np.uint8)      # row i: x^(len - 2 - i)
+    base[-1] = _int_bits([(poly | 1 << length) >> 1], length)[0]
+    out = np.eye(length, dtype=np.uint8)
+    for bit in bin(-k)[:1:-1]:
+        if bit == "1":
+            out = _times(out, base)
+        base = _times(base, base)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -117,49 +155,63 @@ def _row_matrix(kind: str, width: int) -> np.ndarray:
     return _pack_rows(_power_bits(kind, crc_length(kind), width).T)
 
 
-@lru_cache(maxsize=None)
-def _fold_matrix(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (len, len) matrix that multiplies a remainder by x^w, w =
-    ROW_BITS * 2^level (row i holds x^(w + len - 1 - i) mod g), and its
-    packed columns."""
-    if level == 0:
-        shift = _power_bits(kind, ROW_BITS, crc_length(kind))
-    else:
-        shift = _gf2_product(*_fold_matrix(kind, level - 1))
-    packed = _pack_rows(shift.T)
-    shift.flags.writeable = packed.flags.writeable = False
-    return shift, packed
+@lru_cache(maxsize=8)
+def _fold_rows(kind: str, rows: int, trailing: int) -> np.ndarray:
+    """Packed columns of the (rows * len, len) matrix that folds the
+    checksums of ``rows`` rows of ``ROW_BITS``, followed by ``trailing``
+    zeros, into the checksum of the message: block j multiplies by
+    x^(ROW_BITS * (rows - 1 - j) - trailing)."""
+    length = crc_length(kind)
+    stack = _shift_matrix(kind, -trailing)             # the last row's block
+    step = _shift_matrix(kind, ROW_BITS)               # x^(W * blocks)
+    while stack.shape[0] < rows * length:
+        stack = np.vstack([_times(stack, step), stack])
+        step = _times(step, step)
+    packed = _pack_rows(stack[stack.shape[0] - rows * length:].T)
+    packed.flags.writeable = False
+    return packed
+
+
+def _binary(payload) -> np.ndarray:
+    """``payload`` as a bool array, checked to hold only 0 and 1 unless its
+    type says so: a uint8 array is viewed, anything else converted."""
+    bits = np.asarray(payload)
+    if bits.dtype == np.bool_:
+        return bits
+    if bits.dtype == np.uint8:
+        if bits.size and bits.max() > 1:
+            raise InvalidConfigError("CRC payload bits must be 0 or 1")
+        return bits.view(np.bool_)
+    if bits.dtype.kind not in "iuf" or not ((bits == 0) | (bits == 1)).all():
+        raise InvalidConfigError("CRC payload bits must be 0 or 1")
+    return bits != 0
 
 
 def crc_compute(payload, kind: str) -> np.ndarray:
-    """Checksum bits of ``payload`` (0/1 values): one (len,) checksum of a
-    flat sequence, or an (n, len) array of the checksums of each row of an
-    (n, W) array."""
+    """Checksum bits of ``payload`` (0/1 values, else
+    ``InvalidConfigError``): one (len,) checksum of a flat sequence, or an
+    (n, len) array of the checksums of each row of an (n, W) array."""
     length = crc_length(kind)
-    bits = np.asarray(payload, dtype=np.uint8)
+    bits = _binary(payload)
     if bits.ndim == 2:
-        return _gf2_product(bits, _row_matrix(kind, bits.shape[1]))
+        return _gf2_product(_pack_rows(bits), _row_matrix(kind, bits.shape[1]))
     if bits.ndim != 1:
         raise InvalidConfigError("payload must be a flat bit sequence or "
                                  "a block of rows")
-    n_rows = -(-bits.size // ROW_BITS)
-    padded = np.zeros(n_rows * ROW_BITS, dtype=np.uint8)
-    padded[padded.size - bits.size:] = bits
-    rem = _gf2_product(padded.reshape(n_rows, ROW_BITS),
-                       _row_matrix(kind, ROW_BITS))
-    level = 0
-    while rem.shape[0] > 1:     # fold adjacent rows as hi * x^w + lo
-        if rem.shape[0] % 2:
-            rem = np.vstack([np.zeros((1, length), dtype=np.uint8), rem])
-        rem = _gf2_product(rem[0::2], _fold_matrix(kind, level)[1]) \
-            ^ rem[1::2]
-        level += 1
-    return rem[0] if n_rows else np.zeros(length, dtype=np.uint8)
+    if not bits.size:
+        return np.zeros(length, dtype=np.uint8)
+    rows = -(-bits.size // ROW_BITS)
+    packed = np.zeros(rows * ROW_BITS // 8, dtype=np.uint8)
+    packed[: -(-bits.size // 8)] = np.packbits(bits)
+    checksums = _gf2_product(packed.view(np.uint64).reshape(rows, -1),
+                             _row_matrix(kind, ROW_BITS))
+    return _gf2_product(_pack_rows(checksums.reshape(1, -1)),
+                        _fold_rows(kind, rows, rows * ROW_BITS - bits.size))[0]
 
 
 def crc_check(block, kind: str) -> bool:
     """True when ``block`` ends with a valid checksum over its head."""
-    bits = np.asarray(block, dtype=np.uint8)
+    bits = _binary(block)
     length = crc_length(kind)
     if bits.size < length:
         return False

@@ -194,7 +194,7 @@ def _passes(st, plan: SegmentationPlan, totals: np.ndarray) -> np.ndarray:
     decided = np.flatnonzero(passes)
     if decided.size:
         kind = CB_CRC if plan.cb_crc_present else plan.tb_crc_kind
-        hard = (totals[: plan.k_prime] < 0).view(np.uint8)
+        hard = totals[: plan.k_prime] < 0       # bool: binary by type
         if decided.size < passes.size:
             hard = hard.take(decided, axis=1)
         hard = np.ascontiguousarray(hard.T)     # (c, K') rows

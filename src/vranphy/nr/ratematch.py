@@ -5,11 +5,22 @@ Selection starts at the redundancy-version offset, skips filler positions
 and wraps; the selected stream is then block-interleaved with Qm rows.
 The selected positions depend only on the segmentation plan and the
 rate-match parameters, so they are computed once per distinct pair.
+
+Selection reads the buffer in a few runs of consecutive positions: from k0
+up to the filler, from the filler's end up to Ncb, and on from 0 after
+each wrap. The interleaver writes the selected stream into Qm rows of
+E/Qm bits and reads it out by columns, so the part of a run that lies in
+one row lands on every Qm-th output bit. ``selection_runs`` cuts the runs
+where the rows end and keeps each piece as three small ints; rate matching
+copies each piece with one strided slice, and soft combining
+(``nr.softbuffer``) adds each one back the same way. Neither builds an
+index array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -18,6 +29,7 @@ from .basegraph import PUNCTURED_BLOCKS, buffer_length
 from .segmentation import SegmentationPlan
 
 MAX_E_FACTOR = 8  # cap on repetition: E may wrap the buffer at most this often
+QM_VALUES = (2, 4, 6, 8)
 
 _K0_NUM = {1: {0: 0, 1: 17, 2: 33, 3: 56},
            2: {0: 0, 1: 13, 2: 25, 3: 43}}
@@ -32,12 +44,26 @@ class RateMatchParams:
     ncb: int            # circular-buffer length
 
     def __post_init__(self):
+        # the fields key the selection caches, so each must be a plain
+        # integer: 800.0 or True would pass a range check as 800 or 1
+        for name in ("e", "rv", "qm", "ncb"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidConfigError(
+                    f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.e <= 0:
             raise InvalidConfigError("E must be positive")
         if self.rv not in (0, 1, 2, 3):
             raise InvalidConfigError("rv must be one of 0..3")
-        if self.qm not in (2, 4, 6, 8):
-            raise InvalidConfigError("Qm must be one of 2,4,6,8")
+        _check_qm(self.qm)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_qm(qm) -> None:
+    if not (_is_integer(qm) and qm in QM_VALUES):
+        raise InvalidConfigError(f"Qm must be one of 2, 4, 6, 8, not {qm!r}")
 
 
 def k0_offset(base_graph: int, z: int, rv: int, ncb: int | None = None) -> int:
@@ -86,8 +112,29 @@ def selection_positions(plan: SegmentationPlan, params: RateMatchParams
     return positions
 
 
+@lru_cache(maxsize=32)
+def selection_runs(plan: SegmentationPlan, params: RateMatchParams
+                   ) -> tuple[tuple[int, int, int], ...]:
+    """The selection as pieces of runs of consecutive buffer positions,
+    each within one interleaver row: (output index of its first bit, its
+    first buffer position, its length). A piece's bits go to every Qm-th
+    output bit from the first. A tuple of small ints, so the cache pins
+    none of the heap memory a slot's arrays use."""
+    positions = selection_positions(plan, params)
+    row = params.e // params.qm
+    first = np.zeros(params.e, dtype=bool)
+    first[::row] = True                         # a row starts
+    first[1:] |= np.diff(positions) != 1        # a run starts
+    cuts = np.flatnonzero(first)
+    lengths = np.diff(cuts, append=params.e)
+    row_index, column = np.divmod(cuts, row)
+    return tuple(zip((column * params.qm + row_index).tolist(),
+                     positions[cuts].tolist(), lengths.tolist()))
+
+
 def interleave(selected: np.ndarray, qm: int) -> np.ndarray:
     """f[i*Qm + j] = e[j*(E/Qm) + i]: write row-wise in Qm rows, read columns."""
+    _check_qm(qm)
     e = np.asarray(selected)
     if e.size % qm:
         raise InvalidConfigError("E must be a multiple of Qm")
@@ -95,6 +142,7 @@ def interleave(selected: np.ndarray, qm: int) -> np.ndarray:
 
 
 def deinterleave(received: np.ndarray, qm: int) -> np.ndarray:
+    _check_qm(qm)
     f = np.asarray(received)
     if f.size % qm:
         raise InvalidConfigError("length must be a multiple of Qm")
@@ -111,6 +159,9 @@ def rate_match(codeword: np.ndarray, plan: SegmentationPlan,
     if cw.shape[-1] != expected:
         raise InvalidConfigError(
             f"codeword length {cw.shape[-1]} != {expected}")
-    # interleaving the positions picks the interleaved stream in one gather
-    read = interleave(selection_positions(plan, params), params.qm)
-    return cw.take(PUNCTURED_BLOCKS * z + read, axis=-1)
+    out = np.empty(cw.shape[:-1] + (params.e,), dtype=np.uint8)
+    qm = params.qm
+    for start, pos, length in selection_runs(plan, params):
+        pos += PUNCTURED_BLOCKS * z
+        out[..., start:start + length * qm:qm] = cw[..., pos:pos + length]
+    return out

@@ -123,33 +123,38 @@ def _min_lifting(kb: int, k_prime: int) -> int:
 def split_payload(payload, plan: SegmentationPlan) -> np.ndarray:
     """The (C, K) code blocks of a TB payload of A bits, one per row.
 
-    Appends the TB CRC, splits into ``num_cbs`` segments (zero-padding the
-    tail when the CRC'd block is not divisible, which never happens for
-    TBS-aligned sizes), attaches per-CB CRCs (one CRC call over all
-    segments) and filler. Every payload value must be 0 or 1.
+    The payload and then its TB CRC fill the segments, the first K' - 24
+    bits of each row (K' for a single block), in order, and zeros pad the
+    last segment when the CRC'd block is not divisible (which never
+    happens for TBS-aligned sizes). Per-CB CRCs (one CRC call over all
+    segments) and filler follow. The payload is written once, straight
+    into its rows. Every payload value must be 0 or 1: the TB CRC call
+    checks it, and the segments go to the CB CRC call as a bool view,
+    binary by its type, so no bit is checked twice.
     """
-    raw = np.asarray(payload)
+    raw = np.asarray(payload).reshape(-1)
     if raw.size != plan.payload_bits:
         raise InvalidConfigError(
             f"payload length {raw.size} != plan payload {plan.payload_bits}")
-    bits = raw.astype(np.uint8, copy=False)
-    # a converted payload must convert exactly (-1 would wrap to 255 and
-    # 0.5 truncate to 0); a uint8 payload is used as is
-    if bits.max() > 1 or (bits is not raw and not np.array_equal(bits, raw)):
-        raise InvalidConfigError("payload bits must be 0 or 1")
     c = plan.num_cbs
     seg_data = plan.segment_data_bits
     if seg_data * c < plan.tb_size_bits:
         raise InvalidConfigError("plan too small for payload")
-    segments = np.zeros((c, seg_data), dtype=np.uint8)
-    stream = segments.reshape(-1)
-    stream[: bits.size] = bits
-    stream[bits.size:plan.tb_size_bits] = crc.crc_compute(bits,
-                                                          plan.tb_crc_kind)
-    out = np.full((c, plan.k), FILLER, dtype=np.uint8)
-    out[:, :seg_data] = segments
+    tb_crc = crc.crc_compute(raw, plan.tb_crc_kind)
+    out = np.empty((c, plan.k), dtype=np.uint8)
+    # rows of payload only, then the last one or two, which hold its end,
+    # the TB CRC and any padding
+    full = raw.size // seg_data
+    head = full * seg_data
+    out[:full, :seg_data] = raw[:head].reshape(full, seg_data)
+    tail = np.zeros((c - full) * seg_data, dtype=np.uint8)
+    tail[: raw.size - head] = raw[head:]
+    tail[raw.size - head:plan.tb_size_bits - head] = tb_crc
+    out[full:, :seg_data] = tail.reshape(c - full, seg_data)
+    out[:, plan.k_prime:] = FILLER
     if plan.cb_crc_present:
-        out[:, seg_data:plan.k_prime] = crc.crc_compute(segments, CB_CRC)
+        out[:, seg_data:plan.k_prime] = crc.crc_compute(
+            out[:, :seg_data].view(np.bool_), CB_CRC)
     return out
 
 

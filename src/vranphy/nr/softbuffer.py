@@ -10,10 +10,12 @@ hold nothing else; a magnitude of ``LLR_SAT`` means certain. The bound
 leaves the decoder's arithmetic room below the int16 range (``nr.decoder``
 shows that no sum it forms can wrap).
 
-A buffer holds one code block's circular-buffer worth of LLRs. New
-transmissions are de-interleaved, mapped back onto their buffer positions
-and added with saturation; where a transmission repeats positions
-(E > Ncb), its values for one position are summed first, so no sum wraps.
+A buffer holds one code block's circular-buffer worth of LLRs. A new
+transmission is added back onto the buffer positions it was read from,
+one strided slice per piece of ``nr.ratematch.selection_runs``, which
+undoes the interleaver on the way; the sums are taken in int32 and
+saturated once, so where a transmission repeats positions (E > Ncb) its
+values for one position are summed first and no sum wraps.
 Filler positions stay pinned at +``LLR_SAT``, bit value 0 for certain;
 untransmitted positions keep their prior value.
 
@@ -27,8 +29,7 @@ import numpy as np
 
 from ..errors import InvalidConfigError
 from .basegraph import buffer_length
-from .ratematch import RateMatchParams, deinterleave, filler_range, \
-    selection_positions
+from .ratematch import RateMatchParams, filler_range, selection_runs
 from .segmentation import SegmentationPlan
 
 LLR_DTYPE = np.int16
@@ -85,15 +86,15 @@ def received_llrs(llrs, params: RateMatchParams) -> np.ndarray:
 def rate_recover_and_combine(llrs: np.ndarray, plan: SegmentationPlan,
                              params: RateMatchParams,
                              buffer: SoftBuffer) -> SoftBuffer:
-    """De-interleave, map to buffer positions and saturating-add."""
-    rx = received_llrs(llrs, params)
+    """Add each received LLR onto the buffer position it was read from,
+    with saturation."""
+    rx = received_llrs(llrs, params).reshape(-1)
     if buffer.llrs.size != params.ncb:
         raise InvalidConfigError("buffer length does not match Ncb")
-    seq = deinterleave(rx, params.qm)
-    positions = selection_positions(plan, params)
+    qm = params.qm
     total = buffer.llrs.astype(np.int32)
-    # one dtype on both sides: add.at on int32 += int16 is ~25x slower
-    np.add.at(total, positions, seq.astype(np.int32))
+    for start, pos, length in selection_runs(plan, params):
+        total[pos:pos + length] += rx[start:start + length * qm:qm]
     np.clip(total, -LLR_SAT, LLR_SAT, out=total)
     buffer.llrs[:] = total
     lo, hi = filler_range(plan)

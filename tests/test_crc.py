@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from vranphy.errors import InvalidConfigError
 from vranphy.nr import crc_check, crc_compute, crc_length
-from vranphy.nr.crc import ROW_BITS, _fold_matrix
+from vranphy.nr.crc import ROW_BITS, _fold_rows
 
 POLYS = {"CRC24A": (0x864CFB, 24), "CRC24B": (0x800063, 24),
          "CRC16": (0x1021, 16)}
@@ -117,14 +119,48 @@ def test_short_block_fails_check():
     assert not crc_check(np.zeros(10, dtype=np.uint8), "CRC24A")
 
 
-def test_fold_matrices_are_cached_read_only(rng):
-    """A flat payload of five rows folds over three levels; each level's
-    matrix is built once, kept read-only, and gives the same checksum."""
+def test_fold_matrix_is_cached_read_only(rng):
+    """A flat payload of five rows folds its row checksums through one
+    matrix, built once per (kind, rows, trailing zeros), kept read-only,
+    and giving the same checksum again."""
     bits = rng.integers(0, 2, 5 * ROW_BITS - 7, dtype=np.uint8)
     first = crc_compute(bits, "CRC24A")
-    for level in range(3):
-        shift, packed = _fold_matrix("CRC24A", level)
-        assert _fold_matrix("CRC24A", level)[1] is packed
-        assert not shift.flags.writeable and not packed.flags.writeable
+    fold = _fold_rows("CRC24A", 5, 7)
+    assert fold.shape == (24, -(-5 * 24 // 64))
+    assert _fold_rows("CRC24A", 5, 7) is fold
+    assert not fold.flags.writeable
     np.testing.assert_array_equal(crc_compute(bits, "CRC24A"), first)
     np.testing.assert_array_equal(first, crc_long_division(bits, "CRC24A"))
+
+
+@pytest.mark.parametrize("payload", [
+    [2, 0, 1, 1], [0.5, 1, 0], [np.nan, 0, 1], [-1, 0, 1], [1j, 0],
+    ["1", "0"], np.array([0, 3, 1], dtype=np.uint8), [[0, 1], [2, 0]]])
+def test_non_binary_payload_rejected(payload):
+    """A value other than 0 or 1 fails as a config error, without a
+    cast warning on the way: 2 is not taken for 1, nor 0.5 or NaN for 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in POLYS:
+            with pytest.raises(InvalidConfigError):
+                crc_compute(payload, kind)
+
+
+def test_non_binary_block_fails_its_check_as_config_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError):
+            crc_check([0.5] * 30, "CRC16")
+        with pytest.raises(InvalidConfigError):
+            crc_check([2] + [0] * 29, "CRC16")
+
+
+def test_bool_int_and_float_bits_give_the_uint8_checksum(rng):
+    bits = rng.integers(0, 2, 1000, dtype=np.uint8)
+    want = crc_long_division(bits, "CRC24A")
+    for form in (bits.astype(bool), bits.astype(np.int64), bits.tolist(),
+                 bits.astype(np.float32)):
+        np.testing.assert_array_equal(crc_compute(form, "CRC24A"), want)
+    block = np.concatenate([bits, want])
+    assert crc_check(block.astype(bool), "CRC24A")
+    assert crc_check(block.tolist(), "CRC24A")

@@ -5,7 +5,7 @@ from vranphy.errors import InvalidConfigError
 from vranphy.nr import (RateMatchParams, buffer_length,
                         interleave, k0_offset, ldpc_encode, rate_match,
                         segment_tb, selection_positions)
-from vranphy.nr.ratematch import deinterleave, filler_range
+from vranphy.nr.ratematch import deinterleave, filler_range, selection_runs
 
 
 def k0_oracle(bg, z, rv, ncb):
@@ -156,8 +156,8 @@ def test_selection_is_memoised_and_read_only():
 
 
 def test_rate_match_returns_a_fresh_writable_stream(rng):
-    """The selection it gathers through is shared and read-only; each
-    call's stream is a new array that the caller may write."""
+    """The selection it copies by is shared and read-only; each call's
+    stream is a new array that the caller may write."""
     plan = segment_tb(300, 0.5)
     params = RateMatchParams(e=600, rv=2, qm=2,
                              ncb=buffer_length(plan.base_graph,
@@ -182,3 +182,87 @@ def test_batch_rate_match_equals_each_row_alone(rng):
     assert batch.shape == (3, params.e)
     for row, cw in zip(batch, cws):
         np.testing.assert_array_equal(row, rate_match(cw, plan, params))
+
+
+# (plan, Ncb, Qm, E) cases of the oracle tests: BG1 and BG2, both with
+# filler; the full buffer, one 5Z shorter and a third of it; E short, about
+# half the buffer, and wrapping it, up to the 8x cap
+ORACLE_PLANS = {"bg1": (5000, 0.8), "bg2": (300, 0.5)}
+
+
+def oracle_cases(name):
+    plan = segment_tb(*ORACLE_PLANS[name])
+    z = plan.lifting_size
+    full = buffer_length(plan.base_graph, z)
+    assert plan.filler_per_cb > 0
+    for ncb in (full, full - 5 * z, full // 3 // z * z):
+        for qm in (2, 4, 6, 8):
+            for e in (7 * qm, ncb // 2, 2 * ncb + 5 * qm, 8 * ncb):
+                yield plan, ncb, qm, e - e % qm
+
+
+def rate_match_oracle(cw, plan, params):
+    """The gather form: interleave the selected positions, then take."""
+    read = interleave(selection_positions(plan, params), params.qm)
+    return np.asarray(cw).take(2 * plan.lifting_size + read, axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
+def test_rate_match_equals_the_gather_oracle(name):
+    rng = np.random.default_rng(list(name.encode()))
+    for plan, ncb, qm, e in oracle_cases(name):
+        width = buffer_length(plan.base_graph, plan.lifting_size) \
+            + 2 * plan.lifting_size
+        for rv in range(4):
+            params = RateMatchParams(e=e, rv=rv, qm=qm, ncb=ncb)
+            for shape in ((width,), (3, width), (2, 3, width)):
+                cw = rng.integers(0, 2, shape, dtype=np.uint8)
+                got = rate_match(cw, plan, params)
+                assert got.shape == shape[:-1] + (e,)
+                np.testing.assert_array_equal(
+                    got, rate_match_oracle(cw, plan, params),
+                    err_msg=f"{name} ncb={ncb} qm={qm} e={e} rv={rv}")
+
+
+def test_runs_cover_the_selection_in_pieces_within_interleaver_rows():
+    """Each piece is consecutive buffer positions inside one of the Qm
+    rows; read in output order they give the interleaved selection."""
+    plan = segment_tb(*ORACLE_PLANS["bg2"])
+    ncb = buffer_length(plan.base_graph, plan.lifting_size)
+    params = RateMatchParams(e=6 * 700, rv=3, qm=6, ncb=ncb)
+    runs = selection_runs(plan, params)
+    assert selection_runs(plan, params) is runs
+    assert all(type(v) is int for run in runs for v in run)
+    want = interleave(selection_positions(plan, params), params.qm)
+    got = np.full(params.e, -1)
+    row = params.e // params.qm
+    for start, pos, length in runs:
+        assert 0 < length <= row - start // params.qm
+        got[start::params.qm][:length] = np.arange(pos, pos + length)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("qm", [0, -2, 3, 10, 2.0, True, None, "2"])
+def test_interleaver_rejects_a_modulation_order_outside_the_table(qm):
+    for fn in (interleave, deinterleave):
+        with pytest.raises(InvalidConfigError):
+            fn(np.arange(24), qm)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e", 800.0), ("e", True), ("e", "800"), ("ncb", 2000.0),
+    ("ncb", None), ("rv", True), ("rv", 1.0), ("qm", True), ("qm", 2.0)])
+def test_params_hold_plain_integers(field, value):
+    """The fields key the selection caches: 800.0 equals and hashes like
+    800, and True like 1, so neither may stand in for an integer."""
+    fields = dict(e=800, rv=1, qm=2, ncb=2000)
+    RateMatchParams(**fields)
+    fields[field] = value
+    with pytest.raises(InvalidConfigError):
+        RateMatchParams(**fields)
+
+
+def test_params_take_numpy_integers():
+    params = RateMatchParams(e=np.int64(800), rv=np.int32(1), qm=np.int8(2),
+                             ncb=np.int64(2000))
+    assert params == RateMatchParams(e=800, rv=1, qm=2, ncb=2000)

@@ -8,7 +8,9 @@ from vranphy.nr import (assemble_payload, compute_tbs, encode_tb,
                         mcs_params, segment_tb, split_payload)
 from vranphy.nr.basegraph import lifting_sizes
 from vranphy.nr.crc import crc_check
-from vranphy.nr.segmentation import select_base_graph
+from vranphy.nr.segmentation import CB_CRC, select_base_graph
+from vranphy.deployment.harness import PhyTestTraffic
+from test_crc import crc_long_division
 
 
 def segmentation_oracle(a, rate):
@@ -140,3 +142,38 @@ def test_non_binary_payload_rejected():
         with pytest.raises(InvalidConfigError):
             split_payload(payload, plan)
     split_payload(np.ones(300, dtype=bool), plan)
+
+
+def split_oracle(payload, plan):
+    """Code blocks built bit by bit: payload, its TB CRC and zero padding
+    cut into segments, each followed by its CB CRC (when C > 1) and
+    filler; every CRC by long division."""
+    seg = plan.segment_data_bits
+    stream = np.zeros(plan.num_cbs * seg, dtype=np.uint8)
+    stream[: payload.size] = payload
+    stream[payload.size:plan.tb_size_bits] = crc_long_division(
+        payload, plan.tb_crc_kind)
+    out = np.zeros((plan.num_cbs, plan.k), dtype=np.uint8)
+    out[:, :seg] = stream.reshape(plan.num_cbs, seg)
+    if plan.cb_crc_present:
+        out[:, seg:plan.k_prime] = [crc_long_division(row, CB_CRC)
+                                    for row in out[:, :seg]]
+    return out
+
+
+@pytest.mark.parametrize("plan, shape", [
+    (segment_tb(300, 0.5), ("CRC16", 1, 316, 0)),
+    (segment_tb(8000, 0.7), ("CRC24A", 1, 8024, 0)),
+    (segment_tb(10001, 0.5), ("CRC24A", 2, 5013, 1)),
+    (PhyTestTraffic().plans()["dl"], ("CRC24A", 129, 8384, 0))],
+    ids=["crc16", "crc24a", "tail-padded", "129-cbs"])
+def test_split_payload_equals_the_bit_serial_oracle(plan, shape):
+    """One TB CRC kind, C, segment bits and tail padding per case; the
+    tail-padded plan's B = 10 025 bits fill 2 x 5 013 segment bits."""
+    c = plan.num_cbs
+    pad = c * plan.segment_data_bits - plan.tb_size_bits
+    assert (plan.tb_crc_kind, c, plan.segment_data_bits, pad) == shape
+    payload = np.random.default_rng(c).integers(0, 2, plan.payload_bits,
+                                                 dtype=np.uint8)
+    np.testing.assert_array_equal(split_payload(payload, plan),
+                                  split_oracle(payload, plan))

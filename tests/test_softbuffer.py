@@ -7,8 +7,9 @@ from vranphy.nr import (RateMatchParams, awgn_llrs, buffer_length, encode_tb,
                         rate_recover_and_combine, segment_tb,
                         selection_positions)
 from vranphy.nr import softbuffer
-from vranphy.nr.ratematch import filler_range
+from vranphy.nr.ratematch import deinterleave, filler_range
 from vranphy.nr.softbuffer import LLR_DTYPE, LLR_MAX, LLR_SAT, quantized
+from test_ratematch import ORACLE_PLANS, oracle_cases
 
 
 def _setup(rng, a=300, rate=0.5, e=None, rv=0):
@@ -180,3 +181,35 @@ def test_a_stream_in_the_format_passes_as_it_is():
     params = RateMatchParams(e=4, rv=0, qm=2, ncb=100)
     rx = np.array([-LLR_SAT, -1, 0, 7], dtype=LLR_DTYPE)
     assert softbuffer.received_llrs(rx, params) is rx
+
+
+def combine_oracle(llrs, plan, params, prior):
+    """The add.at form: de-interleave, sum onto the selected positions in
+    int32, saturate, pin the filler."""
+    seq = deinterleave(softbuffer.received_llrs(llrs, params), params.qm)
+    total = prior.astype(np.int32)
+    np.add.at(total, selection_positions(plan, params), seq.astype(np.int32))
+    out = np.clip(total, -LLR_SAT, LLR_SAT).astype(LLR_DTYPE)
+    lo, hi = filler_range(plan)
+    out[lo:hi] = LLR_SAT
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
+def test_combining_equals_the_add_at_oracle(name):
+    """Bit for bit, on a prior buffer of any values, with LLRs that reach
+    saturation so that repeated positions (E > Ncb) sum past int16."""
+    rng = np.random.default_rng(list(name.encode()))
+    for plan, ncb, qm, e in oracle_cases(name):
+        for rv in range(4):
+            params = RateMatchParams(e=e, rv=rv, qm=qm, ncb=ncb)
+            prior = rng.integers(-LLR_SAT, LLR_SAT + 1, ncb, dtype=LLR_DTYPE)
+            llrs = rng.integers(-LLR_SAT, LLR_SAT + 1, e, dtype=LLR_DTYPE)
+            llrs[::3] = LLR_SAT
+            want = combine_oracle(llrs, plan, params, prior)
+            buf = softbuffer.SoftBuffer(llrs=prior.copy())
+            got = rate_recover_and_combine(llrs, plan, params, buf)
+            assert got is buf
+            np.testing.assert_array_equal(
+                buf.llrs, want,
+                err_msg=f"{name} ncb={ncb} qm={qm} e={e} rv={rv}")
